@@ -1,6 +1,6 @@
 """Benchmark of the wfst checkout this file sits in.
 
-    python3 bench/run.py --workload decode --seed 1 --seconds 20 --trace 0
+    python3 bench/run.py --workload decode --seed 1 --seconds 15 --trace 0
     python3 bench/run.py --workload all --seed 1 --runs 10 --out BENCH_new.json
     python3 bench/run.py --compare BENCH_old.json BENCH_new.json
     python3 bench/run.py --self-test
@@ -8,10 +8,12 @@
 Each workload runs in a fresh process started from this one (bench/worker.py).
 With ``--trace 0`` it reports the end-to-end metrics of BENCHMARK.json;
 ``setup_s`` is the median of several set-ups, each timed from starting
-the process to its first request.  With ``--trace 1`` it reports the
-per-layer metrics from one traced cycle of requests.  The last line of
-output is a JSON object with the keys correct, attempted, failed and
-metrics.  See bench/README.md for the workloads and metrics.
+the process to its first request, and ``setup_ref`` the median of each
+set-up over the start-up of a reference process, timed just before and
+just after it.  With ``--trace 1`` it reports the per-layer metrics from
+one traced cycle of requests.  The last line of output is a JSON object
+with the keys correct, attempted, failed and metrics.  See
+bench/README.md for the workloads and metrics.
 """
 
 import argparse
@@ -25,8 +27,9 @@ import time
 BENCH = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(BENCH)
 WORKER = os.path.join(BENCH, "worker.py")
+REFERENCE = os.path.join(BENCH, "reference.py")
 WORKLOADS = ("lexicon", "decode", "train", "cli")
-SETUP_SAMPLES = 5     # set-ups per run; setup_s is their median
+SETUP_SAMPLES = 7     # set-ups per run; setup_s is their median
 WORKER_TIMEOUT = 170  # seconds; a run must end within 180
 COUNT_SUFFIXES = (".calls", ".states_out", ".arcs_out")
 COUNT_METRICS = ("semirings.ops", "autodiff.tape_nodes", "io.parse_text.arcs",
@@ -42,19 +45,33 @@ def load_spec():
         return json.load(f)
 
 
-def start_worker(workload, seed, seconds, mode):
-    """Start a worker and wait for READY; return (process, set-up seconds)."""
+def start_until_ready(argv, what):
+    """Start a Python child and wait for READY; return (process, seconds)."""
     start = time.perf_counter()
-    proc = subprocess.Popen(
-        [sys.executable, WORKER, workload, str(seed), str(seconds), mode],
-        stdout=subprocess.PIPE, text=True, cwd=ROOT)
+    proc = subprocess.Popen([sys.executable] + argv, stdout=subprocess.PIPE,
+                            text=True, cwd=ROOT)
     line = proc.stdout.readline()
     setup = time.perf_counter() - start
     if line.strip() != "READY":
         proc.kill()
         proc.communicate()
-        raise BenchError(f"{workload} worker failed during set-up")
+        raise BenchError(f"{what} failed during set-up")
     return proc, setup
+
+
+def start_worker(workload, seed, seconds, mode):
+    """Start a worker and wait for READY; return (process, set-up seconds)."""
+    return start_until_ready([WORKER, workload, str(seed), str(seconds), mode],
+                             f"{workload} worker")
+
+
+def reference_start():
+    """Seconds from starting the reference process to its READY."""
+    proc, seconds = start_until_ready([REFERENCE], "reference process")
+    proc.communicate()
+    if proc.returncode != 0:
+        raise BenchError(f"reference process exited with {proc.returncode}")
+    return seconds
 
 
 def finish_worker(proc, workload):
@@ -95,16 +112,27 @@ def run_once(workload, seed, seconds, trace):
         listed = raw["metrics"]
     else:
         # Set-ups before and after the measured run, so that they fall in
-        # different phases of the machine's speed.
-        setups = [setup_only(workload, seed) for _ in range(SETUP_SAMPLES // 2)]
-        proc, setup = start_worker(workload, seed, seconds, "run")
-        raw = finish_worker(proc, workload)
-        setups += [setup] + [setup_only(workload, seed)
-                             for _ in range(SETUP_SAMPLES - 1 - SETUP_SAMPLES // 2)]
+        # different phases of the machine's speed.  Each one lies between
+        # two reference start-ups, and its ratio is to their mean, so that
+        # the ratio is taken in one phase.
+        reference_start()  # the first start after a pause is slow
+        before = SETUP_SAMPLES // 2
+        setups, refs = [], [reference_start()]
+        for k in range(SETUP_SAMPLES):
+            if k == before:
+                proc, setup = start_worker(workload, seed, seconds, "run")
+                raw = finish_worker(proc, workload)
+            else:
+                setup = setup_only(workload, seed)
+            setups.append(setup)
+            refs.append(reference_start())
+        ratios = [s / ((a + b) / 2) for s, a, b in zip(setups, refs, refs[1:])]
         n, ref = raw["requests"], raw["reference_ms"]
         rows = [
             ("setup_s", statistics.median(setups), "s",
              f"median of {SETUP_SAMPLES} set-ups"),
+            ("setup_ref", statistics.median(ratios), "ref",
+             f"median of {SETUP_SAMPLES} set-ups over reference start-ups"),
             ("latency_p50_ms", raw["latency_p50_ms"], "ms", f"{n} requests"),
             ("latency_p90_ms", raw["latency_p90_ms"], "ms", f"{n} requests"),
             ("items_per_s", raw["items_per_s"], "items/s",
@@ -113,15 +141,17 @@ def run_once(workload, seed, seconds, trace):
             ("peak_rss_mb", raw["peak_rss_mb"], "MB",
              "max over CLI children" if workload == "cli" else "workload process"),
             ("reference_ms", ref, "ms", f"median of {n} reference loops"),
-            ("latency_p50_ref", raw["latency_p50_ms"] / ref, "ref",
-             "latency_p50_ms / reference_ms"),
-            ("latency_p90_ref", raw["latency_p90_ms"] / ref, "ref",
-             "latency_p90_ms / reference_ms"),
-            ("items_per_ref", raw["items_per_s"] * ref / 1e3, "items/ref",
-             "items_per_s * reference_ms"),
+            ("latency_p50_ref", raw["latency_p50_ref"], "ref",
+             "median of latency / local reference_ms"),
+            ("latency_p90_ref", raw["latency_p90_ref"], "ref",
+             "90th percentile of latency / local reference_ms"),
+            ("items_per_ref", raw["items_per_ref"], "items/ref",
+             "items / sum of latency / local reference_ms"),
         ]
         listed = {m["name"]: None for m in load_spec()["end_to_end"]}
-    result = {"correct": raw["failed"] == 0, "attempted": raw["requests"],
+    # A run that MAX_LOOP_SECONDS cut short is not comparable to a whole one.
+    result = {"correct": raw["failed"] == 0 and not raw.get("truncated", False),
+              "attempted": raw["requests"],
               "failed": raw["failed"],
               "metrics": {name: {"value": value, "unit": unit}
                           for name, value, unit, _ in rows if name in listed}}
@@ -135,7 +165,9 @@ def run(args):
         for seed in range(args.seed, args.seed + args.runs):
             result, rows = run_once(name, seed, args.seconds, args.trace)
             print(f"{name}  seed {seed}  {result['attempted']} requests  "
-                  f"{result['failed']} failed")
+                  f"{result['failed']} failed"
+                  + ("" if result["correct"] or result["failed"]
+                     else "  TRUNCATED (not comparable)"))
             for metric, value, unit, samples in rows:
                 print(f"  {metric:40s} {value:14.6g} {unit:9s} {samples}")
             results.setdefault(name, []).append(result)
@@ -182,10 +214,18 @@ def compare(old_path, new_path):
     print(f"{'workload':8s} {'metric':42s} {'old':>12s} {'new':>12s} "
           f"{'new/old':>8s} {'spread':>13s}  verdict")
     for workload in [w for w in old if w in new]:
-        metrics = old[workload][0]["metrics"]
+        # Runs that failed a check or were cut short are left out.
+        runs_a = [r for r in old[workload] if r["correct"]]
+        runs_b = [r for r in new[workload] if r["correct"]]
+        left_out = len(old[workload]) + len(new[workload]) - len(runs_a) - len(runs_b)
+        if left_out:
+            print(f"{workload:8s} {left_out} runs left out: failed or truncated")
+        if not runs_a or not runs_b:
+            continue
+        metrics = runs_a[0]["metrics"]
         for metric, first in metrics.items():
-            a = [r["metrics"][metric]["value"] for r in old[workload]]
-            b = [r["metrics"][metric]["value"] for r in new[workload]]
+            a = [r["metrics"][metric]["value"] for r in runs_a]
+            b = [r["metrics"][metric]["value"] for r in runs_b]
             ma, mb = statistics.median(a), statistics.median(b)
             ratio = mb / ma if ma else float("nan")
             sa, sb = spread(a), spread(b)

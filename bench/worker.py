@@ -14,7 +14,6 @@ Usage: python3 bench/worker.py WORKLOAD SEED SECONDS MODE
 import gc
 import json
 import os
-import random
 import shutil
 import statistics
 import sys
@@ -25,6 +24,7 @@ SRC = os.path.join(ROOT, "src")
 WORKDIR = os.path.join(ROOT, ".bench_work")
 MIN_REQUESTS = 100    # so that ten samples lie beyond the 90th percentile
 MAX_LOOP_SECONDS = 120  # a stuck request must not hold the run forever
+REFERENCE_WINDOW = 5  # a request's reference: the median of 2*5+1 loops
 
 sys.path.insert(0, SRC)
 import wfst  # noqa: E402
@@ -32,57 +32,17 @@ import wfst  # noqa: E402
 if not os.path.realpath(wfst.__file__).startswith(os.path.realpath(SRC) + os.sep):
     raise SystemExit(f"imported wfst from {wfst.__file__}, not from {SRC}")
 
+from reference import measured_reference  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
-class _Point:
-    __slots__ = ("x", "y")
-
-    def __init__(self, x, y):
-        self.x = x
-        self.y = y
-
-
-class Reference:
-    """A fixed pure-Python loop that never touches wfst.
-
-    The machine's speed swings by a third within seconds.  This loop
-    builds small objects, fills a dict and reads a 32k-object pool in a
-    shuffled order, so its time swings with the workloads' times; a loop
-    over a cache-resident table alone swings about twice as far.  Timed
-    after every request, its median is the unit of the end-to-end metrics
-    that BENCHMARK.json bounds.
-    """
-
-    SIZE = 1 << 15
-    STEPS = 4000
-
-    def __init__(self):
-        self.pool = [_Point(float(i), 1.0) for i in range(self.SIZE)]
-        self.order = list(range(self.SIZE))
-        random.Random(0).shuffle(self.order)
-
-    def ms(self):
-        pool, order, mask = self.pool, self.order, self.SIZE - 1
-        start = time.perf_counter()
-        table = {}
-        total = 0.0
-        j = 0
-        for i in range(self.STEPS):
-            q = pool[order[j]]
-            j = (j + 40503) & mask
-            point = _Point(q.x * 0.5, q.y)
-            table[i & 4095] = point
-            total += point.x
-        return 1e3 * (time.perf_counter() - start)
-
-
-def closed_loop(workload, seconds):
+def closed_loop(workload, reference, pool_mb, seconds):
     """Requests back to back until ``seconds`` of request time have passed,
     at least MIN_REQUESTS are done and the last cycle of shapes is whole.
-    The reference loop runs after each request, outside its timed region."""
+    The reference loop runs after each request, outside its timed region.
+    A run cut short by MAX_LOOP_SECONDS is marked ``truncated``: its size
+    mix and sample count differ from a whole run's."""
     k = len(workload.SHAPES)
-    reference = Reference()
     latencies, failures, reference_ms = [], [], []
     busy = 0.0
     items = 0
@@ -96,9 +56,18 @@ def closed_loop(workload, seconds):
         busy += latencies[-1]
         items += workload.items(request)
         i += 1
+    truncated = busy < seconds or i < MIN_REQUESTS or i % k != 0
+    # Each request over the median reference time around it, so that the
+    # ratio is taken in the phase of the machine the request ran in.
+    local = [statistics.median(reference_ms[max(0, j - REFERENCE_WINDOW):
+                                            j + REFERENCE_WINDOW + 1])
+             for j in range(i)]
+    ratios = [t / (1e-3 * r) for t, r in zip(latencies, local)]
     deciles = statistics.quantiles(latencies, n=10, method="inclusive")
+    ratio_deciles = statistics.quantiles(ratios, n=10, method="inclusive")
     return {
         "requests": i,
+        "truncated": truncated,
         "failures": failures,
         "items": items,
         "busy_s": busy,
@@ -106,7 +75,10 @@ def closed_loop(workload, seconds):
         "latency_p50_ms": 1e3 * deciles[4],
         "latency_p90_ms": 1e3 * deciles[8],
         "items_per_s": items / busy,
-        "peak_rss_mb": workload.peak_rss_mb(),
+        "latency_p50_ref": ratio_deciles[4],
+        "latency_p90_ref": ratio_deciles[8],
+        "items_per_ref": items / sum(ratios),
+        "peak_rss_mb": workload.peak_rss_mb(own_extra_mb=pool_mb),
     }
 
 
@@ -116,12 +88,19 @@ def main():
     workdir = os.path.join(WORKDIR, f"{name}-{os.getpid()}")
     os.makedirs(workdir)
     try:
+        # Built first, so that every peak of the process includes the pool
+        # and subtracting its size leaves the workload's own peak.
+        reference, pool_mb = measured_reference()
         workload = WORKLOADS[name](int(seed), workdir)
         workload.warm_up()
         gc.collect()  # the timed loop starts without the warm-up's garbage
         print("READY", flush=True)
         if mode == "run":
-            result = closed_loop(workload, float(seconds))
+            result = closed_loop(workload, reference, pool_mb, float(seconds))
+            if result["truncated"]:
+                print(f"{name} (seed {seed}) stopped after {MAX_LOOP_SECONDS} s "
+                      f"and {result['requests']} requests, short of a whole run",
+                      file=sys.stderr)
         elif mode == "trace":
             import layers
             result = layers.traced_run(workload)

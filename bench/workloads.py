@@ -111,9 +111,11 @@ class Workload:
         if failures:
             raise SystemExit(f"{self.name} warm-up failed: {failures[0][1]}")
 
-    def peak_rss_mb(self):
-        """Peak resident memory of the process serving the requests."""
-        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    def peak_rss_mb(self, own_extra_mb=0.0):
+        """Peak resident memory of the process serving the requests, less
+        ``own_extra_mb`` that the benchmark itself holds there."""
+        peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        return peak_kb / 1024 - own_extra_mb
 
     def fingerprint(self):
         """A string that identifies the inputs of the first cycle."""
@@ -237,14 +239,14 @@ class Decode(Workload):
 
 # -- train -------------------------------------------------------------
 
-def cyclic_model(seed):
-    """Seeded 8-state cyclic transducer over {a, b}.
+def cyclic_model(seed, cycle=0):
+    """Seeded 8-state cyclic transducer over {a, b}, one per cycle.
 
     Every state has two arcs for each of the four label pairs, carrying
     0.9 of its mass in total, and final weight 0.1, so the total weight
     converges (it is 1) and every equal-length pair has a path.
     """
-    rng = _rng("train", seed, "model")
+    rng = _rng("train", seed, "model", cycle)
     model = F.Fst(RealWeight)
     for _ in range(8):
         model.add_state()
@@ -296,22 +298,30 @@ class Train(Workload):
 
     def __init__(self, seed, workdir):
         super().__init__(seed, workdir)
-        self.model = cyclic_model(seed)
+        # One model per cycle of requests, so that a run's time is not
+        # that of a single seeded model, whose relaxation may be quick or
+        # slow to converge.  ``model`` is the first.
+        self.models = {0: cyclic_model(seed)}
+        self.model = self.models[0]
 
     def make(self, i):
         rng = _rng(self.name, self.seed, i)
         n = self.SHAPES[0] if i == "warm-up" else self.shape(i)
-        return [("".join(rng.choice("ab") for _ in range(n)),
-                 "".join(rng.choice("ab") for _ in range(n)))
-                for _ in range(self.PAIRS)]
+        cycle = 0 if i == "warm-up" else i // len(self.SHAPES)
+        if cycle not in self.models:
+            self.models[cycle] = cyclic_model(self.seed, cycle)
+        return cycle, [("".join(rng.choice("ab") for _ in range(n)),
+                        "".join(rng.choice("ab") for _ in range(n)))
+                       for _ in range(self.PAIRS)]
 
     def items(self, request):
-        return len(request) * self.STEPS
+        return len(request[1]) * self.STEPS
 
-    def run(self, pairs):
-        return AD.train(self.model, pairs, steps=self.STEPS, rate=self.RATE)
+    def run(self, request):
+        cycle, pairs = request
+        return AD.train(self.models[cycle], pairs, steps=self.STEPS, rate=self.RATE)
 
-    def check(self, pairs, output):
+    def check(self, request, output):
         _, losses = output
         _expect(len(losses) == self.STEPS, f"{len(losses)} losses")
         _expect(all(math.isfinite(x) for x in losses), f"losses {losses}")
@@ -483,11 +493,12 @@ class Cli(Workload):
         self.cpu_s += usage.ru_utime + usage.ru_stime
         return out
 
-    def peak_rss_mb(self):
-        # The peak over the command children.  A child's ru_maxrss also
-        # counts this process's peak before the child's exec, which is
-        # why the oracles run in children of their own and this process
-        # keeps only hashes.
+    def peak_rss_mb(self, own_extra_mb=0.0):
+        # The peak over the command children, which hold nothing of the
+        # benchmark's, so ``own_extra_mb`` does not apply.  A child's
+        # ru_maxrss also counts this process's peak before the child's
+        # exec, which is why the oracles run in children of their own and
+        # this process keeps only hashes.
         return self.peak_kb / 1024
 
     def check(self, shape, out):

@@ -36,7 +36,7 @@ def _default_cast(source, target):
     if source is target:
         return lambda w: w
     if source.is_boolean:
-        return lambda w: target.one if w.value else target.zero
+        return target.cast
     if issubclass(source, _NumericWeight):
         return lambda w: target.cast(w.value)
     raise SemiringMismatchError(
@@ -45,14 +45,25 @@ def _default_cast(source, target):
     )
 
 
+def _map_arcs(fst, semiring, map_arc, map_final):
+    """A new FST over ``semiring`` with ``fst``'s states and initial state,
+    each arc replaced by ``map_arc(arc)`` (same source) and each final
+    weight by ``map_final(weight)``."""
+    out = Fst(semiring)
+    out._arcs = [[map_arc(arc) for arc in arcs] for arcs in fst._arcs]
+    out.initial = fst.initial
+    out.finals = {state: map_final(w) for state, w in fst.finals.items()}
+    return out
+
+
+def _same(weight):
+    return weight
+
+
 def lift(fst, target_semiring, cast=None):
     """Rebuild ``fst`` with every weight mapped into ``target_semiring``."""
     if cast is None:
         cast = _default_cast(fst.semiring, target_semiring)
-    out = Fst(target_semiring)
-    for _ in fst.states():
-        out.add_state()
-    out.initial = fst.initial
 
     def convert(w):
         w2 = cast(w)
@@ -62,13 +73,8 @@ def lift(fst, target_semiring, cast=None):
             )
         return w2
 
-    for arc in fst.all_arcs():
-        out._arcs[arc.source].append(
-            Arc(arc.source, arc.target, arc.input, arc.output, convert(arc.weight))
-        )
-    for state, weight in fst.finals.items():
-        out.finals[state] = convert(weight)
-    return out
+    return _map_arcs(fst, target_semiring, lambda a: Arc(
+        a.source, a.target, a.input, a.output, convert(a.weight)), convert)
 
 
 def cast_from_boolean(fst, target_semiring):
@@ -157,32 +163,14 @@ def project(fst, side):
     """Copy both labels of every arc from the chosen side."""
     if side not in ("input", "output"):
         raise WfstError(f"project side must be 'input' or 'output', got {side!r}")
-    out = Fst(fst.semiring)
-    for _ in fst.states():
-        out.add_state()
-    out.initial = fst.initial
-    out.finals = dict(fst.finals)
-    pick_input = side == "input"
-    for arc in fst.all_arcs():
-        label = arc.input if pick_input else arc.output
-        out._arcs[arc.source].append(
-            Arc(arc.source, arc.target, label, label, arc.weight)
-        )
-    return out
+    return _map_arcs(fst, fst.semiring, lambda a: Arc(
+        a.source, a.target, getattr(a, side), getattr(a, side), a.weight), _same)
 
 
 def invert(fst):
     """Swap input and output labels on every arc."""
-    out = Fst(fst.semiring)
-    for _ in fst.states():
-        out.add_state()
-    out.initial = fst.initial
-    out.finals = dict(fst.finals)
-    for arc in fst.all_arcs():
-        out._arcs[arc.source].append(
-            Arc(arc.source, arc.target, arc.output, arc.input, arc.weight)
-        )
-    return out
+    return _map_arcs(fst, fst.semiring, lambda a: Arc(
+        a.source, a.target, a.output, a.input, a.weight), _same)
 
 
 def compose(a, b):

@@ -182,20 +182,10 @@ class _DiffWeightBase(AbstractSemiringWeight):
             raise InvalidWeightError(f"bad diff weight {s!r}") from exc
 
     @classmethod
-    def cast(cls, value):
-        if type(value) is cls:
-            return value
-        if isinstance(value, AbstractSemiringWeight):
-            if value.is_boolean:
-                return cls.one if value.value else cls.zero
-            raise SemiringMismatchError(
-                f"cannot cast {value.name} weight to the diff semiring"
-            )
-        if isinstance(value, bool):
-            return cls.one if value else cls.zero
+    def _cast_raw(cls, value):
         if isinstance(value, (int, float)):
-            return cls(cls.tape.constant(float(value)))
-        raise SemiringMismatchError(f"cannot cast {value!r} to the diff semiring")
+            return cls.constant(value)
+        return None
 
     @classmethod
     def constant(cls, value):
@@ -288,62 +278,22 @@ def train(real_fst, pairs, steps=200, rate=0.05, min_weight=1e-6):
     probability model stays well defined.  Returns (trained real FST,
     per-step losses).
     """
+    from .algorithms import lift
     from .semirings import RealWeight
 
-    arc_values = {}
-    for state in real_fst.states():
-        for idx, arc in enumerate(real_fst.arcs(state)):
-            arc_values[(state, idx)] = float(arc.weight.value)
-    final_values = {s: float(w.value) for s, w in real_fst.finals.items()}
     observed = [pair_acceptor(i, o) for i, o in pairs]
-
+    model = lift(real_fst, RealWeight, cast=lambda w: RealWeight(w.value))
     losses = []
     for _ in range(steps):
-        tape = GradientTape()
-        semiring = make_diff_semiring(tape)
-        dfst = Fst(semiring)
-        for _ in real_fst.states():
-            dfst.add_state()
-        dfst.initial = real_fst.initial
-        param_key = {}
-        for state in real_fst.states():
-            for idx, arc in enumerate(real_fst.arcs(state)):
-                weight = semiring.parameter(arc_values[(state, idx)])
-                param_key[weight.node.node_id] = ("arc", state, idx)
-                dfst.add_arc(state, arc.target, weight, arc.input, arc.output)
-        for state, value in final_values.items():
-            weight = semiring.parameter(value)
-            param_key[weight.node.node_id] = ("final", state)
-            dfst.finals[state] = weight
-
+        semiring = make_diff_semiring()
+        dfst = lift(model, semiring,
+                    cast=lambda w: semiring.parameter(w.value))
         total = None
         for obs in observed:
             loss = loglikelihood_loss(dfst, obs)
             total = loss if total is None else total + loss
         losses.append(total.value)
-        grads = tape.backward(total.node)
-        for pid, grad in grads.items():
-            key = param_key[pid]
-            if key[0] == "arc":
-                _, state, idx = key
-                arc_values[(state, idx)] = max(
-                    min_weight, arc_values[(state, idx)] - rate * grad
-                )
-            else:
-                _, state = key
-                final_values[state] = max(
-                    min_weight, final_values[state] - rate * grad
-                )
-
-    trained = Fst(RealWeight)
-    for _ in real_fst.states():
-        trained.add_state()
-    trained.initial = real_fst.initial
-    for state in real_fst.states():
-        for idx, arc in enumerate(real_fst.arcs(state)):
-            trained.add_arc(state, arc.target,
-                            RealWeight(arc_values[(state, idx)]),
-                            arc.input, arc.output)
-    for state, value in final_values.items():
-        trained.finals[state] = RealWeight(value)
-    return trained, losses
+        grads = semiring.tape.backward(total.node)
+        model = lift(dfst, RealWeight, cast=lambda w: RealWeight(
+            max(min_weight, w.value - rate * grads[w.node.node_id])))
+    return model, losses

@@ -8,12 +8,14 @@ commands as text-format files (or stdin/stdout with ``-``).  Exit codes:
 
 import argparse
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass
 
 from . import algorithms, autodiff
 from .errors import WfstError
 from .fst import fst_from_sequence, enumerate_paths, label_str
 from .io import parse_text, render_dot, render_html, render_text
-from .semirings import BUILTIN_SEMIRINGS, DEFAULT_DELTA
+from .semirings import BUILTIN_SEMIRINGS, DEFAULT_DELTA, RealWeight
 
 USAGE_ERROR = 1
 DOMAIN_ERROR = 2
@@ -34,18 +36,8 @@ def _read_document(path):
 
 def _load(path):
     document = _read_document(path)
-    if _needs_diff(document):
-        semiring = autodiff.make_diff_semiring()
-        return parse_text(document, semirings={"diff": semiring})
-    return parse_text(document)
-
-
-def _needs_diff(document):
-    for line in document.splitlines():
-        line = line.strip()
-        if line.startswith("#semiring"):
-            return line.split()[-1] == "diff"
-    return False
+    return parse_text(document,
+                      semirings={"diff": autodiff.make_diff_semiring()})
 
 
 def _write(args, text):
@@ -68,166 +60,38 @@ def _semiring_arg(name):
     return BUILTIN_SEMIRINGS[name]
 
 
-def _add_common(parser, inputs=1):
-    for i in range(inputs):
-        parser.add_argument("inputs" if inputs == 1 else f"input{i + 1}",
-                            metavar="FILE", help="input FST file ('-' = stdin)")
-    parser.add_argument("--out", default="-", metavar="FILE",
-                        help="output file (default stdout)")
-    parser.add_argument("--delta", type=float, default=DEFAULT_DELTA,
-                        help="comparison tolerance (default 1/1024)")
+def _algorithm(name, *options):
+    """Run function rendering ``algorithms.<name>(*fsts, *options)``."""
+    def run(args, *fsts):
+        op = getattr(algorithms, name)
+        return render_text(op(*fsts, *(getattr(args, o) for o in options)))
+    return run
 
 
-def build_parser():
-    parser = _Parser(prog="wfst", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_Parser)
-    semiring_names = sorted(BUILTIN_SEMIRINGS) + ["diff"]
-
-    p = sub.add_parser("compile", help="build an acceptor from a string")
-    p.add_argument("--string", required=True)
-    p.add_argument("--semiring", default="boolean", choices=semiring_names)
-    p.add_argument("--out", default="-", metavar="FILE")
-    p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
-
-    p = sub.add_parser("print", help="parse and reprint an FST file")
-    _add_common(p)
-
-    p = sub.add_parser("draw", help="emit a DOT or HTML diagram")
-    _add_common(p)
-    p.add_argument("--format", choices=("dot", "html"), default="dot")
-
-    for name in ("union", "concat", "compose"):
-        p = sub.add_parser(name, help=f"{name} of two FSTs")
-        _add_common(p, inputs=2)
-
-    for name in ("closure", "invert", "rmepsilon", "determinize", "reverse"):
-        p = sub.add_parser(name, help=f"{name} of an FST")
-        _add_common(p)
-
-    p = sub.add_parser("project", help="project to one label side")
-    _add_common(p)
-    p.add_argument("--side", choices=("input", "output"), required=True)
-
-    p = sub.add_parser("push", help="push weights toward one end")
-    _add_common(p)
-    p.add_argument("--to", choices=("initial", "final"), default="initial")
-
-    p = sub.add_parser("lift", help="cast into another semiring")
-    _add_common(p)
-    p.add_argument("--to", choices=semiring_names, required=True)
-
-    p = sub.add_parser("shortestpath", help="best path in a path semiring")
-    _add_common(p)
-
-    p = sub.add_parser("shortestdistance", help="per-state distances")
-    _add_common(p)
-
-    p = sub.add_parser("sumpaths", help="total weight over accepting paths")
-    _add_common(p)
-
-    p = sub.add_parser("randpath", help="sample a random path")
-    _add_common(p)
-    p.add_argument("--seed", type=int, default=None)
-
-    p = sub.add_parser("enumerate", help="list accepting paths")
-    _add_common(p)
-    p.add_argument("--max", type=int, default=1000, dest="max_paths")
-
-    p = sub.add_parser("train", help="gradient-descent weight learning")
-    _add_common(p)
-    p.add_argument("--pairs", required=True, metavar="FILE",
-                   help="tab-separated input/output pairs, one per line")
-    p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--rate", type=float, default=0.05)
-
-    return parser
+def _compile(args):
+    return render_text(
+        fst_from_sequence(args.string, _semiring_arg(args.semiring)))
 
 
-def _run(args):
-    cmd = args.command
-    if cmd == "compile":
-        fst = fst_from_sequence(args.string, _semiring_arg(args.semiring))
-        _write(args, render_text(fst))
-    elif cmd == "print":
-        _write(args, render_text(_load(args.inputs)))
-    elif cmd == "draw":
-        fst = _load(args.inputs)
-        render = render_dot if args.format == "dot" else render_html
-        _write(args, render(fst))
-    elif cmd in ("union", "concat", "compose"):
-        a = _load(args.input1)
-        b = _load(args.input2)
-        op = getattr(algorithms, cmd)
-        _write(args, render_text(op(a, b)))
-    elif cmd == "closure":
-        _write(args, render_text(algorithms.closure(_load(args.inputs))))
-    elif cmd == "invert":
-        _write(args, render_text(algorithms.invert(_load(args.inputs))))
-    elif cmd == "rmepsilon":
-        _write(args, render_text(
-            algorithms.remove_epsilon(_load(args.inputs), args.delta)))
-    elif cmd == "determinize":
-        _write(args, render_text(
-            algorithms.determinize(_load(args.inputs), args.delta)))
-    elif cmd == "reverse":
-        _write(args, render_text(algorithms.reverse(_load(args.inputs))))
-    elif cmd == "project":
-        _write(args, render_text(
-            algorithms.project(_load(args.inputs), args.side)))
-    elif cmd == "push":
-        _write(args, render_text(
-            algorithms.push(_load(args.inputs), args.to, args.delta)))
-    elif cmd == "lift":
-        fst = _load(args.inputs)
-        _write(args, render_text(
-            algorithms.lift(fst, _semiring_arg(args.to))))
-    elif cmd == "shortestpath":
-        result = algorithms.shortest_path(_load(args.inputs), args.delta)
-        _write(args, _path_line(result.path) + "\n")
-    elif cmd == "shortestdistance":
-        fst = _load(args.inputs)
-        d = algorithms.shortest_distance(fst, args.delta)
-        _write(args, "".join(f"{s} {w.text()}\n" for s, w in enumerate(d)))
-    elif cmd == "sumpaths":
-        total = algorithms.sum_paths(_load(args.inputs), args.delta)
-        _write(args, total.text() + "\n")
-    elif cmd == "randpath":
-        path = algorithms.random_path(_load(args.inputs), seed=args.seed)
-        _write(args, _path_line(path) + "\n")
-    elif cmd == "enumerate":
-        result = enumerate_paths(_load(args.inputs), max_paths=args.max_paths)
-        lines = [_path_line(p) for p in result]
-        if result.truncated:
-            lines.append("# truncated")
-        _write(args, "".join(line + "\n" for line in lines))
-    elif cmd == "train":
-        fst, was_diff = _load_as_real(args.inputs)
-        pairs = _load_pairs(args.pairs)
-        trained, losses = autodiff.train(fst, pairs,
-                                         steps=args.steps, rate=args.rate)
-        for step, loss in enumerate(losses):
-            print(f"step {step} loss {loss:.6f}", file=sys.stderr)
-        if was_diff:
-            trained = algorithms.lift(trained, autodiff.make_diff_semiring())
-        _write(args, render_text(trained))
-    else:  # pragma: no cover - argparse rejects unknown commands
-        raise WfstError(f"unknown command {cmd}")
-    return 0
+def _draw(args, fst):
+    return (render_dot if args.format == "dot" else render_html)(fst)
 
 
-def _load_as_real(path):
-    from .algorithms import lift
-    from .semirings import RealWeight
+def _lift(args, fst):
+    return render_text(algorithms.lift(fst, _semiring_arg(args.to)))
 
-    fst = _load(path)
-    if fst.semiring is RealWeight:
-        return fst, False
-    if fst.semiring.name == "diff":
-        return lift(fst, RealWeight, cast=lambda w: RealWeight(w.value)), True
-    raise WfstError(
-        f"train needs a real or diff semiring FST, got {fst.semiring.name}"
-    )
+
+def _shortest_distance(args, fst):
+    d = algorithms.shortest_distance(fst, args.delta)
+    return "".join(f"{s} {w.text()}\n" for s, w in enumerate(d))
+
+
+def _enumerate(args, fst):
+    result = enumerate_paths(fst, max_paths=args.max_paths)
+    lines = [_path_line(p) for p in result]
+    if result.truncated:
+        lines.append("# truncated")
+    return "".join(line + "\n" for line in lines)
 
 
 def _load_pairs(path):
@@ -246,11 +110,122 @@ def _load_pairs(path):
     return pairs
 
 
+def _train(args, fst):
+    was_diff = fst.semiring.name == "diff"
+    if fst.semiring is not RealWeight and not was_diff:
+        raise WfstError(
+            f"train needs a real or diff semiring FST, got {fst.semiring.name}"
+        )
+    pairs = _load_pairs(args.pairs)
+    trained, losses = autodiff.train(fst, pairs,
+                                     steps=args.steps, rate=args.rate)
+    for step, loss in enumerate(losses):
+        print(f"step {step} loss {loss:.6f}", file=sys.stderr)
+    if was_diff:
+        trained = algorithms.lift(trained, autodiff.make_diff_semiring())
+    return render_text(trained)
+
+
+SEMIRING_NAMES = sorted(BUILTIN_SEMIRINGS) + ["diff"]
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its help line, the number of FST files it reads,
+    its extra arguments as (flag, add_argument keywords) pairs, and the
+    function that takes the parsed arguments and the loaded FSTs and
+    returns the text to write."""
+
+    help: str
+    inputs: int
+    options: tuple
+    run: Callable[..., str]
+
+
+# Run functions look library functions up when they run (module globals,
+# ``algorithms.<name>``), never at import, so that wrappers installed on
+# those modules after this one is imported see the calls.
+COMMANDS = {
+    "compile": Command("build an acceptor from a string", 0, (
+        ("--string", {"required": True}),
+        ("--semiring", {"default": "boolean", "choices": SEMIRING_NAMES}),
+    ), _compile),
+    "print": Command("parse and reprint an FST file", 1, (),
+                     lambda args, fst: render_text(fst)),
+    "draw": Command("emit a DOT or HTML diagram", 1, (
+        ("--format", {"choices": ("dot", "html"), "default": "dot"}),
+    ), _draw),
+    "union": Command("union of two FSTs", 2, (), _algorithm("union")),
+    "concat": Command("concat of two FSTs", 2, (), _algorithm("concat")),
+    "compose": Command("compose of two FSTs", 2, (), _algorithm("compose")),
+    "closure": Command("closure of an FST", 1, (), _algorithm("closure")),
+    "invert": Command("invert of an FST", 1, (), _algorithm("invert")),
+    "rmepsilon": Command("rmepsilon of an FST", 1, (),
+                         _algorithm("remove_epsilon", "delta")),
+    "determinize": Command("determinize of an FST", 1, (),
+                           _algorithm("determinize", "delta")),
+    "reverse": Command("reverse of an FST", 1, (), _algorithm("reverse")),
+    "project": Command("project to one label side", 1, (
+        ("--side", {"choices": ("input", "output"), "required": True}),
+    ), _algorithm("project", "side")),
+    "push": Command("push weights toward one end", 1, (
+        ("--to", {"choices": ("initial", "final"), "default": "initial"}),
+    ), _algorithm("push", "to", "delta")),
+    "lift": Command("cast into another semiring", 1, (
+        ("--to", {"choices": SEMIRING_NAMES, "required": True}),
+    ), _lift),
+    "shortestpath": Command(
+        "best path in a path semiring", 1, (),
+        lambda args, fst: _path_line(
+            algorithms.shortest_path(fst, args.delta).path) + "\n"),
+    "shortestdistance": Command("per-state distances", 1, (),
+                                _shortest_distance),
+    "sumpaths": Command(
+        "total weight over accepting paths", 1, (),
+        lambda args, fst: algorithms.sum_paths(fst, args.delta).text() + "\n"),
+    "randpath": Command(
+        "sample a random path", 1, (("--seed", {"type": int, "default": None}),),
+        lambda args, fst: _path_line(
+            algorithms.random_path(fst, seed=args.seed)) + "\n"),
+    "enumerate": Command("list accepting paths", 1, (
+        ("--max", {"type": int, "default": 1000, "dest": "max_paths"}),
+    ), _enumerate),
+    "train": Command("gradient-descent weight learning", 1, (
+        ("--pairs", {"required": True, "metavar": "FILE",
+                     "help": "tab-separated input/output pairs, one per line"}),
+        ("--steps", {"type": int, "default": 200}),
+        ("--rate", {"type": float, "default": 0.05}),
+    ), _train),
+}
+
+
+def build_parser():
+    parser = _Parser(prog="wfst", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_Parser)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        if command.inputs:
+            p.add_argument("inputs", nargs=command.inputs, metavar="FILE",
+                           help="input FST file ('-' = stdin)")
+        else:
+            p.set_defaults(inputs=[])
+        p.add_argument("--out", default="-", metavar="FILE",
+                       help="output file (default stdout)")
+        p.add_argument("--delta", type=float, default=DEFAULT_DELTA,
+                       help="comparison tolerance (default 1/1024)")
+        for flag, keywords in command.options:
+            p.add_argument(flag, **keywords)
+    return parser
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _run(args)
+        fsts = [_load(path) for path in args.inputs]
+        _write(args, COMMANDS[args.command].run(args, *fsts))
+        return 0
     except FileNotFoundError as exc:
         print(f"wfst {args.command}: missing file: {exc.filename}",
               file=sys.stderr)

@@ -113,8 +113,33 @@ class AbstractSemiringWeight:
 
     @classmethod
     def cast(cls, value):
-        """Convert ``value`` (a weight, bool or raw number) into this semiring."""
-        raise NotImplementedError
+        """Convert ``value`` (a weight, bool or raw value) into this semiring.
+
+        A weight of this class is returned as is; a boolean weight or a
+        bool maps to ``one``/``zero``; any other weight is a mismatch.  Raw
+        values go to ``_cast_raw``.
+        """
+        if value.__class__ is cls:
+            return value
+        if isinstance(value, AbstractSemiringWeight):
+            if value.is_boolean:
+                return cls.one if value.value else cls.zero
+            raise SemiringMismatchError(
+                f"cannot cast {value.name} weight to the {cls.name} semiring"
+            )
+        if isinstance(value, bool):
+            return cls.one if value else cls.zero
+        result = cls._cast_raw(value)
+        if result is None:
+            raise SemiringMismatchError(
+                f"cannot cast {value!r} to the {cls.name} semiring"
+            )
+        return result
+
+    @classmethod
+    def _cast_raw(cls, value):
+        """The element a raw (non-weight, non-bool) value denotes, or None."""
+        return None
 
     @classmethod
     def random_member(cls, rng):
@@ -180,14 +205,10 @@ class BooleanWeight(AbstractSemiringWeight):
         return 1.0 if self.value else 0.0
 
     @classmethod
-    def cast(cls, value):
-        if value.__class__ is cls:
-            return value
-        if isinstance(value, (bool, int)) and value in (0, 1, True, False):
+    def _cast_raw(cls, value):
+        if isinstance(value, int) and value in (0, 1):
             return cls(bool(value))
-        raise SemiringMismatchError(
-            f"cannot cast {value!r} to the boolean semiring"
-        )
+        return None
 
     @classmethod
     def random_member(cls, rng):
@@ -267,22 +288,10 @@ class _NumericWeight(AbstractSemiringWeight):
             raise InvalidWeightError(f"bad {cls.name} weight {s!r}") from exc
 
     @classmethod
-    def cast(cls, value):
-        if value.__class__ is cls:
-            return value
-        if isinstance(value, AbstractSemiringWeight):
-            if value.is_boolean:
-                return cls.one if value.value else cls.zero
-            raise SemiringMismatchError(
-                f"cannot cast {value.name} weight to the {cls.name} semiring"
-            )
-        if isinstance(value, bool):
-            return cls.one if value else cls.zero
+    def _cast_raw(cls, value):
         if isinstance(value, numbers.Real):
             return cls(float(value))
-        raise SemiringMismatchError(
-            f"cannot cast {value!r} to the {cls.name} semiring"
-        )
+        return None
 
 
 class RealWeight(_NumericWeight):
@@ -323,27 +332,31 @@ RealWeight.zero = RealWeight(0.0)
 RealWeight.one = RealWeight(1.0)
 
 
-class MinWeight(_NumericWeight):
-    """<min, +, +inf, 0>; an idempotent path semiring over costs."""
+class _PathWeight(_NumericWeight):
+    """An idempotent path semiring <select, +, zero, 0> over the extended
+    reals, where select is min (zero +inf) or max (zero -inf).
 
-    name = "min"
+    ``_sign`` turns a value into a sampling score (higher is likelier).
+    times gives zero whenever an operand is infinite.
+    """
+
     semiring_properties = frozenset({"base", "path"})
     has_division = True
     has_power = True
 
     def __add__(self, other):
         other = self._coerce(other)
-        return type(self)(min(self.value, other.value))
+        return type(self)(self._select(self.value, other.value))
 
     def __mul__(self, other):
         other = self._coerce(other)
         if math.isinf(self.value) or math.isinf(other.value):
-            return type(self)(math.inf)
+            return type(self)(self._zero_value)
         return type(self)(self.value + other.value)
 
     def __truediv__(self, other):
         other = self._coerce(other)
-        if other == type(self).zero:
+        if other.value == self._zero_value:
             raise DivisionByZeroError(f"{self.name} division by zero element")
         if math.isinf(self.value):
             return type(self)(self.value)
@@ -357,14 +370,24 @@ class MinWeight(_NumericWeight):
         return type(self)(self.value * n)
 
     def sampling_weight(self):
-        # Lower cost, likelier arc.
-        return math.exp(-min(self.value, 700.0))
+        # Capping the score at 700 keeps exp() finite; zero's score is
+        # -inf, which samples as 0.0.
+        return math.exp(min(self._sign * self.value, 700.0))
 
     @classmethod
     def random_member(cls, rng):
         if rng.random() < 0.05:
             return cls.zero
         return cls(rng.uniform(-5.0, 5.0))
+
+
+class MinWeight(_PathWeight):
+    """<min, +, +inf, 0>; an idempotent path semiring over costs."""
+
+    name = "min"
+    _select = min
+    _zero_value = math.inf
+    _sign = -1.0  # lower cost, likelier arc
 
 
 MinWeight.zero = MinWeight(math.inf)
@@ -381,48 +404,13 @@ TropicalWeight.zero = TropicalWeight(math.inf)
 TropicalWeight.one = TropicalWeight(0.0)
 
 
-class MaxWeight(_NumericWeight):
-    """<max, +, -inf, 0>; the max-plus path semiring."""
+class MaxWeight(_PathWeight):
+    """<max, +, -inf, 0>; the max-plus path semiring over scores."""
 
     name = "max"
-    semiring_properties = frozenset({"base", "path"})
-    has_division = True
-    has_power = True
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return MaxWeight(max(self.value, other.value))
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if math.isinf(self.value) or math.isinf(other.value):
-            return MaxWeight(-math.inf)
-        return MaxWeight(self.value + other.value)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other == MaxWeight.zero:
-            raise DivisionByZeroError("max division by zero element")
-        if math.isinf(self.value):
-            return MaxWeight(self.value)
-        return MaxWeight(self.value - other.value)
-
-    def __pow__(self, n):
-        if n < 0:
-            raise UnsupportedOperationError("negative power")
-        if n == 0:
-            return MaxWeight.one
-        return MaxWeight(self.value * n)
-
-    def sampling_weight(self):
-        # Higher score, likelier arc.
-        return math.exp(min(self.value, 700.0))
-
-    @classmethod
-    def random_member(cls, rng):
-        if rng.random() < 0.05:
-            return cls.zero
-        return cls(rng.uniform(-5.0, 5.0))
+    _select = max
+    _zero_value = -math.inf
+    _sign = 1.0
 
 
 MaxWeight.zero = MaxWeight(-math.inf)
@@ -543,22 +531,10 @@ class FeaturizedWeight(AbstractSemiringWeight):
         return result
 
     @classmethod
-    def cast(cls, value):
-        if value.__class__ is cls:
-            return value
-        if isinstance(value, AbstractSemiringWeight):
-            if value.is_boolean:
-                return cls.one if value.value else cls.zero
-            raise SemiringMismatchError(
-                f"cannot cast {value.name} weight to the featurized semiring"
-            )
-        if isinstance(value, bool):
-            return cls.one if value else cls.zero
-        if isinstance(value, (dict, Counter)):
+    def _cast_raw(cls, value):
+        if isinstance(value, dict):
             return cls(value)
-        raise SemiringMismatchError(
-            f"cannot cast {value!r} to the featurized semiring"
-        )
+        return None
 
     @classmethod
     def random_member(cls, rng):

@@ -1,22 +1,38 @@
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from wfst import (
     MinWeight,
     RealWeight,
+    closure,
     compose,
+    concat,
     determinize,
+    enumerate_paths,
     equivalent_by_enumeration,
     fst_from_sequence,
+    invert,
     lift,
+    make_diff_semiring,
     parse_text,
+    project,
+    push,
+    random_path,
     remove_epsilon,
+    render_html,
     render_text,
+    reverse,
+    shortest_distance,
     shortest_path,
+    sum_paths,
+    train,
     union,
 )
+from wfst.cli import COMMANDS, main
 from conftest import build_double_a_machine, build_hello_world_troll
 
 
@@ -241,3 +257,104 @@ class TestExitCodes:
         b.write_text(render_text(fst_from_sequence("b")))
         u = run_cli(["union", str(a), str(b)])
         assert run_cli(["determinize", "-"], stdin=u.stdout).returncode == 2
+
+
+def _line(path):
+    return f"{path.input_str}\t{path.output_str}\t{path.weight.text()}\n"
+
+
+TROLL = build_hello_world_troll()
+HELLO, HELP = fst_from_sequence("hello"), fst_from_sequence("help")
+LEXICON = union(HELLO, HELP)
+
+# Subcommand -> (arguments before --out, the library call's rendering).
+# "@name" stands for the file the machines fixture writes for that name.
+CASES = {
+    "compile": (["compile", "--string", "hello", "--semiring", "real"],
+                lambda: render_text(fst_from_sequence("hello", RealWeight))),
+    "print": (["print", "@troll"], lambda: render_text(TROLL)),
+    "draw": (["draw", "@troll", "--format", "html"],
+             lambda: render_html(TROLL)),
+    "union": (["union", "@hello", "@help"], lambda: render_text(LEXICON)),
+    "concat": (["concat", "@hello", "@help"],
+               lambda: render_text(concat(HELLO, HELP))),
+    "compose": (["compose", "@aaa", "@rewrite"], lambda: render_text(compose(
+        fst_from_sequence("aaa"), build_double_a_machine()))),
+    "closure": (["closure", "@hello"], lambda: render_text(closure(HELLO))),
+    "invert": (["invert", "@troll"], lambda: render_text(invert(TROLL))),
+    "rmepsilon": (["rmepsilon", "@lexicon"],
+                  lambda: render_text(remove_epsilon(LEXICON))),
+    "determinize": (["determinize", "@eps-free"], lambda: render_text(
+        determinize(remove_epsilon(LEXICON)))),
+    "reverse": (["reverse", "@troll"], lambda: render_text(reverse(TROLL))),
+    "project": (["project", "@troll", "--side", "output"],
+                lambda: render_text(project(TROLL, "output"))),
+    "push": (["push", "@troll", "--to", "final"],
+             lambda: render_text(push(TROLL, "final"))),
+    "lift": (["lift", "@troll", "--to", "min"],
+             lambda: render_text(lift(TROLL, MinWeight))),
+    "shortestpath": (["shortestpath", "@min-troll"], lambda: _line(
+        shortest_path(lift(TROLL, MinWeight)).path)),
+    "shortestdistance": (["shortestdistance", "@troll"], lambda: "".join(
+        f"{s} {w.text()}\n" for s, w in enumerate(shortest_distance(TROLL)))),
+    "sumpaths": (["sumpaths", "@troll"],
+                 lambda: sum_paths(TROLL).text() + "\n"),
+    "randpath": (["randpath", "@troll", "--seed", "7"],
+                 lambda: _line(random_path(TROLL, seed=7))),
+    "enumerate": (["enumerate", "@troll"], lambda: "".join(
+        _line(p) for p in enumerate_paths(TROLL))),
+    # A diff-semiring model is trained as real and lifted back to diff.
+    "train": (["train", "@diff-troll", "--pairs", "@pairs", "--steps", "3"],
+              lambda: render_text(lift(
+                  train(TROLL, [("hello", "world")], steps=3)[0],
+                  make_diff_semiring()))),
+}
+
+
+def _readme_subcommands():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("## CLI", 1)[1].split("\n## ", 1)[0]
+    others = section.split("Other subcommands:", 1)[1].split(".", 1)[0]
+    return (set(re.findall(r"\bwfst (\w+)", section))
+            | set(re.findall(r"`(\w+)`", others)))
+
+
+class TestCommandTable:
+    @pytest.fixture
+    def machines(self, tmp_path):
+        texts = {
+            "troll": render_text(TROLL),
+            "hello": render_text(HELLO),
+            "help": render_text(HELP),
+            "aaa": render_text(fst_from_sequence("aaa")),
+            "rewrite": render_text(build_double_a_machine()),
+            "lexicon": render_text(LEXICON),
+            "eps-free": render_text(remove_epsilon(LEXICON)),
+            "min-troll": render_text(lift(TROLL, MinWeight)),
+            "diff-troll": render_text(lift(TROLL, make_diff_semiring())),
+            "pairs": "hello\tworld\n",
+        }
+        for name, text in texts.items():
+            (tmp_path / name).write_text(text)
+        return tmp_path
+
+    def test_table_matches_readme_and_cases(self):
+        assert set(COMMANDS) == _readme_subcommands() == set(CASES)
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_output_matches_library(self, command, machines, capsys):
+        argv, expected = CASES[command]
+        argv = [str(machines / a[1:]) if a.startswith("@") else a
+                for a in argv]
+        out = machines / "out"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_text() == expected()
+        assert capsys.readouterr().out == ""
+
+    def test_randpath_huge_min_score_is_sampled(self, tmp_path, capsys):
+        # exp(800) overflowed a float before sampling scores were capped.
+        model = tmp_path / "neg.fst"
+        model.write_text("#semiring min\n#initial 0\n#states 2\n"
+                         "0 1 97 97 -800\n1 0\n")
+        assert main(["randpath", str(model), "--seed", "1"]) == 0
+        assert capsys.readouterr().out == "a\ta\t-800\n"

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import wfst
 from wfst import (
+    BUILTIN_SEMIRINGS,
     BooleanWeight,
     FeaturizedWeight,
     MaxWeight,
@@ -13,6 +15,7 @@ from wfst import (
     TropicalWeight,
     check_semiring_axioms,
     featurized_semiring,
+    make_diff_semiring,
 )
 from wfst.errors import (
     DivisionByZeroError,
@@ -295,3 +298,129 @@ class TestHashEq:
 
     def test_min_and_tropical_are_distinct_semirings(self):
         assert MinWeight(1) != TropicalWeight(1)
+
+
+PATH_SEMIRINGS = [(MinWeight, min, math.inf), (TropicalWeight, min, math.inf),
+                  (MaxWeight, max, -math.inf)]
+PATH_VALUES = [-math.inf, -2.5, 0.0, 3.0, math.inf]
+
+
+class TestPathSemiringTable:
+    """Pins +, *, / and ** of the path semirings on every pair of values,
+    infinities included, against their closed forms."""
+
+    @pytest.mark.parametrize("semiring, select, zero", PATH_SEMIRINGS)
+    @pytest.mark.parametrize("a", PATH_VALUES)
+    @pytest.mark.parametrize("b", PATH_VALUES)
+    def test_plus_times_divide(self, semiring, select, zero, a, b):
+        x, y = semiring(a), semiring(b)
+        plus, times = x + y, x * y
+        assert type(plus) is semiring and plus.value == select(a, b)
+        # Any infinite operand gives zero, even the opposite infinity.
+        expected = zero if math.isinf(a) or math.isinf(b) else a + b
+        assert type(times) is semiring and times.value == expected
+        if b == zero:
+            with pytest.raises(DivisionByZeroError):
+                x / y
+            return
+        quotient = x / y
+        expected = a if math.isinf(a) else a - b
+        assert type(quotient) is semiring and quotient.value == expected
+
+    @pytest.mark.parametrize("semiring, select, zero", PATH_SEMIRINGS)
+    @pytest.mark.parametrize("a", PATH_VALUES)
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_power(self, semiring, select, zero, a, n):
+        result = semiring(a) ** n
+        assert type(result) is semiring
+        assert result.value == (0.0 if n == 0 else a * n)
+        with pytest.raises(UnsupportedOperationError):
+            semiring(a) ** -1
+
+
+class TestPathSampling:
+    @pytest.mark.parametrize("semiring", [MinWeight, TropicalWeight, MaxWeight])
+    def test_zero_samples_as_zero(self, semiring):
+        assert semiring.zero.sampling_weight() == 0.0
+
+    def test_large_score_is_capped_not_overflowing(self):
+        assert MinWeight(-800).sampling_weight() == math.exp(700)
+        assert MaxWeight(800).sampling_weight() == math.exp(700)
+
+    def test_min_cost_above_700_keeps_decaying(self):
+        assert MinWeight(720).sampling_weight() == math.exp(-720)
+
+    @pytest.mark.parametrize("cost", [-800.0, -3.0, 0.0, 2.5, 699.0, 720.0,
+                                      800.0, math.inf])
+    def test_min_cost_samples_as_negated_max_score(self, cost):
+        assert (MinWeight(cost).sampling_weight()
+                == MaxWeight(-cost).sampling_weight())
+
+
+def _raw_examples(semiring):
+    """(raw value, the element it must cast to) pairs for ``semiring``."""
+    if semiring.is_boolean:
+        return [(1, semiring.one), (0, semiring.zero)]
+    if issubclass(semiring, FeaturizedWeight):
+        return [({"f": 2}, semiring({"f": 2})), ({}, semiring.one)]
+    if semiring.name == "diff":
+        return [(2.5, semiring.constant(2.5)), (-1, semiring.constant(-1.0))]
+    return [(2.5, semiring(2.5)), (-1, semiring(-1.0))]
+
+
+CAST_SEMIRINGS = list(BUILTIN_SEMIRINGS.values()) + [
+    make_diff_semiring(), featurized_semiring({"f": 2.0}, name="bound")]
+FOREIGN_WEIGHTS = [RealWeight.one, MinWeight.one, TropicalWeight.one,
+                   FeaturizedWeight.one, make_diff_semiring().one]
+
+
+@pytest.mark.parametrize("semiring", CAST_SEMIRINGS,
+                         ids=lambda cls: cls.name)
+class TestCastContract:
+    def test_boolean_weight_and_bool_map_to_one_and_zero(self, semiring):
+        assert semiring.cast(BooleanWeight.one) == semiring.one
+        assert semiring.cast(BooleanWeight.zero) == semiring.zero
+        assert semiring.cast(True) == semiring.one
+        assert semiring.cast(False) == semiring.zero
+
+    def test_raw_values_cast_and_same_class_is_returned_as_is(self, semiring):
+        for raw, expected in _raw_examples(semiring):
+            weight = semiring.cast(raw)
+            assert type(weight) is semiring and weight == expected
+            assert semiring.cast(weight) is weight
+
+    def test_other_semiring_weight_is_a_mismatch(self, semiring):
+        for weight in FOREIGN_WEIGHTS:
+            if type(weight) is not semiring:
+                with pytest.raises(SemiringMismatchError):
+                    semiring.cast(weight)
+
+    @pytest.mark.parametrize("value", ["x", None])
+    def test_unknown_raw_value_is_a_mismatch(self, semiring, value):
+        with pytest.raises(SemiringMismatchError):
+            semiring.cast(value)
+
+
+def test_public_names_are_pinned_and_resolve():
+    assert sorted(wfst.__all__) == [
+        "AbstractSemiringWeight", "Arc", "AxiomReport", "AxiomViolation",
+        "BUILTIN_SEMIRINGS", "BooleanWeight", "ConvergenceError",
+        "CycleLimitError", "DEFAULT_DELTA", "DeterminizationLimitError",
+        "DivisionByZeroError", "EPSILON", "FeaturizedWeight", "Fst",
+        "FstParseError", "GradientTape", "InvalidLabelError",
+        "InvalidStateError", "InvalidWeightError", "MaxWeight", "MinWeight",
+        "NoAcceptingPathError", "Path", "PathEnumeration", "RealWeight",
+        "SamplingError", "SemiringDescriptor", "SemiringMismatchError",
+        "ShortestPathResult", "TapeNode", "TropicalWeight",
+        "UnsupportedOperationError", "WfstError", "backward",
+        "cast_from_boolean", "check_semiring_axioms", "closure", "compose",
+        "concat", "determinize", "enumerate_paths",
+        "equivalent_by_enumeration", "featurized_semiring",
+        "fst_from_sequence", "invert", "lift", "loglikelihood_loss",
+        "make_diff_semiring", "pair_acceptor", "parse_text", "project",
+        "push", "random_path", "remove_epsilon", "render_dot", "render_html",
+        "render_text", "reverse", "shortest_distance", "shortest_path",
+        "sum_paths", "train", "union",
+    ]
+    for name in wfst.__all__:
+        assert getattr(wfst, name) is not None

@@ -13,7 +13,6 @@ from .errors import (
     ConvergenceError,
     CycleLimitError,
     DeterminizationLimitError,
-    InvalidWeightError,
     NoAcceptingPathError,
     SamplingError,
     SemiringMismatchError,
@@ -32,13 +31,17 @@ class ShortestPathResult:
     distance: object
 
 
+def _same(weight):
+    return weight
+
+
 def _default_cast(source, target):
-    if source is target:
-        return lambda w: w
-    if source.is_boolean:
-        return target.cast
+    """What ``lift`` hands to ``target.cast`` by default: a numeric weight's
+    value, any other weight itself."""
+    if source is target or source.is_boolean:
+        return _same
     if issubclass(source, _NumericWeight):
-        return lambda w: target.cast(w.value)
+        return lambda w: w.value
     raise SemiringMismatchError(
         f"no default cast from {source.name} to {target.name}; "
         "pass an explicit cast function to lift()"
@@ -56,22 +59,17 @@ def _map_arcs(fst, semiring, map_arc, map_final):
     return out
 
 
-def _same(weight):
-    return weight
-
-
 def lift(fst, target_semiring, cast=None):
-    """Rebuild ``fst`` with every weight mapped into ``target_semiring``."""
+    """Rebuild ``fst`` with every weight mapped into ``target_semiring``.
+
+    Each weight goes through ``cast`` and then ``target_semiring.cast``,
+    which rejects a non-member or a weight of another semiring.
+    """
     if cast is None:
         cast = _default_cast(fst.semiring, target_semiring)
 
     def convert(w):
-        w2 = cast(w)
-        if not isinstance(w2, target_semiring) or not w2.member():
-            raise InvalidWeightError(
-                f"cast produced {w2!r}, not a member of {target_semiring.name}"
-            )
-        return w2
+        return target_semiring.cast(cast(w))
 
     return _map_arcs(fst, target_semiring, lambda a: Arc(
         a.source, a.target, a.input, a.output, convert(a.weight)), convert)

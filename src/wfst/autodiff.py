@@ -16,7 +16,7 @@ from .errors import (
     WfstError,
 )
 from .fst import Fst
-from .semirings import DEFAULT_DELTA, AbstractSemiringWeight
+from .semirings import _NumericWeight
 
 
 class TapeNode:
@@ -79,20 +79,21 @@ class GradientTape:
         }
 
 
-class _DiffWeightBase(AbstractSemiringWeight):
-    """Real <+, *> semiring element recording onto a class-bound tape."""
+class _DiffWeightBase(_NumericWeight):
+    """Real <+, *> semiring element recording onto a class-bound tape.
+
+    Everything but the recording operators is the numeric semiring's,
+    on ``value``: equality ignores tape structure, and ``quantize`` and
+    ``random_member`` go through ``cast``, which records a constant.
+    """
 
     name = "diff"
-    has_division = True
-    has_power = True
     tape = None
+    __slots__ = ("node",)
 
     def __init__(self, node):
         self.node = node
-
-    @property
-    def value(self):
-        return self.node.value
+        self.value = node.value
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -127,36 +128,6 @@ class _DiffWeightBase(AbstractSemiringWeight):
                                 (n * self.value ** (n - 1),))
         return type(self)(node)
 
-    def __eq__(self, other):
-        # Tape structure is ignored; equality is on values.
-        return isinstance(other, _DiffWeightBase) and self.value == other.value
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def __repr__(self):
-        return f"DiffWeight({self.value})"
-
-    def __str__(self):
-        return repr(self.value)
-
-    def approx_eq(self, other, delta=DEFAULT_DELTA):
-        other = self._coerce(other)
-        if self.value == other.value:
-            return True
-        return abs(self.value - other.value) < delta
-
-    def quantize(self, delta=DEFAULT_DELTA):
-        if not math.isfinite(self.value):
-            return self
-        return type(self)(self.tape.constant(round(self.value / delta) * delta))
-
-    def member(self):
-        return not math.isnan(self.value)
-
-    def sampling_weight(self):
-        return self.value
-
     def log(self):
         if self.value <= 0.0:
             raise WfstError(f"log of non-positive weight {self.value}")
@@ -172,6 +143,8 @@ class _DiffWeightBase(AbstractSemiringWeight):
 
     def text(self):
         return repr(self.value)
+
+    __str__ = text
 
     @classmethod
     def from_text(cls, s):
@@ -196,16 +169,12 @@ class _DiffWeightBase(AbstractSemiringWeight):
         """A trainable leaf weight."""
         return cls(cls.tape.parameter(float(value)))
 
-    @classmethod
-    def random_member(cls, rng):
-        return cls.constant(rng.uniform(-2.0, 2.0))
-
 
 def make_diff_semiring(tape=None):
     """A diff semiring class bound to ``tape`` (a fresh one by default)."""
     if tape is None:
         tape = GradientTape()
-    cls = type("DiffWeight", (_DiffWeightBase,), {})
+    cls = type("DiffWeight", (_DiffWeightBase,), {"__slots__": ()})
     cls.tape = tape
     cls.zero = cls.constant(0.0)
     cls.one = cls.constant(1.0)
@@ -282,7 +251,7 @@ def train(real_fst, pairs, steps=200, rate=0.05, min_weight=1e-6):
     from .semirings import RealWeight
 
     observed = [pair_acceptor(i, o) for i, o in pairs]
-    model = lift(real_fst, RealWeight, cast=lambda w: RealWeight(w.value))
+    model = lift(real_fst, RealWeight)
     losses = []
     for _ in range(steps):
         semiring = make_diff_semiring()

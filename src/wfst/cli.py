@@ -111,8 +111,8 @@ def _load_pairs(path):
 
 
 def _train(args, fst):
-    was_diff = fst.semiring.name == "diff"
-    if fst.semiring is not RealWeight and not was_diff:
+    was_diff = issubclass(fst.semiring, autodiff._DiffWeightBase)
+    if not issubclass(fst.semiring, (RealWeight, autodiff._DiffWeightBase)):
         raise WfstError(
             f"train needs a real or diff semiring FST, got {fst.semiring.name}"
         )
@@ -142,6 +142,10 @@ class Command:
     run: Callable[..., str]
 
 
+# The tolerance option of the commands whose algorithm compares weights.
+DELTA = ("--delta", {"type": float, "default": DEFAULT_DELTA,
+                     "help": "comparison tolerance (default 1/1024)"})
+
 # Run functions look library functions up when they run (module globals,
 # ``algorithms.<name>``), never at import, so that wrappers installed on
 # those modules after this one is imported see the calls.
@@ -160,28 +164,29 @@ COMMANDS = {
     "compose": Command("compose of two FSTs", 2, (), _algorithm("compose")),
     "closure": Command("closure of an FST", 1, (), _algorithm("closure")),
     "invert": Command("invert of an FST", 1, (), _algorithm("invert")),
-    "rmepsilon": Command("rmepsilon of an FST", 1, (),
+    "rmepsilon": Command("rmepsilon of an FST", 1, (DELTA,),
                          _algorithm("remove_epsilon", "delta")),
-    "determinize": Command("determinize of an FST", 1, (),
+    "determinize": Command("determinize of an FST", 1, (DELTA,),
                            _algorithm("determinize", "delta")),
     "reverse": Command("reverse of an FST", 1, (), _algorithm("reverse")),
     "project": Command("project to one label side", 1, (
         ("--side", {"choices": ("input", "output"), "required": True}),
     ), _algorithm("project", "side")),
     "push": Command("push weights toward one end", 1, (
+        DELTA,
         ("--to", {"choices": ("initial", "final"), "default": "initial"}),
     ), _algorithm("push", "to", "delta")),
     "lift": Command("cast into another semiring", 1, (
         ("--to", {"choices": SEMIRING_NAMES, "required": True}),
     ), _lift),
     "shortestpath": Command(
-        "best path in a path semiring", 1, (),
+        "best path in a path semiring", 1, (DELTA,),
         lambda args, fst: _path_line(
             algorithms.shortest_path(fst, args.delta).path) + "\n"),
-    "shortestdistance": Command("per-state distances", 1, (),
+    "shortestdistance": Command("per-state distances", 1, (DELTA,),
                                 _shortest_distance),
     "sumpaths": Command(
-        "total weight over accepting paths", 1, (),
+        "total weight over accepting paths", 1, (DELTA,),
         lambda args, fst: algorithms.sum_paths(fst, args.delta).text() + "\n"),
     "randpath": Command(
         "sample a random path", 1, (("--seed", {"type": int, "default": None}),),
@@ -212,8 +217,6 @@ def build_parser():
             p.set_defaults(inputs=[])
         p.add_argument("--out", default="-", metavar="FILE",
                        help="output file (default stdout)")
-        p.add_argument("--delta", type=float, default=DEFAULT_DELTA,
-                       help="comparison tolerance (default 1/1024)")
         for flag, keywords in command.options:
             p.add_argument(flag, **keywords)
     return parser

@@ -7,6 +7,7 @@ the algorithms module treats a finished FST as immutable.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import (
     InvalidLabelError,
@@ -135,10 +136,8 @@ class Fst:
         self._check_state(to_state)
         ilabel = as_label(input_label)
         olabel = ilabel if output_label is None else as_label(output_label)
-        if weight is None:
-            weight = self.semiring.one
-        else:
-            weight = self.semiring.cast(weight)
+        weight = (self.semiring.one if weight is None
+                  else self.semiring.cast(weight))
         self._arcs[from_state].append(
             Arc(from_state, to_state, ilabel, olabel, weight)
         )
@@ -173,7 +172,11 @@ class Fst:
         return out
 
     def validate(self):
-        """Check structural invariants; raises WfstError on violation."""
+        """Check structural invariants; raises WfstError on violation.
+
+        A weight is valid when the semiring's ``cast`` keeps it as is,
+        which rules out non-members and elements of other semirings.
+        """
         n = len(self._arcs)
         if self.initial is not None and not 0 <= self.initial < n:
             raise InvalidStateError(f"initial state {self.initial} unknown")
@@ -183,17 +186,14 @@ class Fst:
                     raise WfstError(f"arc {arc} filed under state {state}")
                 if not 0 <= arc.target < n:
                     raise InvalidStateError(f"arc target {arc.target} unknown")
-                if not isinstance(arc.weight, self.semiring):
-                    raise InvalidWeightError(
-                        f"arc weight {arc.weight!r} not in {self.semiring.name}"
-                    )
-                if not arc.weight.member():
-                    raise InvalidWeightError(f"arc weight {arc.weight!r} not a member")
-        for state, weight in self.finals.items():
+        for state in self.finals:
             if not 0 <= state < n:
                 raise InvalidStateError(f"final state {state} unknown")
-            if not isinstance(weight, self.semiring) or not weight.member():
-                raise InvalidWeightError(f"final weight {weight!r} invalid")
+        arc_weights = (arc.weight for arc in self.all_arcs())
+        for weight in chain(arc_weights, self.finals.values()):
+            if self.semiring.cast(weight) is not weight:
+                raise InvalidWeightError(
+                    f"weight {weight!r} not in {self.semiring.name}")
         return True
 
     def __repr__(self):

@@ -18,7 +18,7 @@ import html as _html
 from collections import deque
 
 from .errors import FstParseError
-from .fst import EPSILON, Fst, label_str
+from .fst import MAX_LABEL, Arc, Fst, label_str
 from .semirings import BUILTIN_SEMIRINGS
 
 
@@ -51,57 +51,56 @@ def parse_text(document, semirings=None):
     """Parse the text format back into an Fst.
 
     ``semirings`` may extend the builtin name -> weight-class registry
-    (e.g. with a tape-bound diff semiring).
+    (e.g. with a tape-bound diff semiring).  Every record is checked once
+    here (labels, states, weight membership) and a fault is reported as
+    an FstParseError naming its line.
     """
     registry = _semiring_registry(semirings)
     semiring = None
     initial = None
     declared_states = None
+    # Records stay tuples until every line is read: building the Arc
+    # objects in this loop made a second parse of a large document, with
+    # the first machine still alive, markedly slower.
     arcs = []
     finals = []
     for lineno, raw in enumerate(document.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("#semiring"):
-            name = line.split(maxsplit=1)[1:] or [""]
-            name = name[0].strip()
-            if name not in registry:
-                supported = ", ".join(sorted(registry))
-                raise FstParseError(
-                    f"unknown semiring {name!r}; supported: {supported}",
-                    line=lineno,
-                )
-            semiring = registry[name]
-            continue
-        if line.startswith("#initial"):
-            value = line.split(maxsplit=1)[1:] or [""]
-            value = value[0].strip()
-            if value == "-":
-                initial = None
-            else:
+        if line[0] == "#":
+            value = (line.split(maxsplit=1)[1:] or [""])[0].strip()
+            if line.startswith("#semiring"):
+                if value not in registry:
+                    supported = ", ".join(sorted(registry))
+                    raise FstParseError(
+                        f"unknown semiring {value!r}; supported: {supported}",
+                        line=lineno,
+                    )
+                semiring = registry[value]
+            elif line.startswith("#initial"):
                 try:
-                    initial = int(value)
+                    initial = None if value == "-" else int(value)
                 except ValueError:
                     raise FstParseError(f"bad initial state {value!r}", line=lineno)
+            elif line.startswith("#states"):
+                if not value.isdecimal():
+                    raise FstParseError(f"bad state count in {line!r}", line=lineno)
+                declared_states = int(value)
+            else:
+                raise FstParseError(f"unknown header {line!r}", line=lineno)
             continue
-        if line.startswith("#states"):
-            value = line.split(maxsplit=1)[1:] or [""]
-            try:
-                declared_states = int(value[0])
-            except (ValueError, IndexError):
-                raise FstParseError(f"bad state count in {line!r}", line=lineno)
-            continue
-        if line.startswith("#"):
-            raise FstParseError(f"unknown header {line!r}", line=lineno)
         if semiring is None:
             raise FstParseError("record before #semiring header", line=lineno)
         fields = line.split()
         if len(fields) == 5:
             try:
-                src, dst, ilabel, olabel = (int(f) for f in fields[:4])
+                src, dst, ilabel, olabel = map(int, fields[:4])
             except ValueError:
                 raise FstParseError(f"bad arc record {line!r}", line=lineno)
+            if not (0 <= ilabel <= MAX_LABEL and 0 <= olabel <= MAX_LABEL):
+                raise FstParseError(f"label out of 64-bit range in {line!r}",
+                                    line=lineno)
             weight = _parse_weight(semiring, fields[4], lineno)
             arcs.append((src, dst, ilabel, olabel, weight, lineno))
         elif len(fields) == 2:
@@ -119,36 +118,35 @@ def parse_text(document, semirings=None):
     if semiring is None:
         raise FstParseError("missing #semiring header")
 
-    max_seen = -1
-    for src, dst, *_ in arcs:
-        max_seen = max(max_seen, src, dst)
-    for state, _, _ in finals:
-        max_seen = max(max_seen, state)
-    if initial is not None:
-        max_seen = max(max_seen, initial)
-    num_states = max_seen + 1 if declared_states is None else declared_states
-
+    num_states = declared_states
+    if num_states is None:
+        seen = [] if initial is None else [initial]
+        seen += [state for record in arcs for state in record[:2]]
+        seen += [record[0] for record in finals]
+        num_states = max(seen, default=-1) + 1
     fst = Fst(semiring)
-    for _ in range(num_states):
-        fst.add_state()
+    fst._arcs = table = [[] for _ in range(num_states)]
     if initial is not None:
         if not 0 <= initial < num_states:
             raise FstParseError(f"initial state {initial} out of range")
-        fst.set_initial_state(initial)
+        fst.initial = initial
     for src, dst, ilabel, olabel, weight, lineno in arcs:
         if not (0 <= src < num_states and 0 <= dst < num_states):
             raise FstParseError(f"arc references unknown state", line=lineno)
-        fst.add_arc(src, dst, weight, ilabel, olabel)
+        table[src].append(Arc(src, dst, ilabel, olabel, weight))
     for state, weight, lineno in finals:
         if not 0 <= state < num_states:
             raise FstParseError(f"final state {state} out of range", line=lineno)
-        fst.set_final_weight(state, weight)
+        if weight == semiring.zero:
+            fst.finals.pop(state, None)
+        else:
+            fst.finals[state] = weight
     return fst
 
 
 def _parse_weight(semiring, text, lineno):
     try:
-        return semiring.from_text(text)
+        return semiring.cast(semiring.from_text(text))
     except Exception as exc:
         raise FstParseError(str(exc), line=lineno)
 

@@ -115,24 +115,31 @@ class AbstractSemiringWeight:
     def cast(cls, value):
         """Convert ``value`` (a weight, bool or raw value) into this semiring.
 
-        A weight of this class is returned as is; a boolean weight or a
-        bool maps to ``one``/``zero``; any other weight is a mismatch.  Raw
-        values go to ``_cast_raw``.
+        A weight of this class is kept; a boolean weight or a bool maps to
+        ``one``/``zero``; any other weight is a mismatch.  Raw values go to
+        ``_cast_raw``.  This is where weights enter a machine, so a result
+        that is not a ``member()`` raises ``InvalidWeightError``.
         """
         if value.__class__ is cls:
-            return value
-        if isinstance(value, AbstractSemiringWeight):
-            if value.is_boolean:
-                return cls.one if value.value else cls.zero
-            raise SemiringMismatchError(
-                f"cannot cast {value.name} weight to the {cls.name} semiring"
-            )
-        if isinstance(value, bool):
-            return cls.one if value else cls.zero
-        result = cls._cast_raw(value)
-        if result is None:
-            raise SemiringMismatchError(
-                f"cannot cast {value!r} to the {cls.name} semiring"
+            result = value
+        elif isinstance(value, AbstractSemiringWeight):
+            if not value.is_boolean:
+                raise SemiringMismatchError(
+                    f"cannot cast {value.name} weight to the {cls.name} "
+                    "semiring"
+                )
+            result = cls.one if value.value else cls.zero
+        elif isinstance(value, bool):
+            result = cls.one if value else cls.zero
+        else:
+            result = cls._cast_raw(value)
+            if result is None:
+                raise SemiringMismatchError(
+                    f"cannot cast {value!r} to the {cls.name} semiring"
+                )
+        if not result.member():
+            raise InvalidWeightError(
+                f"{result!r} is not a member of the {cls.name} semiring"
             )
         return result
 
@@ -201,6 +208,8 @@ class BooleanWeight(AbstractSemiringWeight):
     def __str__(self):
         return "1" if self.value else "0"
 
+    text = __str__
+
     def sampling_weight(self):
         return 1.0 if self.value else 0.0
 
@@ -213,9 +222,6 @@ class BooleanWeight(AbstractSemiringWeight):
     @classmethod
     def random_member(cls, rng):
         return cls(rng.random() < 0.5)
-
-    def text(self):
-        return "1" if self.value else "0"
 
     @classmethod
     def from_text(cls, s):
@@ -243,8 +249,11 @@ def _float_text(v):
 
 
 class _NumericWeight(AbstractSemiringWeight):
-    """Shared plumbing for the real / min / max / tropical semirings."""
+    """Shared plumbing for the real / min / max / tropical / diff semirings:
+    a float ``value``, equality within the exact class, NaN is no member."""
 
+    has_division = True
+    has_power = True
     __slots__ = ("value",)
 
     def __init__(self, value):
@@ -262,6 +271,8 @@ class _NumericWeight(AbstractSemiringWeight):
     def __str__(self):
         return _float_text(self.value)
 
+    text = __str__
+
     def approx_eq(self, other, delta=DEFAULT_DELTA):
         other = self._coerce(other)
         if self.value == other.value:  # covers matching infinities
@@ -272,13 +283,17 @@ class _NumericWeight(AbstractSemiringWeight):
         if not math.isfinite(self.value):
             return self
         # round() is banker's rounding, so quantization is half-even.
-        return type(self)(round(self.value / delta) * delta)
+        return self.cast(round(self.value / delta) * delta)
 
     def member(self):
         return not math.isnan(self.value)
 
-    def text(self):
-        return _float_text(self.value)
+    def sampling_weight(self):
+        return self.value
+
+    @classmethod
+    def random_member(cls, rng):
+        return cls.cast(rng.uniform(-2.0, 2.0))
 
     @classmethod
     def from_text(cls, s):
@@ -298,8 +313,6 @@ class RealWeight(_NumericWeight):
     """<+, *, 0, 1> over the reals (the probability semiring)."""
 
     name = "real"
-    has_division = True
-    has_power = True
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -320,13 +333,6 @@ class RealWeight(_NumericWeight):
             raise UnsupportedOperationError("negative power")
         return type(self)(self.value ** n)
 
-    def sampling_weight(self):
-        return self.value
-
-    @classmethod
-    def random_member(cls, rng):
-        return cls(rng.uniform(-2.0, 2.0))
-
 
 RealWeight.zero = RealWeight(0.0)
 RealWeight.one = RealWeight(1.0)
@@ -341,8 +347,6 @@ class _PathWeight(_NumericWeight):
     """
 
     semiring_properties = frozenset({"base", "path"})
-    has_division = True
-    has_power = True
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -495,11 +499,11 @@ class FeaturizedWeight(AbstractSemiringWeight):
         return type(self)(Counter({k: v * n for k, v in self.features.items()}))
 
     def __eq__(self, other):
-        if not isinstance(other, FeaturizedWeight):
-            return False
-        if self.is_zero or other.is_zero:
-            return self.is_zero and other.is_zero
-        return self._hash == other._hash and self.features == other.features
+        # zero and one both have no features; is_zero tells them apart.
+        return (other.__class__ is self.__class__
+                and self._hash == other._hash
+                and self.is_zero == other.is_zero
+                and self.features == other.features)
 
     def __hash__(self):
         return self._hash
@@ -509,18 +513,13 @@ class FeaturizedWeight(AbstractSemiringWeight):
             return "FeaturizedWeight.zero"
         return f"FeaturizedWeight({dict(self.features)})"
 
-    def __str__(self):
-        return self.text()
-
     def approx_eq(self, other, delta=DEFAULT_DELTA):
         other = self._coerce(other)
         if self.is_zero or other.is_zero:
             return self.is_zero and other.is_zero
-        keys = set(self.features) | set(other.features)
-        distance = sum(
-            abs(self.features.get(k, 0) - other.features.get(k, 0)) for k in keys
-        )
-        return distance < delta
+        a, b = self.features, other.features
+        # Counter subtraction keeps positive counts, so this sums |a - b|.
+        return sum(((a - b) + (b - a)).values()) < delta
 
     def sampling_weight(self):
         if self.is_zero:
@@ -550,6 +549,8 @@ class FeaturizedWeight(AbstractSemiringWeight):
         if not self.features:
             return "-"
         return ",".join(f"{k}:{v}" for k, v in sorted(self.features.items()))
+
+    __str__ = text
 
     @classmethod
     def from_text(cls, s):

@@ -10,6 +10,7 @@ from wfst import (
     TropicalWeight,
     cast_from_boolean,
     closure,
+    make_diff_semiring,
     compose,
     concat,
     determinize,
@@ -30,11 +31,13 @@ from wfst import (
 )
 from wfst.errors import (
     ConvergenceError,
+    InvalidWeightError,
     NoAcceptingPathError,
     SamplingError,
     SemiringMismatchError,
     UnsupportedOperationError,
 )
+from wfst.fst import Arc
 from conftest import random_acyclic_fst, random_boolean_fst
 
 
@@ -370,6 +373,34 @@ class TestPush:
 
 
 class TestLiftCast:
+    @pytest.mark.parametrize("target", [RealWeight, MinWeight])
+    def test_default_lift_from_diff(self, target, rng):
+        f = random_acyclic_fst(rng)
+        diff = lift(f, make_diff_semiring())
+        out = lift(diff, target)
+        assert out.semiring is target
+        assert [(a.target, a.input, a.output, a.weight.value)
+                for a in out.all_arcs()] == \
+            [(a.target, a.input, a.output, a.weight.value)
+             for a in f.all_arcs()]
+        assert {s: w.value for s, w in out.finals.items()} == \
+            {s: w.value for s, w in f.finals.items()}
+        assert all(type(a.weight) is target for a in out.all_arcs())
+
+    @pytest.mark.parametrize("target", [RealWeight, MinWeight])
+    def test_default_lift_rejects_nan(self, target):
+        f = fst_from_sequence("a", RealWeight)
+        f._arcs[0][0] = Arc(0, 1, 97, 97, RealWeight(float("nan")))
+        with pytest.raises(InvalidWeightError):
+            lift(f, target)
+
+    def test_custom_cast_result_passes_the_same_gate(self):
+        f = fst_from_sequence("a", RealWeight)
+        with pytest.raises(InvalidWeightError):
+            lift(f, MinWeight, cast=lambda w: MinWeight(float("nan")))
+        with pytest.raises(SemiringMismatchError):
+            lift(f, MinWeight, cast=lambda w: TropicalWeight(w.value))
+
     def test_identity_lift(self, rng):
         for _ in range(20):
             f = random_acyclic_fst(rng)

@@ -11,6 +11,7 @@ from wfst import (
     compose,
     enumerate_paths,
     fst_from_sequence,
+    lift,
     loglikelihood_loss,
     make_diff_semiring,
     pair_acceptor,
@@ -276,6 +277,16 @@ class TestTrain:
                      for p in enumerate_paths(trained)}
         total = sum(by_output.values())
         assert by_output["world"] / total == pytest.approx(0.5, abs=0.05)
+
+    def test_diff_model_trains_like_its_real_source(self):
+        real = build_hello_world_troll()
+        diff = lift(real, make_diff_semiring())
+        pairs = [("hello", "world")]
+        got_model, got = train(diff, pairs, steps=5)
+        want_model, want = train(real, pairs, steps=5)
+        assert got == want
+        assert got_model.semiring is RealWeight
+        assert list(got_model.all_arcs()) == list(want_model.all_arcs())
 
     def test_weights_stay_positive(self):
         trained, _ = train(build_hello_world_troll(),

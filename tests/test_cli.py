@@ -32,7 +32,7 @@ from wfst import (
     train,
     union,
 )
-from wfst.cli import COMMANDS, main
+from wfst.cli import COMMANDS, build_parser, main
 from conftest import build_double_a_machine, build_hello_world_troll
 
 
@@ -358,3 +358,47 @@ class TestCommandTable:
                          "0 1 97 97 -800\n1 0\n")
         assert main(["randpath", str(model), "--seed", "1"]) == 0
         assert capsys.readouterr().out == "a\ta\t-800\n"
+
+
+DELTA_COMMANDS = {"rmepsilon", "determinize", "push", "shortestpath",
+                  "shortestdistance", "sumpaths"}
+
+
+def _readme_delta_commands():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("## CLI", 1)[1].split("\n## ", 1)[0]
+    sentence = section.split("`--delta`", 1)[1].split(".", 1)[0]
+    return set(re.findall(r"`(\w+)`", sentence))
+
+
+class TestDelta:
+    LOOP = "#semiring real\n#initial 0\n#states 1\n0 0 97 97 0.5\n0 1\n"
+
+    def test_only_the_tolerance_commands_take_delta(self):
+        takes = {name for name, command in COMMANDS.items()
+                 if any(flag == "--delta" for flag, _ in command.options)}
+        assert takes == DELTA_COMMANDS == _readme_delta_commands()
+
+    @pytest.mark.parametrize("command", sorted(DELTA_COMMANDS))
+    def test_delta_is_parsed_as_a_float(self, command):
+        args = build_parser().parse_args([command, "-", "--delta", "0.5"])
+        assert args.delta == 0.5
+
+    def test_delta_changes_sumpaths_on_a_cycle(self, tmp_path, capsys):
+        model = tmp_path / "loop.fst"
+        model.write_text(self.LOOP)
+        outputs = []
+        for delta in ("0.25", "1e-9"):
+            assert main(["sumpaths", str(model), "--delta", delta]) == 0
+            expected = sum_paths(parse_text(self.LOOP), float(delta))
+            out = capsys.readouterr().out
+            assert out == expected.text() + "\n"
+            outputs.append(float(out))
+        # The total is 1 / (1 - 0.5); the coarse tolerance stops short.
+        assert outputs[0] < outputs[1] == pytest.approx(2.0, abs=1e-8)
+
+    def test_print_rejects_delta(self):
+        result = run_cli(["print", "-", "--delta", "0.1"], stdin=self.LOOP)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert "unrecognized arguments: --delta 0.1" in result.stderr

@@ -5,16 +5,20 @@ import pytest
 from wfst import (
     BooleanWeight,
     Fst,
+    MinWeight,
     RealWeight,
+    TropicalWeight,
     enumerate_paths,
     fst_from_sequence,
 )
 from wfst.errors import (
     InvalidLabelError,
     InvalidStateError,
+    InvalidWeightError,
     SemiringMismatchError,
+    WfstError,
 )
-from wfst.fst import EPSILON, as_label
+from wfst.fst import EPSILON, Arc, as_label
 from conftest import random_acyclic_fst
 
 
@@ -65,6 +69,19 @@ class TestConstruction:
         f.add_arc(0, 1, input_label="h", output_label="w")
         arc = f.arcs(0)[0]
         assert (arc.input, arc.output) == (104, 119)
+
+    @pytest.mark.parametrize("semiring", [RealWeight, MinWeight])
+    @pytest.mark.parametrize("raw", [True, False], ids=["raw", "weight"])
+    def test_nan_weight_is_rejected_where_it_enters(self, semiring, raw):
+        nan = float("nan") if raw else semiring(float("nan"))
+        f = Fst(semiring)
+        f.add_state()
+        f.add_state()
+        with pytest.raises(InvalidWeightError):
+            f.add_arc(0, 1, nan, "a")
+        with pytest.raises(InvalidWeightError):
+            f.set_final_weight(1, nan)
+        assert f.num_arcs == 0 and not f.finals
 
     def test_add_arc_default_weight_is_one(self):
         f = Fst(RealWeight)
@@ -231,6 +248,21 @@ class TestInvariants:
             f = random_acyclic_fst(rng)
             assert f.validate()
             assert f.num_states == max(f.states()) + 1
+
+    @pytest.mark.parametrize("weight", [BooleanWeight.one, 1.0,
+                                        TropicalWeight(0.0)],
+                             ids=["boolean", "raw", "subclass"])
+    def test_validate_catches_weight_of_another_class(self, weight):
+        f = fst_from_sequence("a", MinWeight)
+        f._arcs[0].append(Arc(0, 1, 97, 97, weight))
+        with pytest.raises(WfstError):
+            f.validate()
+
+    def test_validate_catches_nan_weights(self):
+        f = fst_from_sequence("a", RealWeight)
+        f.finals[1] = RealWeight(float("nan"))
+        with pytest.raises(InvalidWeightError):
+            f.validate()
 
     def test_validate_catches_bad_target(self):
         f = fst_from_sequence("ab")

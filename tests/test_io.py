@@ -163,6 +163,43 @@ class TestParseErrors:
         parsed = parse_text("#semiring real\n\n#initial 0\n\n0 1\n")
         assert parsed.is_final(0)
 
+    def test_negative_state_count(self):
+        with pytest.raises(FstParseError) as exc:
+            parse_text("#semiring real\n#states -2\n")
+        assert exc.value.line == 2
+
+    @pytest.mark.parametrize("label", ["-3", str(2 ** 64)])
+    @pytest.mark.parametrize("column", [2, 3])
+    def test_out_of_range_label_reports_line(self, label, column):
+        fields = ["0", "1", "97", "97", "1"]
+        fields[column] = label
+        doc = "#semiring real\n#initial 0\n" + " ".join(fields) + "\n"
+        with pytest.raises(FstParseError) as exc:
+            parse_text(doc)
+        assert exc.value.line == 3
+
+    def test_largest_label_accepted(self):
+        parsed = parse_text(f"#semiring real\n0 1 {2 ** 64 - 1} 0 1\n")
+        assert parsed.arcs(0)[0].input == 2 ** 64 - 1
+
+    @pytest.mark.parametrize("semiring", ["real", "min", "max", "tropical",
+                                          "diff"])
+    @pytest.mark.parametrize("doc, line", [
+        ("#initial 0\n0 1 97 97 nan\n1 1\n", 3),
+        ("#initial 0\n0 1 97 97 1\n1 nan\n", 4),
+    ], ids=["arc", "final"])
+    def test_nan_weight_reports_line(self, semiring, doc, line):
+        with pytest.raises(FstParseError) as exc:
+            parse_text(f"#semiring {semiring}\n" + doc,
+                       semirings={"diff": make_diff_semiring()})
+        assert exc.value.line == line
+        assert "member" in str(exc.value)
+
+    def test_zero_final_record_clears_earlier_one(self):
+        parsed = parse_text("#semiring real\n0 2\n0 0\n")
+        assert not parsed.is_final(0)
+        assert parsed.num_states == 1
+
 
 class TestDot:
     @staticmethod

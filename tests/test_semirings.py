@@ -300,6 +300,100 @@ class TestHashEq:
         assert MinWeight(1) != TropicalWeight(1)
 
 
+def _equality_pairs():
+    """(left, right) weights of two different semirings that carry the
+    same value, and same-class pairs that must stay equal."""
+    bound = featurized_semiring({"a": 1.0})
+    d1, d2 = make_diff_semiring(), make_diff_semiring()
+    unequal = {
+        "featurized-vs-bound": (bound({"a": 1}), FeaturizedWeight({"a": 1})),
+        "featurized-one-vs-bound-one": (bound.one, FeaturizedWeight.one),
+        "featurized-zero-vs-bound-zero": (bound.zero, FeaturizedWeight.zero),
+        "bound-vs-bound": (bound({"a": 1}),
+                           featurized_semiring({"a": 1.0})({"a": 1})),
+        "diff-two-tapes": (d1.constant(2.0), d2.constant(2.0)),
+        "diff-vs-real": (d1.constant(2.0), RealWeight(2.0)),
+        "min-vs-tropical": (MinWeight(1), TropicalWeight(1)),
+        "real-vs-min": (RealWeight(0.0), MinWeight(0.0)),
+    }
+    equal = {
+        "bound-same-class": (bound({"a": 1}), bound({"a": 1})),
+        "diff-same-tape": (d1.parameter(2.0), d1.constant(2.0)),
+        "featurized-zero": (FeaturizedWeight.zero, FeaturizedWeight.zero),
+    }
+    return unequal, equal
+
+
+UNEQUAL_PAIRS, EQUAL_PAIRS = _equality_pairs()
+
+
+class TestExactClassEquality:
+    """== holds only within one weight class, which is exactly when +
+    between the two operands is defined."""
+
+    @pytest.mark.parametrize("pair", UNEQUAL_PAIRS.values(),
+                             ids=UNEQUAL_PAIRS.keys())
+    def test_different_semirings_compare_unequal(self, pair):
+        left, right = pair
+        assert left != right and right != left
+        assert not left == right
+        assert len({left, right}) == 2
+        with pytest.raises(SemiringMismatchError):
+            left + right
+
+    @pytest.mark.parametrize("pair", EQUAL_PAIRS.values(),
+                             ids=EQUAL_PAIRS.keys())
+    def test_same_semiring_compares_by_value(self, pair):
+        left, right = pair
+        assert left == right and hash(left) == hash(right)
+
+    def test_featurized_zero_differs_from_one(self):
+        assert FeaturizedWeight.zero != FeaturizedWeight.one
+
+
+class TestCastGate:
+    @pytest.mark.parametrize("semiring", NUMERIC + [make_diff_semiring()],
+                             ids=lambda cls: cls.name)
+    def test_nan_is_rejected(self, semiring):
+        with pytest.raises(InvalidWeightError):
+            semiring.cast(float("nan"))
+
+    @pytest.mark.parametrize("semiring", NUMERIC, ids=lambda cls: cls.name)
+    def test_nan_weight_of_the_same_class_is_rejected(self, semiring):
+        with pytest.raises(InvalidWeightError):
+            semiring.cast(semiring(float("nan")))
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_infinities_are_members(self, value):
+        assert RealWeight.cast(value).value == value
+
+
+class TestDiffIsNumeric:
+    def test_diff_reuses_the_numeric_weight_rules(self):
+        from wfst.autodiff import _DiffWeightBase
+        from wfst.semirings import _NumericWeight
+
+        assert issubclass(_DiffWeightBase, _NumericWeight)
+        for name in ("value", "__eq__", "__hash__", "__repr__",
+                     "approx_eq", "member"):
+            assert name not in _DiffWeightBase.__dict__, name
+
+    def test_quantize_records_a_constant_of_the_same_class(self):
+        sr = make_diff_semiring()
+        x = sr.parameter(1.0 + DEFAULT_DELTA / 3)
+        size = len(sr.tape.nodes)
+        q = x.quantize()
+        assert type(q) is sr and q.value == 1.0
+        assert len(sr.tape.nodes) == size + 1
+        assert sr.constant(math.inf).quantize().value == math.inf
+
+    def test_text_and_repr_are_unchanged(self):
+        w = make_diff_semiring().constant(2.0)
+        assert w.text() == str(w) == "2.0"
+        assert repr(w) == "DiffWeight(2.0)"
+        assert w.approx_eq(type(w).constant(2.0 + DEFAULT_DELTA / 2))
+
+
 PATH_SEMIRINGS = [(MinWeight, min, math.inf), (TropicalWeight, min, math.inf),
                   (MaxWeight, max, -math.inf)]
 PATH_VALUES = [-math.inf, -2.5, 0.0, 3.0, math.inf]

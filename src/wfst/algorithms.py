@@ -82,17 +82,18 @@ def cast_from_boolean(fst, target_semiring):
     return lift(fst, target_semiring)
 
 
-def _coerce_pair(a, b):
-    """Bring two FSTs into a common semiring (boolean auto-cast only)."""
-    if a.semiring is b.semiring:
-        return a, b
-    if a.semiring.is_boolean:
-        return cast_from_boolean(a, b.semiring), b
-    if b.semiring.is_boolean:
-        return a, cast_from_boolean(b, a.semiring)
-    raise SemiringMismatchError(
-        f"incompatible semirings: {a.semiring.name} vs {b.semiring.name}"
-    )
+def _coerce(*fsts):
+    """Bring FSTs into one common semiring, the first non-boolean one
+    (boolean auto-cast only)."""
+    target = next((f.semiring for f in fsts if not f.semiring.is_boolean),
+                  fsts[0].semiring)
+    for f in fsts:
+        if f.semiring is not target and not f.semiring.is_boolean:
+            raise SemiringMismatchError(
+                f"incompatible semirings: {target.name} vs {f.semiring.name}"
+            )
+    return [f if f.semiring is target else cast_from_boolean(f, target)
+            for f in fsts]
 
 
 def _copy_into(dst, src):
@@ -108,14 +109,18 @@ def _copy_into(dst, src):
     return offset
 
 
-def union(a, b):
-    """Accepts L(a) or L(b); shared strings get plus-combined weights."""
-    a, b = _coerce_pair(a, b)
-    sr = a.semiring
+def union(*fsts):
+    """Accepts the strings of any operand; shared strings get plus-combined
+    weights.  One new start state has an epsilon arc to each operand's
+    start, in argument order."""
+    if not fsts:
+        raise WfstError("union needs at least one FST")
+    fsts = _coerce(*fsts)
+    sr = fsts[0].semiring
     out = Fst(sr)
     start = out.add_state()
     out.set_initial_state(start)
-    for side in (a, b):
+    for side in fsts:
         offset = _copy_into(out, side)
         if side.initial is not None:
             out.add_arc(start, offset + side.initial, sr.one, EPSILON, EPSILON)
@@ -126,7 +131,7 @@ def union(a, b):
 
 def concat(a, b):
     """Accepts x+y for x in L(a), y in L(b), with times-combined weights."""
-    a, b = _coerce_pair(a, b)
+    a, b = _coerce(a, b)
     sr = a.semiring
     out = Fst(sr)
     offset_a = _copy_into(out, a)
@@ -177,7 +182,7 @@ def compose(a, b):
     Epsilon moves go through the standard three-state epsilon filter so
     that interleaved epsilon paths are counted exactly once.
     """
-    a, b = _coerce_pair(a, b)
+    a, b = _coerce(a, b)
     sr = a.semiring
     out = Fst(sr)
     if a.initial is None or b.initial is None:
@@ -246,22 +251,39 @@ def compose(a, b):
     return out
 
 
-def _topological_order(num_states, arcs_by_state):
-    """Topological order of all states, or None if the graph is cyclic."""
-    indegree = [0] * num_states
-    for arcs in arcs_by_state:
-        for _, target, _ in arcs:
-            indegree[target] += 1
-    ready = deque(s for s in range(num_states) if indegree[s] == 0)
-    order = []
-    while ready:
-        s = ready.popleft()
-        order.append(s)
-        for _, target, _ in arcs_by_state[s]:
-            indegree[target] -= 1
-            if indegree[target] == 0:
-                ready.append(target)
-    return order if len(order) == num_states else None
+def _reachable_order(arcs_by_state, sources):
+    """The states reachable from ``sources`` in topological order, and
+    whether that reachable part is acyclic.
+
+    One iterative depth-first search; the order is reverse postorder, with
+    each state's arcs (and the sources) explored last to first so that
+    siblings keep their arc order.  With a cycle the order still lists
+    every reachable state once.
+    """
+    on_stack = {}  # state -> True while on the search stack, then False
+    postorder = []
+    acyclic = True
+    for root in reversed(sources):
+        if root in on_stack:
+            continue
+        on_stack[root] = True
+        stack = [(root, reversed(arcs_by_state[root]))]
+        while stack:
+            state, arcs = stack[-1]
+            for _, target, _ in arcs:
+                seen = on_stack.get(target)
+                if seen is None:
+                    on_stack[target] = True
+                    stack.append((target, reversed(arcs_by_state[target])))
+                    break
+                if seen:
+                    acyclic = False
+            else:
+                stack.pop()
+                on_stack[state] = False
+                postorder.append(state)
+    postorder.reverse()
+    return postorder, acyclic
 
 
 def _generic_distance(semiring, num_states, arcs_by_state, sources,
@@ -269,17 +291,17 @@ def _generic_distance(semiring, num_states, arcs_by_state, sources,
     """Single-source (or multi-source) shortest distance over a semiring.
 
     ``arcs_by_state[s]`` is a list of (source, target, weight) triples and
-    ``sources`` maps seed states to their initial weights.  Acyclic graphs
-    get an exact topological pass; cyclic graphs use queue-based
-    relaxation that stops when updates fall below approx_eq's delta, and
-    raises ConvergenceError after the sweep cap.
+    ``sources`` maps seed states to their initial weights.  Returns a dict
+    from each state reachable from the sources to its distance; only
+    those states are visited.  An acyclic reachable part gets an exact
+    topological pass; a cyclic one uses queue-based relaxation that stops
+    when updates fall below approx_eq's delta, and raises ConvergenceError
+    after the sweep cap.
     """
     zero = semiring.zero
-    d = [zero] * num_states
-    if not sources:
-        return d
-    order = _topological_order(num_states, arcs_by_state)
-    if order is not None:
+    order, acyclic = _reachable_order(arcs_by_state, sources)
+    d = dict.fromkeys(order, zero)
+    if acyclic:
         for s, w in sources.items():
             d[s] = d[s] + w
         for s in order:
@@ -288,7 +310,7 @@ def _generic_distance(semiring, num_states, arcs_by_state, sources,
                 d[target] = d[target] + ds * weight
         return d
     # Cyclic: queue-based relaxation (d holds distances, r pending mass).
-    r = [zero] * num_states
+    r = dict.fromkeys(order, zero)
     queue = deque()
     queued = set()
     for s, w in sources.items():
@@ -338,15 +360,17 @@ def shortest_distance(fst, delta=DEFAULT_DELTA):
     sr = fst.semiring
     if fst.initial is None:
         return [sr.zero] * fst.num_states
-    return _generic_distance(sr, fst.num_states, _forward_arcs(fst),
-                             {fst.initial: sr.one}, delta)
+    d = _generic_distance(sr, fst.num_states, _forward_arcs(fst),
+                          {fst.initial: sr.one}, delta)
+    return [d.get(s, sr.zero) for s in fst.states()]
 
 
 def _backward_distance(fst, delta=DEFAULT_DELTA):
     """Per-state plus-sum over accepting suffixes (final weights included)."""
     sr = fst.semiring
-    return _generic_distance(sr, fst.num_states, _backward_arcs(fst),
-                             dict(fst.finals), delta)
+    d = _generic_distance(sr, fst.num_states, _backward_arcs(fst),
+                          fst.finals, delta)
+    return [d.get(s, sr.zero) for s in fst.states()]
 
 
 def sum_paths(fst, delta=DEFAULT_DELTA):
@@ -358,7 +382,8 @@ def sum_paths(fst, delta=DEFAULT_DELTA):
     total = sr.zero
     for state, weight in fst.finals.items():
         total = total + d[state] * weight
-    return total
+    # The membership gate: arithmetic such as inf * 0 can make a NaN.
+    return sr.cast(total)
 
 
 def remove_epsilon(fst, delta=DEFAULT_DELTA):
@@ -379,7 +404,7 @@ def remove_epsilon(fst, delta=DEFAULT_DELTA):
         # chains, plus-combined across alternative epsilon routes).
         closure_w = _generic_distance(sr, n, eps_arcs, {s: sr.one}, delta)
         final = sr.zero
-        for t in range(n):
+        for t in sorted(closure_w):
             w = closure_w[t]
             if w == sr.zero and t != s:
                 continue
@@ -661,7 +686,7 @@ def equivalent_by_enumeration(a, b, max_paths=1000, delta=DEFAULT_DELTA):
     group are plus-combined and the group maps compared with approx_eq.
     A best-effort comparison on machines whose enumeration truncates.
     """
-    a, b = _coerce_pair(a, b)
+    a, b = _coerce(a, b)
     sr = a.semiring
 
     def grouped(fst):

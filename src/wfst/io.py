@@ -57,7 +57,7 @@ def parse_text(document, semirings=None):
     """
     registry = _semiring_registry(semirings)
     semiring = None
-    initial = None
+    initial = initial_line = None
     declared_states = None
     # Records stay tuples until every line is read: building the Arc
     # objects in this loop made a second parse of a large document, with
@@ -83,6 +83,7 @@ def parse_text(document, semirings=None):
                     initial = None if value == "-" else int(value)
                 except ValueError:
                     raise FstParseError(f"bad initial state {value!r}", line=lineno)
+                initial_line = lineno
             elif line.startswith("#states"):
                 if not value.isdecimal():
                     raise FstParseError(f"bad state count in {line!r}", line=lineno)
@@ -128,11 +129,14 @@ def parse_text(document, semirings=None):
     fst._arcs = table = [[] for _ in range(num_states)]
     if initial is not None:
         if not 0 <= initial < num_states:
-            raise FstParseError(f"initial state {initial} out of range")
+            raise FstParseError(f"initial state {initial} out of range",
+                                line=initial_line)
         fst.initial = initial
     for src, dst, ilabel, olabel, weight, lineno in arcs:
         if not (0 <= src < num_states and 0 <= dst < num_states):
-            raise FstParseError(f"arc references unknown state", line=lineno)
+            unknown = dst if 0 <= src < num_states else src
+            raise FstParseError(f"arc references unknown state {unknown}",
+                                line=lineno)
         table[src].append(Arc(src, dst, ilabel, olabel, weight))
     for state, weight, lineno in finals:
         if not 0 <= state < num_states:

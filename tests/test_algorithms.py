@@ -1,4 +1,6 @@
 
+import math
+
 import pytest
 
 from wfst import (
@@ -36,8 +38,10 @@ from wfst.errors import (
     SamplingError,
     SemiringMismatchError,
     UnsupportedOperationError,
+    WfstError,
 )
-from wfst.fst import Arc
+from wfst.fst import EPSILON, Arc
+from wfst.io import render_text
 from conftest import random_acyclic_fst, random_boolean_fst
 
 
@@ -78,6 +82,52 @@ class TestUnion:
         with pytest.raises(SemiringMismatchError):
             union(fst_from_sequence("a", RealWeight),
                   fst_from_sequence("a", MinWeight))
+
+    def test_pairwise_rendering_pinned(self):
+        a = fst_from_sequence("ab", RealWeight)
+        a.set_final_weight(2, 0.5)
+        b = fst_from_sequence("c", RealWeight)
+        b.add_arc(1, 1, 0.25, "c", "d")
+        assert render_text(union(a, b)) == (
+            "#semiring real\n#initial 0\n#states 6\n"
+            "0 1 0 0 1\n0 4 0 0 1\n1 2 97 97 1\n2 3 98 98 1\n"
+            "4 5 99 99 1\n5 5 99 100 0.25\n3 0.5\n5 1\n")
+
+    def test_n_ary_start_arcs_in_argument_order(self):
+        words = ["one", "two", "three", "four"]
+        u = union(*(fst_from_sequence(w) for w in words))
+        starts = [arc.target for arc in u.arcs(u.initial)]
+        assert all(arc.input == arc.output == EPSILON
+                   for arc in u.arcs(u.initial))
+        assert starts == sorted(starts) and len(starts) == 4
+        assert [u.arcs(s)[0].input for s in starts] == [ord(w[0]) for w in words]
+        assert accepted_strings(u) == sorted(words)
+
+    def test_n_ary_matches_pairwise_fold(self, rng):
+        for _ in range(20):
+            parts = [random_acyclic_fst(rng) for _ in range(rng.randint(1, 5))]
+            folded = parts[0]
+            for part in parts[1:]:
+                folded = union(folded, part)
+            assert equivalent_by_enumeration(union(*parts), folded)
+            assert sum_paths(union(*parts)).approx_eq(
+                RealWeight(sum(sum_paths(p).value for p in parts)), 1e-9)
+
+    def test_n_ary_casts_boolean_operands(self):
+        real = fst_from_sequence("b", RealWeight)
+        real.set_final_weight(1, 0.5)
+        u = union(fst_from_sequence("a"), real, fst_from_sequence("c"))
+        assert u.semiring is RealWeight
+        assert sum_paths(u).value == pytest.approx(2.5)
+
+    def test_n_ary_mismatch_rejected(self):
+        with pytest.raises(SemiringMismatchError):
+            union(fst_from_sequence("a"), fst_from_sequence("a", RealWeight),
+                  fst_from_sequence("a", MinWeight))
+
+    def test_no_operands_rejected(self):
+        with pytest.raises(WfstError):
+            union()
 
 
 class TestConcat:
@@ -266,6 +316,161 @@ class TestRemoveEpsilon:
         f.set_final_weight(1, 1.0)
         with pytest.raises(ConvergenceError):
             remove_epsilon(f)
+
+    def test_arcs_follow_the_state_order_of_the_closure(self):
+        # State 0's closure is reached as 0, 2, 1; its arcs come from 0,
+        # then 1, then 2.
+        f = Fst(RealWeight)
+        for _ in range(4):
+            f.add_state()
+        f.set_initial_state(0)
+        f.add_arc(0, 2, 0.5, EPSILON, EPSILON)
+        f.add_arc(2, 1, 0.25, EPSILON, EPSILON)
+        f.add_arc(0, 3, 1.0, "c", "c")
+        f.add_arc(1, 3, 1.0, "a", "a")
+        f.add_arc(2, 3, 1.0, "b", "b")
+        f.set_final_weight(3, 1.0)
+        r = remove_epsilon(f)
+        assert [(chr(a.input), a.weight.value) for a in r.arcs(0)] == [
+            ("c", 1.0), ("a", 0.125), ("b", 0.5)]
+
+    def test_matches_enumeration_on_epsilon_dags(self, rng):
+        # Shared epsilon targets, zero-weight epsilon arcs and epsilon
+        # cycles that the initial state cannot reach.
+        for semiring in (RealWeight, TropicalWeight):
+            for _ in range(60):
+                f = random_epsilon_fst(rng, semiring, reachable_cycles=False)
+                r = remove_epsilon(f)
+                assert not any(a.input == a.output == EPSILON
+                               for a in r.all_arcs())
+                assert equivalent_by_enumeration(r, f, delta=1e-9)
+
+    def test_matches_closed_form_on_epsilon_cycles(self, rng):
+        for _ in range(60):
+            f = random_epsilon_fst(rng, RealWeight, reachable_cycles=True)
+            r = remove_epsilon(f, delta=1e-13)
+            assert not any(a.input == a.output == EPSILON
+                           for a in r.all_arcs())
+            assert equivalent_by_enumeration(r, exact_epsilon_removal(f),
+                                             delta=1e-9)
+
+    def test_closures_visit_only_reachable_states(self):
+        n = 2000
+        f = Fst(CountingWeight)
+        for _ in range(n):
+            f.add_state()
+        f.set_initial_state(0)
+        for s in range(n - 1):
+            label = EPSILON if s == n // 2 else "a"
+            f.add_arc(s, s + 1, 0.5, label, label)
+        f.set_final_weight(n - 1, 1.0)
+        CountingWeight.counts.update({"*": 0, "==": 0})
+        r = remove_epsilon(f)
+        assert r.num_arcs == n - 1
+        # A scan of all n states per closure would compare n * n times.
+        assert CountingWeight.counts["*"] < 4 * f.num_arcs
+        assert CountingWeight.counts["=="] < 4 * f.num_arcs
+
+
+class CountingWeight(RealWeight):
+    """Real weights that count their products and comparisons."""
+
+    name = "counting"
+    counts = {"*": 0, "==": 0}
+
+    def __mul__(self, other):
+        CountingWeight.counts["*"] += 1
+        return super().__mul__(other)
+
+    def __eq__(self, other):
+        CountingWeight.counts["=="] += 1
+        return super().__eq__(other)
+
+    __hash__ = RealWeight.__hash__
+
+
+CountingWeight.zero = CountingWeight(0.0)
+CountingWeight.one = CountingWeight(1.0)
+
+
+def random_epsilon_fst(rng, semiring, reachable_cycles):
+    """Random machine in layers: labelled arcs go to a later layer, epsilon
+    arcs to a later layer (some of weight zero, some sharing a target) or,
+    with ``reachable_cycles``, to any state of the same layer.  Two extra
+    states that the initial state cannot reach form an epsilon cycle.
+    Every language is finite."""
+    layers, n = [], 0
+    for _ in range(rng.randint(2, 4)):
+        size = rng.randint(1, 3)
+        layers.append(list(range(n, n + size)))
+        n += size
+    f = Fst(semiring)
+    for _ in range(n + 2):
+        f.add_state()
+    f.set_initial_state(0)
+    real = semiring is RealWeight
+
+    def weight(low, high):
+        w = rng.uniform(low, high)
+        return w if real else -math.log(w)
+
+    later = [(s, t) for i, layer in enumerate(layers) for s in layer
+             for later_layer in layers[i + 1:] for t in later_layer]
+    for _ in range(rng.randint(1, 2 * n)):
+        s, t = rng.choice(later)
+        label = rng.choice("ab")
+        f.add_arc(s, t, weight(0.1, 1.0), label, rng.choice([label, "c"]))
+    for _ in range(rng.randint(1, n)):
+        s, t = rng.choice(later)
+        w = semiring.zero if rng.random() < 0.15 else weight(0.1, 1.0)
+        f.add_arc(s, t, w, EPSILON, EPSILON)
+    if reachable_cycles:
+        for layer in layers:
+            for _ in range(rng.randint(0, len(layer) + 1)):
+                f.add_arc(rng.choice(layer), rng.choice(layer),
+                          weight(0.05, 0.25), EPSILON, EPSILON)
+    f.add_arc(n, n + 1, weight(0.1, 0.5), EPSILON, EPSILON)
+    f.add_arc(n + 1, n, weight(0.1, 0.5), EPSILON, EPSILON)
+    f.add_arc(n + 1, rng.randrange(n), weight(0.1, 1.0), "a", "a")
+    for s in layers[-1] + [rng.randrange(n)]:
+        f.set_final_weight(s, weight(0.2, 1.0))
+    return f
+
+
+def exact_epsilon_removal(f):
+    """Closed form for a real machine: the epsilon closure matrix is
+    (I - E)^-1, inverted by Gauss-Jordan elimination."""
+    n = f.num_states
+    m = [[float(i == j) for j in range(n)] + [float(i == j) for j in range(n)]
+         for i in range(n)]
+    for a in f.all_arcs():
+        if a.input == a.output == EPSILON:
+            m[a.source][a.target] -= a.weight.value
+    for col in range(n):
+        pivot = max(range(col, n), key=lambda r: abs(m[r][col]))
+        m[col], m[pivot] = m[pivot], m[col]
+        m[col] = [x / m[col][col] for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col]:
+                m[r] = [x - m[r][col] * y for x, y in zip(m[r], m[col])]
+    closure_w = [row[n:] for row in m]
+    g = Fst(RealWeight)
+    for _ in range(n):
+        g.add_state()
+    g.set_initial_state(f.initial)
+    for s in range(n):
+        final = 0.0
+        for t in range(n):
+            if closure_w[s][t] == 0.0:
+                continue
+            for a in f.arcs(t):
+                if not a.input == a.output == EPSILON:
+                    g.add_arc(s, a.target, closure_w[s][t] * a.weight.value,
+                              a.input, a.output)
+            final += closure_w[s][t] * f.final_weight(t).value
+        if final:
+            g.set_final_weight(s, final)
+    return g
 
 
 class TestDeterminize:
@@ -553,6 +758,32 @@ class TestSumPaths:
             b = random_acyclic_fst(rng)
             assert sum_paths(concat(a, b)).approx_eq(
                 sum_paths(a) * sum_paths(b), 1e-6)
+
+    def test_exact_when_only_an_unreachable_part_is_cyclic(self):
+        # The accepting path weighs less than the 1/1024 cut-off of the
+        # cyclic relaxation; the cycle cannot be reached, so the exact
+        # topological pass applies.
+        f = Fst(RealWeight)
+        for _ in range(3):
+            f.add_state()
+        f.set_initial_state(0)
+        f.add_arc(0, 1, 1e-4, "a", "a")
+        f.set_final_weight(1, 1.0)
+        f.add_arc(2, 2, 0.5, "b", "b")
+        assert sum_paths(f).value == 1e-4
+        assert shortest_distance(f) == [RealWeight.one, RealWeight(1e-4),
+                                        RealWeight.zero]
+
+    def test_nan_total_rejected(self):
+        f = Fst(RealWeight)
+        for _ in range(3):
+            f.add_state()
+        f.set_initial_state(0)
+        f.add_arc(0, 1, float("inf"), "x", "x")
+        f.add_arc(1, 2, 0.0, "y", "y")
+        f.set_final_weight(2, 1.0)
+        with pytest.raises(InvalidWeightError):
+            sum_paths(f)
 
 
 class TestRandomPath:

@@ -250,6 +250,14 @@ class TestExitCodes:
     def test_shortestpath_non_path_semiring_is_domain_error(self, troll_file):
         assert run_cli(["shortestpath", troll_file]).returncode == 2
 
+    def test_nan_total_is_domain_error(self):
+        doc = ("#semiring real\n#initial 0\n#states 3\n"
+               "0 1 120 120 inf\n1 2 121 121 0\n2 1\n")
+        result = run_cli(["sumpaths", "-"], stdin=doc)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "not a member" in result.stderr
+
     def test_determinize_with_epsilons_is_domain_error(self, tmp_path):
         a = tmp_path / "a.fst"
         b = tmp_path / "b.fst"
@@ -402,3 +410,12 @@ class TestDelta:
         assert result.returncode == 1
         assert result.stdout == ""
         assert "unrecognized arguments: --delta 0.1" in result.stderr
+
+    def test_stray_flag_shows_the_subcommand_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["print", "-", "--delta", "0.1"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: wfst print ")
+        assert "wfst print: error: unrecognized arguments: --delta 0.1" in err
+        assert "shortestdistance" not in err

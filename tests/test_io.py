@@ -155,6 +155,18 @@ class TestParseErrors:
         with pytest.raises(FstParseError):
             parse_text("#semiring real\n#initial 0\n#states 2\n0 5 97 97 1\n")
 
+    @pytest.mark.parametrize("arc, state", [("0 5", 5), ("7 1", 7), ("-1 1", -1)])
+    def test_unknown_arc_state_is_named(self, arc, state):
+        with pytest.raises(FstParseError) as exc:
+            parse_text(f"#semiring real\n#states 2\n\n{arc} 97 97 1\n")
+        assert exc.value.line == 4
+        assert str(exc.value).endswith(f"arc references unknown state {state}")
+
+    def test_out_of_range_initial_reports_line(self):
+        with pytest.raises(FstParseError) as exc:
+            parse_text("#semiring real\n#initial 5\n#states 2\n")
+        assert exc.value.line == 2
+
     def test_out_of_range_final(self):
         with pytest.raises(FstParseError):
             parse_text("#semiring real\n#initial 0\n#states 1\n7 1\n")

@@ -99,13 +99,11 @@ def _coerce(*fsts):
 def _copy_into(dst, src):
     """Append a copy of src's states/arcs/finals into dst; return the offset."""
     offset = dst.num_states
-    for _ in src.states():
-        dst.add_state()
-    for arc in src.all_arcs():
-        dst._arcs[offset + arc.source].append(
-            Arc(offset + arc.source, offset + arc.target,
-                arc.input, arc.output, arc.weight)
-        )
+    dst._arcs.extend(
+        [Arc(offset + source, offset + target, ilabel, olabel, weight)
+         for source, target, ilabel, olabel, weight in arcs]
+        for arcs in src._arcs
+    )
     return offset
 
 
@@ -195,34 +193,37 @@ def compose(a, b):
             by_label.setdefault(arc.input, []).append(arc)
         arcs_b[state] = by_label
 
+    # States are numbered in queue order and the queue is FIFO, so the
+    # state popped next is always the next one to get its arc list.
     state_map = {}
     queue = deque()
 
     def get_state(key):
-        if key not in state_map:
-            state_map[key] = out.add_state()
+        state = state_map.get(key)
+        if state is None:
+            state = state_map[key] = len(state_map)
             queue.append(key)
             qa, qb, _ = key
             fa = a.finals.get(qa)
             fb = b.finals.get(qb)
             if fa is not None and fb is not None:
-                out.finals[state_map[key]] = fa * fb
-        return state_map[key]
+                out.finals[state] = fa * fb
+        return state
 
-    start = get_state((a.initial, b.initial, 0))
-    out.set_initial_state(start)
+    out.initial = get_state((a.initial, b.initial, 0))
 
     while queue:
-        key = queue.popleft()
-        qa, qb, f = key
-        src = state_map[key]
+        qa, qb, f = queue.popleft()
+        src = len(out._arcs)
+        src_arcs = []
+        out._arcs.append(src_arcs)
         by_label = arcs_b[qb]
         for arc_a in a.arcs(qa):
             if arc_a.output != EPSILON:
                 # Matched non-epsilon move: allowed from any filter state.
                 for arc_b in by_label.get(arc_a.output, ()):
                     dst = get_state((arc_a.target, arc_b.target, 0))
-                    out._arcs[src].append(
+                    src_arcs.append(
                         Arc(src, dst, arc_a.input, arc_b.output,
                             arc_a.weight * arc_b.weight)
                     )
@@ -231,21 +232,21 @@ def compose(a, b):
                 if f == 0:
                     for arc_b in by_label.get(EPSILON, ()):
                         dst = get_state((arc_a.target, arc_b.target, 0))
-                        out._arcs[src].append(
+                        src_arcs.append(
                             Arc(src, dst, arc_a.input, arc_b.output,
                                 arc_a.weight * arc_b.weight)
                         )
                 # a moves alone on output epsilon.
                 if f in (0, 1):
                     dst = get_state((arc_a.target, qb, 1))
-                    out._arcs[src].append(
+                    src_arcs.append(
                         Arc(src, dst, arc_a.input, EPSILON, arc_a.weight)
                     )
         # b moves alone on input epsilon.
         if f in (0, 2):
             for arc_b in by_label.get(EPSILON, ()):
                 dst = get_state((qa, arc_b.target, 2))
-                out._arcs[src].append(
+                src_arcs.append(
                     Arc(src, dst, EPSILON, arc_b.output, arc_b.weight)
                 )
     return out
@@ -356,13 +357,17 @@ def _backward_arcs(fst):
 
 
 def shortest_distance(fst, delta=DEFAULT_DELTA):
-    """Per-state plus-sum over all paths from the initial state."""
+    """Per-state plus-sum over all paths from the initial state.
+
+    Each distance passes the membership gate, so a NaN (from inf * 0,
+    say) raises InvalidWeightError.
+    """
     sr = fst.semiring
     if fst.initial is None:
         return [sr.zero] * fst.num_states
     d = _generic_distance(sr, fst.num_states, _forward_arcs(fst),
                           {fst.initial: sr.one}, delta)
-    return [d.get(s, sr.zero) for s in fst.states()]
+    return [sr.cast(d.get(s, sr.zero)) for s in fst.states()]
 
 
 def _backward_distance(fst, delta=DEFAULT_DELTA):
@@ -378,10 +383,11 @@ def sum_paths(fst, delta=DEFAULT_DELTA):
     sr = fst.semiring
     if fst.initial is None:
         return sr.zero
-    d = shortest_distance(fst, delta)
+    d = _generic_distance(sr, fst.num_states, _forward_arcs(fst),
+                          {fst.initial: sr.one}, delta)
     total = sr.zero
     for state, weight in fst.finals.items():
-        total = total + d[state] * weight
+        total = total + d.get(state, sr.zero) * weight
     # The membership gate: arithmetic such as inf * 0 can make a NaN.
     return sr.cast(total)
 
@@ -396,13 +402,16 @@ def remove_epsilon(fst, delta=DEFAULT_DELTA):
             eps_arcs[a.source].append((a.source, a.target, a.weight))
 
     out = Fst(sr)
-    for _ in range(n):
-        out.add_state()
     out.initial = fst.initial
     for s in range(n):
         # Epsilon-closure weights from s (times-accumulated along epsilon
-        # chains, plus-combined across alternative epsilon routes).
-        closure_w = _generic_distance(sr, n, eps_arcs, {s: sr.one}, delta)
+        # chains, plus-combined across alternative epsilon routes); a state
+        # without epsilon arcs reaches only itself.
+        if eps_arcs[s]:
+            closure_w = _generic_distance(sr, n, eps_arcs, {s: sr.one}, delta)
+        else:
+            closure_w = {s: sr.one}
+        new_arcs = []
         final = sr.zero
         for t in sorted(closure_w):
             w = closure_w[t]
@@ -411,12 +420,13 @@ def remove_epsilon(fst, delta=DEFAULT_DELTA):
             for arc in fst._arcs[t]:
                 if arc.input == EPSILON and arc.output == EPSILON:
                     continue
-                out._arcs[s].append(
+                new_arcs.append(
                     Arc(s, arc.target, arc.input, arc.output, w * arc.weight)
                 )
             fw = fst.finals.get(t)
             if fw is not None:
                 final = final + w * fw
+        out._arcs.append(new_arcs)
         if final != sr.zero:
             out.finals[s] = final
     return out
@@ -454,15 +464,18 @@ def determinize(fst, delta=DEFAULT_DELTA):
 
     # Subsets are keyed by quantized residuals so nearly identical subsets
     # merge, but the exact residuals of the first-seen subset are used for
-    # expansion to keep arc weights exact along unmerged paths.
+    # expansion to keep arc weights exact along unmerged paths.  States are
+    # numbered in queue order and the queue is FIFO, so the state popped
+    # next is always the next one to get its arc list.
     start = ((fst.initial, sr.one),)
-    start_key = tuple((s, r.quantize(delta)) for s, r in start)
-    state_map = {start_key: out.add_state()}
-    out.set_initial_state(state_map[start_key])
+    state_map = {tuple((s, r.quantize(delta)) for s, r in start): 0}
+    out.initial = 0
     queue = deque([start])
     while queue:
         key = queue.popleft()
-        src = state_map[tuple((s, r.quantize(delta)) for s, r in key)]
+        src = len(out._arcs)
+        src_arcs = []
+        out._arcs.append(src_arcs)
         # Final weight of the subset.
         final = sr.zero
         for state, residual in key:
@@ -488,15 +501,15 @@ def determinize(fst, delta=DEFAULT_DELTA):
                 (t, divide(per_target[t], total)) for t in sorted(per_target)
             )
             new_key = tuple((t, r.quantize(delta)) for t, r in subset)
-            if new_key not in state_map:
+            dst = state_map.get(new_key)
+            if dst is None:
                 if len(state_map) >= cap:
                     raise DeterminizationLimitError(
                         f"subset construction exceeded {cap} states"
                     )
-                state_map[new_key] = out.add_state()
+                dst = state_map[new_key] = len(state_map)
                 queue.append(subset)
-            dst = state_map[new_key]
-            out._arcs[src].append(Arc(src, dst, ilabel, olabel, total))
+            src_arcs.append(Arc(src, dst, ilabel, olabel, total))
     return out
 
 
@@ -511,14 +524,13 @@ def reverse(fst):
     """Accepts the reversal of every string, with reversed arc weights."""
     sr = fst.semiring
     out = Fst(sr)
-    for _ in fst.states():
-        out.add_state()
+    out._arcs = [[] for _ in range(fst.num_states + 1)]
     for arc in fst.all_arcs():
         out._arcs[arc.target].append(
             Arc(arc.target, arc.source, arc.input, arc.output,
                 arc.weight.reverse())
         )
-    start = out.add_state()
+    start = fst.num_states
     out.set_initial_state(start)
     for state, weight in fst.finals.items():
         out.add_arc(start, state, weight.reverse(), EPSILON, EPSILON)

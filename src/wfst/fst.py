@@ -6,6 +6,7 @@ their code point.  Construction methods mutate in place; everything in
 the algorithms module treats a finished FST as immutable.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import chain
 
@@ -49,13 +50,11 @@ def label_str(label):
     return f"[{label}]"
 
 
-@dataclass(frozen=True)
-class Arc:
-    source: int
-    target: int
-    input: int
-    output: int
-    weight: AbstractSemiringWeight
+class Arc(namedtuple("Arc", "source target input output weight")):
+    """An immutable arc record; ``arc._replace(weight=w)`` makes a changed
+    copy.  Being a tuple, it also equals a plain tuple of its fields."""
+
+    __slots__ = ()
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ from wfst.errors import (
     WfstError,
 )
 from wfst.fst import EPSILON, Arc
-from wfst.io import render_text
+from wfst.io import parse_text, render_text
 from conftest import random_acyclic_fst, random_boolean_fst
 
 
@@ -371,12 +371,25 @@ class TestRemoveEpsilon:
         assert CountingWeight.counts["*"] < 4 * f.num_arcs
         assert CountingWeight.counts["=="] < 4 * f.num_arcs
 
+    def test_epsilon_free_closures_need_no_sums(self):
+        f = fst_from_sequence("a" * 499, CountingWeight)
+        CountingWeight.counts["+"] = 0
+        r = remove_epsilon(f)
+        assert render_text(r) == render_text(f)
+        # The final weight of the one final state is the only sum; a
+        # distance pass per closure would add zero + one for each state.
+        assert CountingWeight.counts["+"] == 1
+
 
 class CountingWeight(RealWeight):
-    """Real weights that count their products and comparisons."""
+    """Real weights that count their sums, products and comparisons."""
 
     name = "counting"
-    counts = {"*": 0, "==": 0}
+    counts = {"+": 0, "*": 0, "==": 0}
+
+    def __add__(self, other):
+        CountingWeight.counts["+"] += 1
+        return super().__add__(other)
 
     def __mul__(self, other):
         CountingWeight.counts["*"] += 1
@@ -682,6 +695,13 @@ class TestShortestDistance:
         with pytest.raises(ConvergenceError):
             shortest_distance(f)
 
+    def test_nan_distance_rejected(self):
+        # inf * 0 makes the distance of state 2 a NaN.
+        f = parse_text("#semiring real\n#initial 0\n#states 3\n"
+                       "0 1 120 120 inf\n1 2 121 121 0\n")
+        with pytest.raises(InvalidWeightError):
+            shortest_distance(f)
+
 
 class TestShortestPath:
     def test_min_and_max_disagree(self, rewrite_fst):
@@ -784,6 +804,81 @@ class TestSumPaths:
         f.set_final_weight(2, 1.0)
         with pytest.raises(InvalidWeightError):
             sum_paths(f)
+
+
+def epsilon_machine():
+    """Four real states with epsilon arcs 0->1->2, labelled arcs on every
+    state but the last, a b:epsilon arc back from 2 to 1, and finals 2
+    and 3."""
+    f = Fst(RealWeight)
+    for _ in range(4):
+        f.add_state()
+    f.set_initial_state(0)
+    f.add_arc(0, 1, 0.5, EPSILON, EPSILON)
+    f.add_arc(0, 2, 0.25, "a", "x")
+    f.add_arc(1, 2, 0.5, EPSILON, EPSILON)
+    f.add_arc(1, 3, 2.0, "b", "b")
+    f.add_arc(2, 3, 1.0, "a", "a")
+    f.add_arc(2, 1, 4.0, "b", EPSILON)
+    f.set_final_weight(2, 0.5)
+    f.set_final_weight(3, 1.0)
+    return f
+
+
+HEADER = "#semiring real\n#initial {}\n#states {}\n"
+
+# The rendering of each construction on epsilon_machine(): the numbering
+# of states and the order of arcs are part of the answer.
+PINNED = {
+    "concat": HEADER.format(0, 8) + (
+        "0 1 0 0 0.5\n0 2 97 120 0.25\n1 2 0 0 0.5\n1 3 98 98 2\n"
+        "2 3 97 97 1\n2 1 98 0 4\n2 4 0 0 0.5\n3 4 0 0 1\n"
+        "4 5 0 0 0.5\n4 6 97 120 0.25\n5 6 0 0 0.5\n5 7 98 98 2\n"
+        "6 7 97 97 1\n6 5 98 0 4\n6 0.5\n7 1\n"),
+    "closure": HEADER.format(0, 5) + (
+        "0 1 0 0 1\n1 2 0 0 0.5\n1 3 97 120 0.25\n2 3 0 0 0.5\n"
+        "2 4 98 98 2\n3 4 97 97 1\n3 2 98 0 4\n3 0 0 0 0.5\n"
+        "4 0 0 0 1\n0 1\n"),
+    "reverse": HEADER.format(4, 5) + (
+        "1 0 0 0 0.5\n1 2 98 0 4\n2 0 97 120 0.25\n2 1 0 0 0.5\n"
+        "3 1 98 98 2\n3 2 97 97 1\n4 2 0 0 0.5\n4 3 0 0 1\n0 1\n"),
+    "remove_epsilon": HEADER.format(0, 4) + (
+        "0 2 97 120 0.25\n0 3 98 98 1\n0 3 97 97 0.25\n0 1 98 0 1\n"
+        "1 3 98 98 2\n1 3 97 97 0.5\n1 1 98 0 2\n2 3 97 97 1\n"
+        "2 1 98 0 4\n0 0.125\n1 0.25\n2 0.5\n3 1\n"),
+    "determinize": HEADER.format(0, 4) + (
+        "0 1 97 97 0.25\n0 2 97 120 0.25\n0 3 98 0 1\n0 1 98 98 1\n"
+        "2 1 97 97 1\n2 3 98 0 4\n3 1 97 97 0.5\n3 3 98 0 2\n"
+        "3 1 98 98 2\n0 0.125\n1 1\n2 0.5\n3 0.25\n"),
+}
+
+CONSTRUCTIONS = {
+    "concat": lambda f: concat(f, f),
+    "closure": closure,
+    "reverse": reverse,
+    "remove_epsilon": remove_epsilon,
+    "determinize": lambda f: determinize(remove_epsilon(f)),
+}
+
+
+class TestConstructionOrder:
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_rendering_is_pinned(self, name):
+        assert render_text(CONSTRUCTIONS[name](epsilon_machine())) == \
+            PINNED[name]
+
+    @pytest.mark.parametrize("build", [
+        union, concat, lambda a, b: closure(a)],
+        ids=["union", "concat", "closure"])
+    def test_operands_are_not_mutated(self, build):
+        a, b = epsilon_machine(), fst_from_sequence("ab", RealWeight)
+        before = render_text(a), render_text(b)
+        out = build(a, b)
+        # The result shares no arc list with an operand either.
+        for state in out.states():
+            out.add_arc(state, state, 3.0, "z", "z")
+        out.set_final_weight(0, 7.0)
+        assert (render_text(a), render_text(b)) == before
 
 
 class TestRandomPath:

@@ -258,6 +258,14 @@ class TestExitCodes:
         assert result.stdout == ""
         assert "not a member" in result.stderr
 
+    def test_nan_distance_is_domain_error(self):
+        doc = ("#semiring real\n#initial 0\n#states 3\n"
+               "0 1 120 120 inf\n1 2 121 121 0\n2 1\n")
+        result = run_cli(["shortestdistance", "-"], stdin=doc)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "not a member" in result.stderr
+
     def test_determinize_with_epsilons_is_domain_error(self, tmp_path):
         a = tmp_path / "a.fst"
         b = tmp_path / "b.fst"

@@ -44,6 +44,35 @@ class TestLabels:
             as_label(2 ** 64)
 
 
+class TestArc:
+    def arc(self, weight=2.0):
+        return Arc(0, 1, 97, 98, RealWeight(weight))
+
+    @pytest.mark.parametrize("name", ["source", "target", "input", "output",
+                                      "weight", "extra"])
+    def test_fields_cannot_be_assigned(self, name):
+        arc = self.arc()
+        with pytest.raises(AttributeError):
+            setattr(arc, name, 5)
+        assert arc == self.arc()
+
+    def test_equal_fields_give_equal_arcs_and_hashes(self):
+        assert self.arc() == self.arc()
+        assert hash(self.arc()) == hash(self.arc())
+        assert len({self.arc(), self.arc(), self.arc(3.0)}) == 2
+        assert self.arc() != self.arc(3.0)
+
+    def test_repr_names_every_field(self):
+        assert repr(self.arc()) == ("Arc(source=0, target=1, input=97, "
+                                    "output=98, weight=RealWeight(2.0))")
+
+    def test_is_a_tuple_record(self):
+        arc = self.arc()
+        assert arc == (0, 1, 97, 98, RealWeight(2.0))
+        assert arc._replace(weight=RealWeight(3.0)) == self.arc(3.0)
+        assert type(arc._replace(target=4)) is Arc
+
+
 class TestConstruction:
     def test_new_fst_is_empty(self):
         f = Fst(BooleanWeight)

@@ -13,6 +13,7 @@ from .errors import (
     ConvergenceError,
     CycleLimitError,
     DeterminizationLimitError,
+    DivergenceError,
     NoAcceptingPathError,
     SamplingError,
     SemiringMismatchError,
@@ -253,17 +254,16 @@ def compose(a, b):
 
 
 def _reachable_order(arcs_by_state, sources):
-    """The states reachable from ``sources`` in topological order, and
-    whether that reachable part is acyclic.
+    """The states reachable from ``sources`` in topological order, or None
+    when that reachable part has a cycle.
 
     One iterative depth-first search; the order is reverse postorder, with
     each state's arcs (and the sources) explored last to first so that
-    siblings keep their arc order.  With a cycle the order still lists
-    every reachable state once.
+    siblings keep their arc order.  The search stops at the first arc back
+    into a state still on its stack.
     """
     on_stack = {}  # state -> True while on the search stack, then False
     postorder = []
-    acyclic = True
     for root in reversed(sources):
         if root in on_stack:
             continue
@@ -278,31 +278,231 @@ def _reachable_order(arcs_by_state, sources):
                     stack.append((target, reversed(arcs_by_state[target])))
                     break
                 if seen:
-                    acyclic = False
+                    return None
             else:
                 stack.pop()
                 on_stack[state] = False
                 postorder.append(state)
     postorder.reverse()
-    return postorder, acyclic
+    return postorder
 
 
-def _generic_distance(semiring, num_states, arcs_by_state, sources,
-                      delta=DEFAULT_DELTA):
+def _components(arcs_by_state, sources):
+    """Tarjan's algorithm: the strongly connected components reachable
+    from ``sources`` in topological order, each a sorted list of states.
+
+    One iterative depth-first search.  Tarjan's algorithm finishes a
+    component only after every component it reaches, so the finishing
+    order, reversed, is topological.
+    """
+    index = {}     # state -> depth-first number
+    low = {}       # state -> least number reachable through the stack
+    stack = []     # visited states whose component is not finished
+    on_stack = set()
+    components = []
+    for root in sources:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(arcs_by_state[root]))]
+        while work:
+            state, arcs = work[-1]
+            for _, target, _ in arcs:
+                if target not in index:
+                    index[target] = low[target] = len(index)
+                    stack.append(target)
+                    on_stack.add(target)
+                    work.append((target, iter(arcs_by_state[target])))
+                    break
+                if target in on_stack and index[target] < low[state]:
+                    low[state] = index[target]
+            else:
+                work.pop()
+                if work and low[state] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[state]
+                if low[state] == index[state]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == state:
+                            break
+                    components.append(sorted(component))
+    components.reverse()
+    return components
+
+
+def _describe(component):
+    shown = ", ".join(map(str, component[:10]))
+    more = ", ..." if len(component) > 10 else ""
+    return (f"the strongly connected component of {len(component)} "
+            f"state{'s' if len(component) > 1 else ''} ({shown}{more})")
+
+
+def _eliminate(semiring, component, arcs_by_state, d):
+    """Solve x = b + x·A over one component by Gaussian elimination with
+    plus, times and star alone: A holds the arcs inside the component, b
+    the distances that reached it from outside.
+
+    Eliminating state k writes x_k = (b_k + sum of x_s·A[s][k]) · A[k][k]*
+    and substitutes it into the equations of the states after k; back
+    substitution then gives every x_k.  For real weights this is
+    elimination on (I - A)ᵀ without pivoting, which is stable when
+    I - A is an M-matrix (non-negative weights, convergent sums).
+    """
+    star = semiring.star
+    position = {s: k for k, s in enumerate(component)}
+    inflow = [{} for _ in component]        # inflow[t][s]: weight s -> t
+    outflow = [set() for _ in component]    # outflow[s]: t with inflow[t][s]
+    for k, s in enumerate(component):
+        for _, target, weight in arcs_by_state[s]:
+            t = position.get(target)
+            if t is not None:
+                terms = inflow[t]
+                terms[k] = terms[k] + weight if k in terms else weight
+                outflow[k].add(t)
+    b = [d[s] for s in component]
+    closures = []
+    try:
+        for k in range(len(component)):
+            terms = inflow[k]
+            loop = terms.pop(k, None)
+            closure_k = None if loop is None else star(loop)
+            closures.append(closure_k)
+            for t in outflow[k]:
+                if t <= k:
+                    continue
+                row = inflow[t]
+                factor = row.pop(k)
+                if closure_k is not None:
+                    factor = closure_k * factor
+                b[t] = b[t] + b[k] * factor
+                for s, weight in terms.items():
+                    add = weight * factor
+                    row[s] = row[s] + add if s in row else add
+                    outflow[s].add(t)
+    except DivergenceError as exc:
+        raise DivergenceError(f"{_describe(component)} diverges: {exc}",
+                              scc=component) from None
+    x = [None] * len(component)
+    for k in range(len(component) - 1, -1, -1):
+        total = b[k]
+        for s, weight in inflow[k].items():
+            total = total + x[s] * weight
+        if closures[k] is not None:
+            total = total * closures[k]
+        x[k] = d[component[k]] = total
+
+
+def _label_correcting(semiring, component, members, arcs_by_state, d):
+    """Exact label-correcting over one component of a path semiring.
+
+    Rounds of Bellman-Ford: each round scans, once, the states whose
+    distance improved since their last scan (at first, those that hold a
+    distance), and a distance improves only when plus changes it,
+    compared with ``==``.  Without an improving cycle, every distance is
+    final after one round per state; an improvement in the last round
+    therefore proves such a cycle, and DivergenceError names a state on
+    it, found by walking back along the arcs that made the improvements.
+    """
+    zero = semiring.zero
+    scan = [s for s in component if d[s] != zero]
+    waiting = set(scan)  # states due for a scan in this round or the next
+    came_from = {}
+    for _ in component:
+        improved = None
+        later = []
+        for s in scan:
+            waiting.discard(s)
+            ds = d[s]
+            for _, target, weight in arcs_by_state[s]:
+                if target in members:
+                    old = d[target]
+                    new = old + ds * weight
+                    if new != old:
+                        d[target] = new
+                        came_from[target] = s
+                        improved = target
+                        if target not in waiting:
+                            waiting.add(target)
+                            later.append(target)
+        if improved is None:
+            return
+        scan = later
+    state, seen = improved, set()
+    while state in came_from and state not in seen:
+        seen.add(state)
+        state = came_from[state]
+    raise DivergenceError(
+        f"{_describe(component)} has a cycle through state {state} that "
+        f"improves its distances without bound", scc=component, state=state)
+
+
+def _relax(semiring, component, members, arcs_by_state, d, delta):
+    """Queue-based relaxation over one component, for semirings with
+    neither the path property nor a star: d holds the distances and
+    ``pending`` the mass not yet passed on.  An update within approx_eq's
+    ``delta`` of the old distance is dropped; ConvergenceError names the
+    component and the last residual after the sweep cap."""
+    zero = semiring.zero
+    pending = {s: d[s] for s in component}
+    queue = deque(s for s in component if d[s] != zero)
+    queued = set(queue)
+    pops = 0
+    cap = RELAXATION_SWEEP_CAP * len(component)
+    while queue:
+        s = queue.popleft()
+        queued.discard(s)
+        mass = pending[s]
+        pending[s] = zero
+        pops += 1
+        if pops > cap:
+            raise ConvergenceError(
+                f"shortest-distance relaxation in {_describe(component)} "
+                f"did not converge within {RELAXATION_SWEEP_CAP} sweeps; "
+                f"the last residual was {mass!r} at state {s}",
+                scc=component, residual=mass)
+        for _, target, weight in arcs_by_state[s]:
+            if target in members:
+                add = mass * weight
+                new = d[target] + add
+                if not d[target].approx_eq(new, delta):
+                    d[target] = new
+                    pending[target] = pending[target] + add
+                    if target not in queued:
+                        queue.append(target)
+                        queued.add(target)
+
+
+def _generic_distance(semiring, arcs_by_state, sources, delta=DEFAULT_DELTA):
     """Single-source (or multi-source) shortest distance over a semiring.
 
     ``arcs_by_state[s]`` is a list of (source, target, weight) triples and
     ``sources`` maps seed states to their initial weights.  Returns a dict
     from each state reachable from the sources to its distance; only
-    those states are visited.  An acyclic reachable part gets an exact
-    topological pass; a cyclic one uses queue-based relaxation that stops
-    when updates fall below approx_eq's delta, and raises ConvergenceError
-    after the sweep cap.
+    those states are visited.
+
+    An acyclic reachable part gets one depth-first search and one exact
+    topological pass.  Otherwise Tarjan's algorithm splits it into
+    strongly connected components, which are passed in topological order,
+    so the pass is exact across components.  A component of one state
+    without a self-loop needs no solver; any other is solved according to
+    what the semiring supplies:
+
+    - the 'path' property (min, max, tropical): exact label-correcting,
+      DivergenceError on an improving cycle;
+    - a ``star``: exact elimination, DivergenceError where a star does not
+      exist (the sum over the cycles diverges);
+    - neither: relaxation to within approx_eq's ``delta``, the only use of
+      ``delta`` here, with ConvergenceError after the sweep cap.
     """
     zero = semiring.zero
-    order, acyclic = _reachable_order(arcs_by_state, sources)
-    d = dict.fromkeys(order, zero)
-    if acyclic:
+    order = _reachable_order(arcs_by_state, sources)
+    if order is not None:
+        d = dict.fromkeys(order, zero)
         for s, w in sources.items():
             d[s] = d[s] + w
         for s in order:
@@ -310,38 +510,30 @@ def _generic_distance(semiring, num_states, arcs_by_state, sources,
             for _, target, weight in arcs_by_state[s]:
                 d[target] = d[target] + ds * weight
         return d
-    # Cyclic: queue-based relaxation (d holds distances, r pending mass).
-    r = dict.fromkeys(order, zero)
-    queue = deque()
-    queued = set()
+    components = _components(arcs_by_state, sources)
+    d = {s: zero for component in components for s in component}
     for s, w in sources.items():
         d[s] = d[s] + w
-        r[s] = r[s] + w
-        if s not in queued:
-            queue.append(s)
-            queued.add(s)
-    pops = 0
-    cap = RELAXATION_SWEEP_CAP * max(num_states, 1)
-    while queue:
-        pops += 1
-        if pops > cap:
-            raise ConvergenceError(
-                "shortest-distance relaxation did not converge "
-                f"within {RELAXATION_SWEEP_CAP} sweeps"
-            )
-        s = queue.popleft()
-        queued.discard(s)
-        mass = r[s]
-        r[s] = zero
-        for _, target, weight in arcs_by_state[s]:
-            add = mass * weight
-            new = d[target] + add
-            if not d[target].approx_eq(new, delta):
-                d[target] = new
-                r[target] = r[target] + add
-                if target not in queued:
-                    queue.append(target)
-                    queued.add(target)
+    is_path = "path" in semiring.semiring_properties
+    for component in components:
+        first = component[0]
+        if len(component) == 1 and all(
+                target != first for _, target, _ in arcs_by_state[first]):
+            members = ()  # no cycle: every arc leaves the component
+        else:
+            members = set(component)
+            if is_path:
+                _label_correcting(semiring, component, members,
+                                  arcs_by_state, d)
+            elif semiring.star is not None:
+                _eliminate(semiring, component, arcs_by_state, d)
+            else:
+                _relax(semiring, component, members, arcs_by_state, d, delta)
+        for s in component:
+            ds = d[s]
+            for _, target, weight in arcs_by_state[s]:
+                if target not in members:
+                    d[target] = d[target] + ds * weight
     return d
 
 
@@ -359,35 +551,53 @@ def _backward_arcs(fst):
 def shortest_distance(fst, delta=DEFAULT_DELTA):
     """Per-state plus-sum over all paths from the initial state.
 
-    Each distance passes the membership gate, so a NaN (from inf * 0,
-    say) raises InvalidWeightError.
+    Exact wherever the semiring allows (see ``_generic_distance``): on
+    real and diff weights a cycle whose sum diverges raises
+    DivergenceError, as does an improving cycle on min, max or tropical
+    weights.  ``delta`` matters only to semirings with neither a star nor
+    the path property.  Each distance passes the membership gate, so a
+    NaN (from inf * 0, say) raises InvalidWeightError.
     """
     sr = fst.semiring
     if fst.initial is None:
         return [sr.zero] * fst.num_states
-    d = _generic_distance(sr, fst.num_states, _forward_arcs(fst),
+    return [sr.cast(w) for w in _forward_distance(fst, delta)]
+
+
+def _forward_distance(fst, delta=DEFAULT_DELTA):
+    """Per-state plus-sum over paths from the initial state, which must
+    exist; no membership gate."""
+    sr = fst.semiring
+    d = _generic_distance(sr, _forward_arcs(fst),
                           {fst.initial: sr.one}, delta)
-    return [sr.cast(d.get(s, sr.zero)) for s in fst.states()]
+    return [d.get(s, sr.zero) for s in fst.states()]
 
 
 def _backward_distance(fst, delta=DEFAULT_DELTA):
     """Per-state plus-sum over accepting suffixes (final weights included)."""
     sr = fst.semiring
-    d = _generic_distance(sr, fst.num_states, _backward_arcs(fst),
+    d = _generic_distance(sr, _backward_arcs(fst),
                           fst.finals, delta)
     return [d.get(s, sr.zero) for s in fst.states()]
 
 
 def sum_paths(fst, delta=DEFAULT_DELTA):
-    """Plus-sum of all accepting path weights (the total machine weight)."""
+    """Plus-sum of all accepting path weights (the total machine weight).
+
+    The shortest-distance pass of ``shortest_distance``, summed over the
+    final weights.  A semiring with a ``total_weight`` hook computes the
+    total itself; the diff semiring's records it as one tape node.  The
+    total passes the membership gate, so a NaN raises InvalidWeightError.
+    """
     sr = fst.semiring
     if fst.initial is None:
         return sr.zero
-    d = _generic_distance(sr, fst.num_states, _forward_arcs(fst),
-                          {fst.initial: sr.one}, delta)
+    if sr.total_weight is not None:
+        return sr.cast(sr.total_weight(fst, delta))
+    d = _forward_distance(fst, delta)
     total = sr.zero
     for state, weight in fst.finals.items():
-        total = total + d.get(state, sr.zero) * weight
+        total = total + d[state] * weight
     # The membership gate: arithmetic such as inf * 0 can make a NaN.
     return sr.cast(total)
 
@@ -408,7 +618,7 @@ def remove_epsilon(fst, delta=DEFAULT_DELTA):
         # chains, plus-combined across alternative epsilon routes); a state
         # without epsilon arcs reaches only itself.
         if eps_arcs[s]:
-            closure_w = _generic_distance(sr, n, eps_arcs, {s: sr.one}, delta)
+            closure_w = _generic_distance(sr, eps_arcs, {s: sr.one}, delta)
         else:
             closure_w = {s: sr.one}
         new_arcs = []

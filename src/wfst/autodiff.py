@@ -4,6 +4,17 @@ Weights are <+, *, 0, 1> real numbers whose operations are recorded on a
 GradientTape, so the total weight produced by sum_paths can be
 differentiated with respect to designated arc-weight parameters.  A tape
 is confined to a single thread; training creates a fresh tape per step.
+
+sum_paths does not record its distance pass.  Through the semiring's
+``total_weight`` hook it computes the forward distances alpha and the
+backward distances beta on the weights' float values, with the exact
+real-semiring solver, and records the total as one node whose parents
+are the arc and final weights: the partial of an arc s -> t is
+alpha(s)·beta(t) and that of a final weight at f is alpha(f) (Eisner,
+"Inside-Outside and Forward-Backward Algorithms Are Just Backprop",
+2016).  So the gradient of a cyclic sum is exact, and a loss costs
+O(arcs) tape nodes.  Elsewhere (shortest_distance, push) the operators
+record as usual, ``star`` included.
 """
 
 import math
@@ -16,7 +27,7 @@ from .errors import (
     WfstError,
 )
 from .fst import Fst
-from .semirings import _NumericWeight
+from .semirings import RealWeight, _NumericWeight, _real_star
 
 
 class TapeNode:
@@ -127,6 +138,31 @@ class _DiffWeightBase(_NumericWeight):
         node = self.tape.record(self.value ** n, (self.node,),
                                 (n * self.value ** (n - 1),))
         return type(self)(node)
+
+    @classmethod
+    def star(cls, a):
+        value = _real_star(a.value)
+        # d/da 1 / (1 - a) = 1 / (1 - a)²
+        return cls(cls.tape.record(value, (a.node,), (value * value,)))
+
+    @classmethod
+    def total_weight(cls, fst, delta):
+        """The total weight of ``fst`` as one tape node (forward-backward)."""
+        from .algorithms import _backward_distance, _forward_distance, lift
+
+        real = lift(fst, RealWeight)
+        alpha = [w.value for w in _forward_distance(real, delta)]
+        beta = [w.value for w in _backward_distance(real, delta)]
+        parents, partials = [], []
+        for arc in fst.all_arcs():
+            parents.append(arc.weight.node)
+            partials.append(alpha[arc.source] * beta[arc.target])
+        total = 0.0
+        for state, weight in fst.finals.items():
+            parents.append(weight.node)
+            partials.append(alpha[state])
+            total += alpha[state] * weight.value
+        return cls(cls.tape.record(total, parents, partials))
 
     def log(self):
         if self.value <= 0.0:
@@ -243,12 +279,14 @@ def train(real_fst, pairs, steps=200, rate=0.05, min_weight=1e-6):
     ``real_fst`` supplies the initial arc and final weights (real
     semiring); each step rebuilds the machine on a fresh tape with every
     weight as a parameter, backpropagates through sum_paths and updates
-    with plain gradient descent.  Weights are clamped positive so the
+    with plain gradient descent.  Each sum_paths is exact, cycles
+    included, and adds one tape node, so a step's tape holds O(arcs)
+    nodes.  A model whose total weight diverges (a cycle of weight 1 or
+    more) raises DivergenceError.  Weights are clamped positive so the
     probability model stays well defined.  Returns (trained real FST,
     per-step losses).
     """
     from .algorithms import lift
-    from .semirings import RealWeight
 
     observed = [pair_acceptor(i, o) for i, o in pairs]
     model = lift(real_fst, RealWeight)

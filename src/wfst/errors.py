@@ -30,7 +30,28 @@ class InvalidWeightError(WfstError):
 
 
 class ConvergenceError(WfstError):
-    """Cyclic weight relaxation failed to converge within the sweep cap."""
+    """A cyclic shortest-distance computation has no answer.
+
+    ``scc`` is the tuple of states of the strongly connected component
+    where it failed, and ``residual`` the mass the relaxation was still
+    passing on when it hit its sweep cap (None where no relaxation ran).
+    """
+
+    def __init__(self, message, scc=(), residual=None):
+        super().__init__(message)
+        self.scc = tuple(scc)
+        self.residual = residual
+
+
+class DivergenceError(ConvergenceError):
+    """A cycle has no closure: its star (one + a + a² + ...) does not
+    exist, or in a path semiring it improves every distance on it without
+    bound.  ``state`` is a state on such an improving cycle, when known.
+    """
+
+    def __init__(self, message, scc=(), state=None):
+        super().__init__(message, scc)
+        self.state = state
 
 
 class DeterminizationLimitError(WfstError):

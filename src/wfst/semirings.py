@@ -16,6 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import (
+    DivergenceError,
     DivisionByZeroError,
     InvalidWeightError,
     SemiringMismatchError,
@@ -42,6 +43,15 @@ class AbstractSemiringWeight:
     remaining methods have default implementations that may be overridden:
     division (used by push), power, quantize, member, reverse (used by FST
     reversal) and sampling_weight (used by random_path).
+
+    Two class-level hooks are None unless a semiring supplies them:
+
+    - ``star``, a classmethod giving the closure a* = one + a + a² + ...
+      of an element, or raising DivergenceError where it does not exist.
+      With it, shortest distance solves each strongly connected component
+      exactly by elimination.
+    - ``total_weight``, a classmethod ``(fst, delta)`` that sum_paths
+      returns in place of its own distance pass.
     """
 
     name = "abstract"
@@ -51,6 +61,8 @@ class AbstractSemiringWeight:
     is_boolean = False
     zero = None
     one = None
+    star = None
+    total_weight = None
 
     @classmethod
     def descriptor(cls):
@@ -309,10 +321,25 @@ class _NumericWeight(AbstractSemiringWeight):
         return None
 
 
+def _real_star(value):
+    """1 / (1 - a): the sum 1 + a + a² + ... for |a| < 1, and for a <= -1
+    the solution of x = 1 + a·x, which elimination over weights of mixed
+    sign needs.  For a >= 1 (or NaN) it does not exist."""
+    if not value < 1.0:
+        raise DivergenceError(
+            f"the star of {value!r} does not exist: 1 + a + a² + ... diverges"
+        )
+    return 1.0 / (1.0 - value)
+
+
 class RealWeight(_NumericWeight):
     """<+, *, 0, 1> over the reals (the probability semiring)."""
 
     name = "real"
+
+    @classmethod
+    def star(cls, a):
+        return cls(_real_star(a.value))
 
     def __add__(self, other):
         other = self._coerce(other)

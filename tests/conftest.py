@@ -65,6 +65,26 @@ def random_acyclic_fst(rng, semiring=RealWeight, max_states=8, max_arcs=16,
     return f
 
 
+def random_cyclic_fst(rng, max_states=6):
+    """Random real machine with cycles (arcs go to any state, self-loops
+    included) whose total weight converges: each state's arcs weigh 0.9
+    or less in total.  A state without arcs is final, others may be."""
+    n = rng.randint(1, max_states)
+    f = Fst(RealWeight)
+    for _ in range(n):
+        f.add_state()
+    f.set_initial_state(0)
+    for s in range(n):
+        targets = [rng.randrange(n) for _ in range(rng.randint(0, 3))]
+        raw = [rng.uniform(0.1, 1.0) for _ in targets]
+        mass = rng.uniform(0.3, 0.9)
+        for t, r in zip(targets, raw):
+            f.add_arc(s, t, mass * r / sum(raw), rng.choice("ab"), "a")
+        if not targets or rng.random() < 0.6:
+            f.set_final_weight(s, rng.uniform(0.1, 1.0))
+    return f
+
+
 def random_boolean_fst(rng, max_states=8, max_arcs=16):
     return random_acyclic_fst(rng, BooleanWeight, max_states, max_arcs,
                               weight=lambda r: True, acceptor=True)

@@ -5,6 +5,7 @@ import pytest
 
 from wfst import (
     BooleanWeight,
+    FeaturizedWeight,
     Fst,
     MaxWeight,
     MinWeight,
@@ -33,6 +34,7 @@ from wfst import (
 )
 from wfst.errors import (
     ConvergenceError,
+    DivergenceError,
     InvalidWeightError,
     NoAcceptingPathError,
     SamplingError,
@@ -42,7 +44,8 @@ from wfst.errors import (
 )
 from wfst.fst import EPSILON, Arc
 from wfst.io import parse_text, render_text
-from conftest import random_acyclic_fst, random_boolean_fst
+from conftest import (random_acyclic_fst, random_boolean_fst,
+                      random_cyclic_fst)
 
 
 def accepted_strings(fst, max_paths=1000):
@@ -804,6 +807,205 @@ class TestSumPaths:
         f.set_final_weight(2, 1.0)
         with pytest.raises(InvalidWeightError):
             sum_paths(f)
+
+
+def simple_path_optimum(f, select):
+    """Per-state best distance over the simple paths from the initial
+    state, summed in path order: the exact optimum of a path semiring
+    whose cycles cannot improve a distance."""
+    best = [None] * f.num_states
+
+    def walk(state, cost, seen):
+        if best[state] is None or select(best[state], cost) != best[state]:
+            best[state] = cost
+        for arc in f.arcs(state):
+            if arc.target not in seen:
+                walk(arc.target, cost + arc.weight.value, seen | {arc.target})
+
+    walk(f.initial, 0.0, {f.initial})
+    return best
+
+
+def small_cyclic_path_fst(rng, semiring, sign):
+    n = rng.randint(2, 6)
+    f = Fst(semiring)
+    for _ in range(n):
+        f.add_state()
+    f.set_initial_state(0)
+    for _ in range(rng.randint(n, 3 * n)):
+        f.add_arc(rng.randrange(n), rng.randrange(n),
+                  sign * rng.choice([0.0, rng.uniform(0.0, 5.0)]), "a", "a")
+    f.set_final_weight(n - 1, semiring.one)
+    return f
+
+
+def negative_cycle_through(f, state):
+    """Whether a simple cycle through ``state`` has a negative weight."""
+    def walk(s, cost, seen):
+        for arc in f.arcs(s):
+            total = cost + arc.weight.value
+            if arc.target == state and total < 0:
+                return True
+            if arc.target not in seen and walk(arc.target, total,
+                                               seen | {arc.target}):
+                return True
+        return False
+
+    return walk(state, 0.0, {state})
+
+
+class TestExactCyclicDistance:
+    def test_near_one_self_loop_sums_exactly(self):
+        f = Fst(RealWeight)
+        f.add_state()
+        f.set_initial_state(0)
+        f.add_arc(0, 0, 0.99, "a", "a")
+        f.set_final_weight(0, 1.0)
+        assert sum_paths(f).value == pytest.approx(100.0, rel=1e-12)
+
+    def test_small_improvement_on_a_cycle_is_kept(self):
+        # The second route to state 1 is better by 1e-4, less than the
+        # default delta; the cycle through state 0 makes the part cyclic.
+        f = Fst(TropicalWeight)
+        for _ in range(3):
+            f.add_state()
+        f.set_initial_state(0)
+        f.add_arc(0, 1, 1.0, "a", "a")
+        f.add_arc(0, 2, 0.5, "b", "b")
+        f.add_arc(2, 1, 0.4999, "c", "c")
+        f.add_arc(1, 0, 1.0, "d", "d")
+        f.set_final_weight(1, 0.0)
+        assert shortest_distance(f)[1].value == 0.9999
+        assert shortest_path(f).path.input_str == "bc"
+
+    def test_real_distances_match_a_linear_solve(self, rng):
+        np = pytest.importorskip("numpy")
+        linalg = pytest.importorskip("scipy.linalg")
+        for _ in range(60):
+            f = random_cyclic_fst(rng, max_states=12)
+            n = f.num_states
+            a = np.zeros((n, n))
+            rho = np.zeros(n)
+            for arc in f.all_arcs():
+                a[arc.source, arc.target] += arc.weight.value
+            for s, w in f.finals.items():
+                rho[s] = w.value
+            e = np.zeros(n)
+            e[0] = 1.0
+            alpha = linalg.solve((np.eye(n) - a).T, e)
+            got = np.array([w.value for w in shortest_distance(f)])
+            assert np.allclose(got, alpha, rtol=1e-12, atol=1e-15)
+            assert sum_paths(f).value == pytest.approx(alpha @ rho, rel=1e-12)
+
+    @pytest.mark.parametrize("semiring, sign, select", [
+        (MinWeight, 1.0, min), (TropicalWeight, 1.0, min),
+        (MaxWeight, -1.0, max)])
+    def test_path_distances_match_enumeration(self, rng, semiring, sign,
+                                              select):
+        # Weights of one sign, so that no cycle improves a distance.
+        for _ in range(60):
+            f = small_cyclic_path_fst(rng, semiring, sign)
+            best = simple_path_optimum(f, select)
+            got = shortest_distance(f)
+            for s in f.states():
+                want = semiring.zero.value if best[s] is None else best[s]
+                assert got[s].value == want
+
+    @pytest.mark.parametrize("semiring, weight", [
+        (MinWeight, -1.0), (MaxWeight, 1.0)])
+    def test_improving_cycle_names_a_state_on_it(self, semiring, weight):
+        # States 1, 2 and 3 form one component; only 2 <-> 3 improves.
+        f = Fst(semiring)
+        for _ in range(5):
+            f.add_state()
+        f.set_initial_state(0)
+        f.add_arc(0, 1, 0.0, "a", "a")
+        f.add_arc(1, 2, -weight, "a", "a")
+        f.add_arc(2, 1, -weight, "a", "a")
+        f.add_arc(2, 3, weight, "a", "a")
+        f.add_arc(3, 2, weight, "a", "a")
+        f.add_arc(3, 4, 0.0, "a", "a")
+        f.set_final_weight(4, 0.0)
+        with pytest.raises(DivergenceError) as exc:
+            shortest_distance(f)
+        assert exc.value.scc == (1, 2, 3)
+        assert exc.value.state in (2, 3)
+        assert f"through state {exc.value.state}" in str(exc.value)
+        assert isinstance(exc.value, ConvergenceError)
+
+    def test_improving_cycles_are_found_and_named(self, rng):
+        # Integer weights, so sums are exact; brute force over the simple
+        # cycles tells whether a reachable cycle is negative and whether
+        # the named state lies on one.
+        raised = 0
+        for _ in range(150):
+            f = small_cyclic_path_fst(rng, MinWeight, 1.0)
+            f._arcs = [[a._replace(weight=MinWeight(float(rng.randint(-2, 4))))
+                        for a in arcs] for arcs in f._arcs]
+            reachable = {s for s, w in enumerate(shortest_distance(
+                lift(f, BooleanWeight, cast=lambda w: True))) if w.value}
+            on_negative = {s for s in reachable
+                           if negative_cycle_through(f, s)}
+            if not on_negative:
+                shortest_distance(f)
+                continue
+            with pytest.raises(DivergenceError) as exc:
+                shortest_distance(f)
+            assert exc.value.state in on_negative
+            raised += 1
+        assert raised > 20
+
+    def test_divergent_cycle_names_its_component(self):
+        f = Fst(RealWeight)
+        for _ in range(4):
+            f.add_state()
+        f.set_initial_state(0)
+        f.add_arc(0, 1, 0.5, "a", "a")
+        f.add_arc(1, 2, 1.0, "a", "a")
+        f.add_arc(2, 1, 1.0, "a", "a")
+        f.add_arc(2, 3, 0.5, "a", "a")
+        f.set_final_weight(3, 1.0)
+        with pytest.raises(DivergenceError) as exc:
+            sum_paths(f)
+        assert exc.value.scc == (1, 2)
+        assert "component of 2 states (1, 2)" in str(exc.value)
+
+    def test_relaxation_cap_names_component_and_residual(self):
+        # Featurized weights have no star: a growing cycle is relaxed
+        # until the sweep cap.
+        f = Fst(FeaturizedWeight)
+        f.add_state()
+        f.add_state()
+        f.set_initial_state(0)
+        f.add_arc(0, 1, {}, "a", "a")
+        f.add_arc(1, 1, {"f": 1}, "a", "a")
+        f.set_final_weight(1, {})
+        with pytest.raises(ConvergenceError) as exc:
+            sum_paths(f)
+        assert not isinstance(exc.value, DivergenceError)
+        assert exc.value.scc == (1,)
+        assert exc.value.residual is not None
+        assert "last residual" in str(exc.value)
+        assert "component of 1 state (1)" in str(exc.value)
+
+    def test_components_are_passed_in_topological_order(self):
+        # Two cycles in sequence, reached in an order that is not the
+        # order of the state ids: 0 -> {3, 4} -> {1, 2}.
+        f = Fst(RealWeight)
+        for _ in range(5):
+            f.add_state()
+        f.set_initial_state(0)
+        f.add_arc(0, 3, 1.0, "a", "a")
+        f.add_arc(3, 4, 0.5, "a", "a")
+        f.add_arc(4, 3, 0.5, "a", "a")
+        f.add_arc(4, 1, 1.0, "a", "a")
+        f.add_arc(1, 2, 0.5, "a", "a")
+        f.add_arc(2, 1, 0.5, "a", "a")
+        f.set_final_weight(2, 1.0)
+        # Each cycle sums to 1 / (1 - 1/4); entering and crossing it
+        # weighs 0.5 of that.
+        assert sum_paths(f).value == pytest.approx(
+            (0.5 * 4 / 3) * (0.5 * 4 / 3), rel=1e-15)
 
 
 def epsilon_machine():

@@ -15,11 +15,12 @@ from wfst import (
     loglikelihood_loss,
     make_diff_semiring,
     pair_acceptor,
+    shortest_distance,
     sum_paths,
     train,
 )
-from wfst.errors import InvalidWeightError, WfstError
-from conftest import build_hello_world_troll
+from wfst.errors import DivergenceError, InvalidWeightError, WfstError
+from conftest import build_hello_world_troll, random_cyclic_fst
 
 
 def diff_copy(fst, semiring):
@@ -186,6 +187,108 @@ class TestDiffSemiring:
                 assert abs(got - num) <= 1e-6 * max(abs(num), 1.0) + 1e-9, \
                     (k, got, num)
         assert worst < 1e-4
+
+
+def with_values(base, keys, values):
+    """``base`` with the weights that ``diff_copy`` keyed replaced."""
+    table = dict(zip(keys, values))
+    f = base.copy()
+    for s in f.states():
+        f._arcs[s] = [a._replace(weight=RealWeight(table[("arc", s, i)]))
+                      for i, a in enumerate(f._arcs[s])]
+    for s in list(f.finals):
+        f.finals[s] = RealWeight(table[("final", s)])
+    return f
+
+
+class TestCyclicGradients:
+    def test_sum_paths_gradients_match_finite_differences(self):
+        rng = random.Random(7)
+        for _ in range(40):
+            base = random_cyclic_fst(rng)
+            sr = make_diff_semiring()
+            machine, params = diff_copy(base, sr)
+            grads = backward(sr.tape, sum_paths(machine).node)
+            keys = sorted(params)
+            values = [params[k].value for k in keys]
+            numeric = numeric_gradient(
+                lambda vals: sum_paths(with_values(base, keys, vals)).value,
+                values)
+            for k, num in zip(keys, numeric):
+                got = grads[params[k].node.node_id]
+                assert abs(got - num) <= 1e-6 * max(abs(num), 1.0), \
+                    (k, got, num)
+
+    def test_sum_paths_gradients_match_the_closed_form(self):
+        np = pytest.importorskip("numpy")
+        linalg = pytest.importorskip("scipy.linalg")
+        rng = random.Random(8)
+        for _ in range(40):
+            base = random_cyclic_fst(rng)
+            n = base.num_states
+            a = np.zeros((n, n))
+            rho = np.zeros(n)
+            for arc in base.all_arcs():
+                a[arc.source, arc.target] += arc.weight.value
+            for s, w in base.finals.items():
+                rho[s] = w.value
+            start = np.zeros(n)
+            start[base.initial] = 1.0
+            alpha = linalg.solve((np.eye(n) - a).T, start)
+            beta = linalg.solve(np.eye(n) - a, rho)
+            sr = make_diff_semiring()
+            machine, params = diff_copy(base, sr)
+            total = sum_paths(machine)
+            assert total.value == pytest.approx(alpha @ rho, rel=1e-12)
+            grads = backward(sr.tape, total.node)
+            for s in base.states():
+                for i, arc in enumerate(base.arcs(s)):
+                    got = grads[params[("arc", s, i)].node.node_id]
+                    want = alpha[s] * beta[arc.target]
+                    assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+            for s in base.finals:
+                got = grads[params[("final", s)].node.node_id]
+                assert got == pytest.approx(alpha[s], rel=1e-12, abs=1e-15)
+
+    def test_sum_paths_records_one_node(self):
+        rng = random.Random(9)
+        for _ in range(10):
+            sr = make_diff_semiring()
+            machine, _ = diff_copy(random_cyclic_fst(rng), sr)
+            before = len(sr.tape.nodes)
+            sum_paths(machine)
+            assert len(sr.tape.nodes) - before <= 3
+
+    def test_cyclic_distances_are_exact_and_differentiable(self):
+        # shortest_distance records its elimination, star included.
+        rng = random.Random(10)
+        for _ in range(20):
+            base = random_cyclic_fst(rng)
+            last = base.num_states - 1
+            sr = make_diff_semiring()
+            machine, params = diff_copy(base, sr)
+            got = shortest_distance(machine)[last]
+            assert got.value == pytest.approx(
+                shortest_distance(base)[last].value, rel=1e-12)
+            grads = backward(sr.tape, got.node)
+            keys = sorted(params)
+            numeric = numeric_gradient(
+                lambda vals: shortest_distance(
+                    with_values(base, keys, vals))[last].value,
+                [params[k].value for k in keys])
+            for k, num in zip(keys, numeric):
+                got_k = grads[params[k].node.node_id]
+                assert abs(got_k - num) <= 1e-6 * max(abs(num), 1.0), \
+                    (k, got_k, num)
+
+    def test_divergent_model_raises(self):
+        f = Fst(RealWeight)
+        f.add_state()
+        f.set_initial_state(0)
+        f.add_arc(0, 0, 1.0, "a", "a")
+        f.set_final_weight(0, 1.0)
+        with pytest.raises(DivergenceError):
+            train(f, [("a", "a")], steps=1)
 
 
 class TestLogLikelihood:

@@ -401,17 +401,25 @@ class TestDelta:
         assert args.delta == 0.5
 
     def test_delta_changes_sumpaths_on_a_cycle(self, tmp_path, capsys):
+        # A real cycle is solved exactly, so the tolerance has no say.
         model = tmp_path / "loop.fst"
         model.write_text(self.LOOP)
-        outputs = []
         for delta in ("0.25", "1e-9"):
             assert main(["sumpaths", str(model), "--delta", delta]) == 0
             expected = sum_paths(parse_text(self.LOOP), float(delta))
-            out = capsys.readouterr().out
-            assert out == expected.text() + "\n"
-            outputs.append(float(out))
-        # The total is 1 / (1 - 0.5); the coarse tolerance stops short.
-        assert outputs[0] < outputs[1] == pytest.approx(2.0, abs=1e-8)
+            assert capsys.readouterr().out == expected.text() + "\n" == "2\n"
+        # A featurized cycle has no star, so it is relaxed: an update that
+        # moves the counts by less than delta ends it, and a finer delta
+        # makes this growing cycle hit the sweep cap.
+        text = ("#semiring featurized\n#initial 0\n#states 1\n"
+                "0 0 97 97 f:1\n0 -\n")
+        features = tmp_path / "features.fst"
+        features.write_text(text)
+        assert main(["sumpaths", str(features), "--delta", "2"]) == 0
+        expected = sum_paths(parse_text(text), 2.0)
+        assert capsys.readouterr().out == expected.text() + "\n" == "-\n"
+        assert main(["sumpaths", str(features), "--delta", "0.25"]) == 2
+        assert "did not converge" in capsys.readouterr().err
 
     def test_print_rejects_delta(self):
         result = run_cli(["print", "-", "--delta", "0.1"], stdin=self.LOOP)

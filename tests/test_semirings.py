@@ -500,7 +500,8 @@ def test_public_names_are_pinned_and_resolve():
         "AbstractSemiringWeight", "Arc", "AxiomReport", "AxiomViolation",
         "BUILTIN_SEMIRINGS", "BooleanWeight", "ConvergenceError",
         "CycleLimitError", "DEFAULT_DELTA", "DeterminizationLimitError",
-        "DivisionByZeroError", "EPSILON", "FeaturizedWeight", "Fst",
+        "DivergenceError", "DivisionByZeroError", "EPSILON",
+        "FeaturizedWeight", "Fst",
         "FstParseError", "GradientTape", "InvalidLabelError",
         "InvalidStateError", "InvalidWeightError", "MaxWeight", "MinWeight",
         "NoAcceptingPathError", "Path", "PathEnumeration", "RealWeight",

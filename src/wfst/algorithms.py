@@ -398,15 +398,16 @@ def _eliminate(semiring, component, arcs_by_state, d):
 
 
 def _label_correcting(semiring, component, members, arcs_by_state, d):
-    """Exact label-correcting over one component of a path semiring.
+    """Exact label-correcting over one component of an idempotent semiring.
 
     Rounds of Bellman-Ford: each round scans, once, the states whose
     distance improved since their last scan (at first, those that hold a
     distance), and a distance improves only when plus changes it,
     compared with ``==``.  Without an improving cycle, every distance is
-    final after one round per state; an improvement in the last round
-    therefore proves such a cycle, and DivergenceError names a state on
-    it, found by walking back along the arcs that made the improvements.
+    final after one round per state (declaring 'idempotent' asserts this);
+    an improvement in the last round therefore proves such a cycle, and
+    DivergenceError names a state on it, found by walking back along the
+    arcs that made the improvements.
     """
     zero = semiring.zero
     scan = [s for s in component if d[s] != zero]
@@ -443,7 +444,7 @@ def _label_correcting(semiring, component, members, arcs_by_state, d):
 
 def _relax(semiring, component, members, arcs_by_state, d, delta):
     """Queue-based relaxation over one component, for semirings with
-    neither the path property nor a star: d holds the distances and
+    neither an idempotent plus nor a star: d holds the distances and
     ``pending`` the mass not yet passed on.  An update within approx_eq's
     ``delta`` of the old distance is dropped; ConvergenceError names the
     component and the last residual after the sweep cap."""
@@ -492,12 +493,14 @@ def _generic_distance(semiring, arcs_by_state, sources, delta=DEFAULT_DELTA):
     without a self-loop needs no solver; any other is solved according to
     what the semiring supplies:
 
-    - the 'path' property (min, max, tropical): exact label-correcting,
-      DivergenceError on an improving cycle;
+    - the 'path' or 'idempotent' property (boolean, featurized, min, max,
+      tropical): exact label-correcting, DivergenceError on an improving
+      cycle;
     - a ``star``: exact elimination, DivergenceError where a star does not
       exist (the sum over the cycles diverges);
-    - neither: relaxation to within approx_eq's ``delta``, the only use of
-      ``delta`` here, with ConvergenceError after the sweep cap.
+    - neither (custom semirings only): relaxation to within approx_eq's
+      ``delta``, the only use of ``delta`` here, with ConvergenceError
+      after the sweep cap.
     """
     zero = semiring.zero
     order = _reachable_order(arcs_by_state, sources)
@@ -514,7 +517,7 @@ def _generic_distance(semiring, arcs_by_state, sources, delta=DEFAULT_DELTA):
     d = {s: zero for component in components for s in component}
     for s, w in sources.items():
         d[s] = d[s] + w
-    is_path = "path" in semiring.semiring_properties
+    idempotent = {"path", "idempotent"} & semiring.semiring_properties
     for component in components:
         first = component[0]
         if len(component) == 1 and all(
@@ -522,7 +525,7 @@ def _generic_distance(semiring, arcs_by_state, sources, delta=DEFAULT_DELTA):
             members = ()  # no cycle: every arc leaves the component
         else:
             members = set(component)
-            if is_path:
+            if idempotent:
                 _label_correcting(semiring, component, members,
                                   arcs_by_state, d)
             elif semiring.star is not None:
@@ -553,10 +556,11 @@ def shortest_distance(fst, delta=DEFAULT_DELTA):
 
     Exact wherever the semiring allows (see ``_generic_distance``): on
     real and diff weights a cycle whose sum diverges raises
-    DivergenceError, as does an improving cycle on min, max or tropical
-    weights.  ``delta`` matters only to semirings with neither a star nor
-    the path property.  Each distance passes the membership gate, so a
-    NaN (from inf * 0, say) raises InvalidWeightError.
+    DivergenceError, as does an improving cycle on an idempotent semiring
+    (a featurized cycle that adds features, say).  ``delta`` matters only
+    to custom semirings with neither a star nor an idempotent plus.  Each
+    distance passes the membership gate, so a NaN (from inf * 0, say)
+    raises InvalidWeightError.
     """
     sr = fst.semiring
     if fst.initial is None:
@@ -593,13 +597,11 @@ def sum_paths(fst, delta=DEFAULT_DELTA):
     if fst.initial is None:
         return sr.zero
     if sr.total_weight is not None:
-        return sr.cast(sr.total_weight(fst, delta))
+        return sr.cast(sr.total_weight(fst))
     d = _forward_distance(fst, delta)
-    total = sr.zero
-    for state, weight in fst.finals.items():
-        total = total + d[state] * weight
     # The membership gate: arithmetic such as inf * 0 can make a NaN.
-    return sr.cast(total)
+    return sr.cast(_plus_all(sr, (d[state] * weight
+                                  for state, weight in fst.finals.items())))
 
 
 def remove_epsilon(fst, delta=DEFAULT_DELTA):
@@ -661,6 +663,7 @@ def determinize(fst, delta=DEFAULT_DELTA):
     if fst.initial is None:
         return out
     cap = 10 * fst.num_states + 1000
+    finals = fst.finals
 
     def divide(x, y):
         if y == sr.one:
@@ -686,12 +689,8 @@ def determinize(fst, delta=DEFAULT_DELTA):
         src = len(out._arcs)
         src_arcs = []
         out._arcs.append(src_arcs)
-        # Final weight of the subset.
-        final = sr.zero
-        for state, residual in key:
-            fw = fst.finals.get(state)
-            if fw is not None:
-                final = final + residual * fw
+        final = _plus_all(sr, (residual * finals[state]
+                               for state, residual in key if state in finals))
         if final != sr.zero:
             out.finals[src] = final
         # Group outgoing arcs by label pair.
@@ -704,9 +703,7 @@ def determinize(fst, delta=DEFAULT_DELTA):
             per_target = {
                 t: _plus_all(sr, ws) for t, ws in targets.items()
             }
-            total = sr.zero
-            for w in per_target.values():
-                total = total + w
+            total = _plus_all(sr, per_target.values())
             subset = tuple(
                 (t, divide(per_target[t], total)) for t in sorted(per_target)
             )
@@ -754,7 +751,8 @@ def push(fst, direction="initial", delta=DEFAULT_DELTA):
 
     Uses per-state shortest-distance potentials with the initial state's
     potential pinned to one, so every path's total weight telescopes back
-    to its original value.
+    to its original value.  A potential that is not a member of the
+    semiring (a NaN from inf * 0, say) raises InvalidWeightError.
     """
     if direction not in ("initial", "final"):
         raise WfstError(f"push direction must be 'initial' or 'final', got {direction!r}")
@@ -766,10 +764,9 @@ def push(fst, direction="initial", delta=DEFAULT_DELTA):
     out = fst.copy()
     if fst.initial is None:
         return out
-    if direction == "initial":
-        pot = _backward_distance(fst, delta)
-    else:
-        pot = shortest_distance(fst, delta)
+    distance = (_backward_distance if direction == "initial"
+                else _forward_distance)
+    pot = [sr.cast(w) for w in distance(fst, delta)]
     pot[fst.initial] = sr.one
     zero = sr.zero
     new_arcs = [[] for _ in fst.states()]
@@ -800,11 +797,16 @@ def push(fst, direction="initial", delta=DEFAULT_DELTA):
     return out
 
 
-def shortest_path(fst, delta=DEFAULT_DELTA):
+def shortest_path(fst):
     """Best accepting path under the idempotent order a <= b iff a+b == a.
 
-    Ties break toward the lexicographically smallest arc-index sequence
-    (stopping at a final state beats taking any arc).
+    A depth-first search from the initial state over the tight arcs, those
+    with ``beta[target] * weight == beta[source]`` for the backward
+    distances beta (the very product the backward pass formed, so the test
+    is exact), in arc order, entering no state twice.  Ties therefore
+    break toward the lexicographically smallest arc-index sequence among
+    the paths that repeat no state (stopping at a final state beats taking
+    any arc), and a cycle of weight one cannot trap the walk.
     """
     sr = fst.semiring
     if "path" not in sr.semiring_properties:
@@ -813,44 +815,36 @@ def shortest_path(fst, delta=DEFAULT_DELTA):
         )
     if fst.initial is None:
         raise NoAcceptingPathError("FST has no initial state")
-    beta = _backward_distance(fst, delta)
+    beta = _backward_distance(fst)
     if beta[fst.initial] == sr.zero:
         raise NoAcceptingPathError("FST accepts no string")
-    arcs_taken = []
-    acc = sr.one
+
+    finals = fst.finals
     state = fst.initial
-    cap = 64 * fst.num_states + 1000
-    while True:
-        if len(arcs_taken) > cap:
-            raise CycleLimitError("shortest-path extraction exceeded step cap")
-        target_val = beta[state]
-        fw = fst.finals.get(state)
-        if fw is not None and fw == target_val:
-            weight = acc * fw
-            return ShortestPathResult(
-                Path(tuple(arcs_taken), weight), weight
-            )
-        chosen = None
-        for arc in fst._arcs[state]:
-            if arc.weight * beta[arc.target] == target_val:
-                chosen = arc
+    entered = {state}
+    arcs = iter(fst._arcs[state])
+    path = []  # (arc taken, the arcs of its source still to try)
+    while not (state in finals and finals[state] == beta[state]):
+        for arc in arcs:
+            if (arc.target not in entered
+                    and beta[arc.target] * arc.weight == beta[state]):
+                path.append((arc, arcs))
+                state = arc.target
+                entered.add(state)
+                arcs = iter(fst._arcs[state])
                 break
-        if chosen is None:
-            # Numerical slack: fall back to approx matching.
-            if fw is not None and fw.approx_eq(target_val, delta):
-                weight = acc * fw
-                return ShortestPathResult(Path(tuple(arcs_taken), weight), weight)
-            for arc in fst._arcs[state]:
-                if (arc.weight * beta[arc.target]).approx_eq(target_val, delta):
-                    chosen = arc
-                    break
-        if chosen is None:
-            raise NoAcceptingPathError(
-                "no continuation matches the optimal distance"
-            )
-        arcs_taken.append(chosen)
-        acc = acc * chosen.weight
-        state = chosen.target
+        else:  # no tight arc from here leads to a state not yet entered
+            if not path:
+                raise NoAcceptingPathError(
+                    "no tight path reaches a final state")
+            arc, arcs = path.pop()
+            state = arc.source
+    taken = tuple(arc for arc, _ in path)
+    weight = sr.one
+    for arc in taken:
+        weight = weight * arc.weight
+    weight = weight * finals[state]
+    return ShortestPathResult(Path(taken, weight), weight)
 
 
 def random_path(fst, seed=None, max_steps=10_000):

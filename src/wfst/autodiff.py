@@ -146,13 +146,13 @@ class _DiffWeightBase(_NumericWeight):
         return cls(cls.tape.record(value, (a.node,), (value * value,)))
 
     @classmethod
-    def total_weight(cls, fst, delta):
+    def total_weight(cls, fst):
         """The total weight of ``fst`` as one tape node (forward-backward)."""
         from .algorithms import _backward_distance, _forward_distance, lift
 
         real = lift(fst, RealWeight)
-        alpha = [w.value for w in _forward_distance(real, delta)]
-        beta = [w.value for w in _backward_distance(real, delta)]
+        alpha = [w.value for w in _forward_distance(real)]
+        beta = [w.value for w in _backward_distance(real)]
         parents, partials = [], []
         for arc in fst.all_arcs():
             parents.append(arc.weight.node)

@@ -90,7 +90,7 @@ def _lift(args, fst):
 
 
 def _shortest_distance(args, fst):
-    d = algorithms.shortest_distance(fst, args.delta)
+    d = algorithms.shortest_distance(fst)
     return "".join(f"{s} {w.text()}\n" for s, w in enumerate(d))
 
 
@@ -150,10 +150,6 @@ class Command:
     run: Callable[..., str]
 
 
-# The tolerance option of the commands whose algorithm compares weights.
-DELTA = ("--delta", {"type": float, "default": DEFAULT_DELTA,
-                     "help": "comparison tolerance (default 1/1024)"})
-
 # Run functions look library functions up when they run (module globals,
 # ``algorithms.<name>``), never at import, so that wrappers installed on
 # those modules after this one is imported see the calls.
@@ -172,30 +168,32 @@ COMMANDS = {
     "compose": Command("compose of two FSTs", 2, (), _algorithm("compose")),
     "closure": Command("closure of an FST", 1, (), _algorithm("closure")),
     "invert": Command("invert of an FST", 1, (), _algorithm("invert")),
-    "rmepsilon": Command("rmepsilon of an FST", 1, (DELTA,),
-                         _algorithm("remove_epsilon", "delta")),
-    "determinize": Command("determinize of an FST", 1, (DELTA,),
-                           _algorithm("determinize", "delta")),
+    "rmepsilon": Command("rmepsilon of an FST", 1, (),
+                         _algorithm("remove_epsilon")),
+    "determinize": Command("determinize of an FST", 1, (
+        ("--delta", {"type": float, "default": DEFAULT_DELTA,
+                     "help": "quantization step: subsets whose residuals "
+                             "agree within it merge (default 1/1024)"}),
+    ), _algorithm("determinize", "delta")),
     "reverse": Command("reverse of an FST", 1, (), _algorithm("reverse")),
     "project": Command("project to one label side", 1, (
         ("--side", {"choices": ("input", "output"), "required": True}),
     ), _algorithm("project", "side")),
     "push": Command("push weights toward one end", 1, (
-        DELTA,
         ("--to", {"choices": ("initial", "final"), "default": "initial"}),
-    ), _algorithm("push", "to", "delta")),
+    ), _algorithm("push", "to")),
     "lift": Command("cast into another semiring", 1, (
         ("--to", {"choices": SEMIRING_NAMES, "required": True}),
     ), _lift),
     "shortestpath": Command(
-        "best path in a path semiring", 1, (DELTA,),
+        "best path in a path semiring", 1, (),
         lambda args, fst: _path_line(
-            algorithms.shortest_path(fst, args.delta).path) + "\n"),
-    "shortestdistance": Command("per-state distances", 1, (DELTA,),
+            algorithms.shortest_path(fst).path) + "\n"),
+    "shortestdistance": Command("per-state distances", 1, (),
                                 _shortest_distance),
     "sumpaths": Command(
-        "total weight over accepting paths", 1, (DELTA,),
-        lambda args, fst: algorithms.sum_paths(fst, args.delta).text() + "\n"),
+        "total weight over accepting paths", 1, (),
+        lambda args, fst: algorithms.sum_paths(fst).text() + "\n"),
     "randpath": Command(
         "sample a random path", 1, (("--seed", {"type": int, "default": None}),),
         lambda args, fst: _path_line(

@@ -33,8 +33,9 @@ class ConvergenceError(WfstError):
     """A cyclic shortest-distance computation has no answer.
 
     ``scc`` is the tuple of states of the strongly connected component
-    where it failed, and ``residual`` the mass the relaxation was still
-    passing on when it hit its sweep cap (None where no relaxation ran).
+    where it failed, and ``residual`` the mass that the relaxation (which
+    runs only for custom semirings with neither a star nor an idempotent
+    plus) was still passing on at its sweep cap, or None.
     """
 
     def __init__(self, message, scc=(), residual=None):
@@ -45,8 +46,9 @@ class ConvergenceError(WfstError):
 
 class DivergenceError(ConvergenceError):
     """A cycle has no closure: its star (one + a + a² + ...) does not
-    exist, or in a path semiring it improves every distance on it without
-    bound.  ``state`` is a state on such an improving cycle, when known.
+    exist, or in an idempotent semiring it still improves the distances
+    after one round per state (a negative cycle under min, a featurized
+    cycle that adds features).  ``state`` is a state on it, when known.
     """
 
     def __init__(self, message, scc=(), state=None):

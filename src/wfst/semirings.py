@@ -6,8 +6,9 @@ the plus-identity and annihilates under times, and one is the
 times-identity.  Weight classes here are the semirings: the class carries
 the algebra (zero/one/properties) and instances are its elements.
 
-Semirings that declare the 'path' property have an idempotent plus, which
-induces the total order a <= b  iff  a + b == a used by shortest-path.
+Semirings that declare the 'idempotent' property have a + a == a; those
+that declare 'path' also pick one operand of plus, which induces the total
+order a <= b  iff  a + b == a used by shortest-path.
 """
 
 import math
@@ -50,8 +51,8 @@ class AbstractSemiringWeight:
       of an element, or raising DivergenceError where it does not exist.
       With it, shortest distance solves each strongly connected component
       exactly by elimination.
-    - ``total_weight``, a classmethod ``(fst, delta)`` that sum_paths
-      returns in place of its own distance pass.
+    - ``total_weight``, a classmethod ``(fst)`` that sum_paths returns
+      in place of its own distance pass.
     """
 
     name = "abstract"
@@ -178,6 +179,7 @@ class BooleanWeight(AbstractSemiringWeight):
     """<or, and, False, True>; the default semiring, auto-cast into others."""
 
     name = "boolean"
+    semiring_properties = frozenset({"base", "idempotent"})
     is_boolean = True
     has_division = True
     has_power = True
@@ -373,7 +375,7 @@ class _PathWeight(_NumericWeight):
     times gives zero whenever an operand is infinite.
     """
 
-    semiring_properties = frozenset({"base", "path"})
+    semiring_properties = frozenset({"base", "path", "idempotent"})
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -467,6 +469,7 @@ class FeaturizedWeight(AbstractSemiringWeight):
     """
 
     name = "featurized"
+    semiring_properties = frozenset({"base", "idempotent"})
     has_division = True
     has_power = True
     weight_table = feature_weights
@@ -655,6 +658,7 @@ def check_semiring_axioms(semiring, sample_count=1000, delta=DEFAULT_DELTA,
     report = AxiomReport(semiring=semiring.name, samples=sample_count)
     zero, one = semiring.zero, semiring.one
     is_path = "path" in semiring.semiring_properties
+    is_idempotent = is_path or "idempotent" in semiring.semiring_properties
 
     def ok(x, y):
         return x.approx_eq(y, delta)
@@ -683,9 +687,9 @@ def check_semiring_axioms(semiring, sample_count=1000, delta=DEFAULT_DELTA,
             add("one is times identity", a)
         if not ok(a * zero, zero) or not ok(zero * a, zero):
             add("zero annihilates", a)
+        if is_idempotent and not a + a == a:
+            add("plus idempotence", a)
         if is_path:
-            if not a + a == a:
-                add("plus idempotence", a)
             s = a + b
             if not (s == a or s == b):
                 add("total order", a, b)

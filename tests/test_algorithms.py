@@ -1,11 +1,11 @@
 
 import math
+import random
 
 import pytest
 
 from wfst import (
     BooleanWeight,
-    FeaturizedWeight,
     Fst,
     MaxWeight,
     MinWeight,
@@ -409,6 +409,17 @@ CountingWeight.zero = CountingWeight(0.0)
 CountingWeight.one = CountingWeight(1.0)
 
 
+class StarlessReal(RealWeight):
+    """Real weights without a star: their cycles are relaxed."""
+
+    name = "starless"
+    star = None
+
+
+StarlessReal.zero = StarlessReal(0.0)
+StarlessReal.one = StarlessReal(1.0)
+
+
 def random_epsilon_fst(rng, semiring, reachable_cycles):
     """Random machine in layers: labelled arcs go to a later layer, epsilon
     arcs to a later layer (some of weight zero, some sharing a target) or,
@@ -591,6 +602,15 @@ class TestPush:
         f = fst_from_sequence("a", NoDivReal)
         with pytest.raises(UnsupportedOperationError):
             push(f)
+
+    @pytest.mark.parametrize("direction", ["initial", "final"])
+    def test_nan_potential_rejected(self, direction):
+        # inf * 0 makes a NaN potential: backward at states 0 and 1,
+        # forward at state 3.
+        f = parse_text("#semiring real\n#initial 0\n#states 4\n"
+                       "0 1 97 97 1\n1 2 97 97 inf\n2 3 97 97 0\n3 1\n")
+        with pytest.raises(InvalidWeightError):
+            push(f, direction)
 
 
 class TestLiftCast:
@@ -971,15 +991,15 @@ class TestExactCyclicDistance:
         assert "component of 2 states (1, 2)" in str(exc.value)
 
     def test_relaxation_cap_names_component_and_residual(self):
-        # Featurized weights have no star: a growing cycle is relaxed
-        # until the sweep cap.
-        f = Fst(FeaturizedWeight)
+        # A custom semiring with neither a star nor an idempotent plus is
+        # relaxed: a loop of weight 1 grows until the sweep cap.
+        f = Fst(StarlessReal)
         f.add_state()
         f.add_state()
         f.set_initial_state(0)
-        f.add_arc(0, 1, {}, "a", "a")
-        f.add_arc(1, 1, {"f": 1}, "a", "a")
-        f.set_final_weight(1, {})
+        f.add_arc(0, 1, 1.0, "a", "a")
+        f.add_arc(1, 1, 1.0, "a", "a")
+        f.set_final_weight(1, 1.0)
         with pytest.raises(ConvergenceError) as exc:
             sum_paths(f)
         assert not isinstance(exc.value, DivergenceError)
@@ -987,6 +1007,67 @@ class TestExactCyclicDistance:
         assert exc.value.residual is not None
         assert "last residual" in str(exc.value)
         assert "component of 1 state (1)" in str(exc.value)
+
+    def test_relaxation_converges_on_a_custom_semiring(self):
+        f = Fst(StarlessReal)
+        f.add_state()
+        f.set_initial_state(0)
+        f.add_arc(0, 0, 0.5, "a", "a")
+        f.set_final_weight(0, 1.0)
+        assert sum_paths(f, delta=1e-12).value == pytest.approx(2.0, abs=1e-11)
+
+    def test_featurized_cycle_that_adds_features_diverges(self):
+        f = parse_text("#semiring featurized\n#initial 0\n#states 2\n"
+                       "0 1 97 97 -\n1 1 97 97 f:1\n1 -\n")
+        with pytest.raises(DivergenceError) as exc:
+            sum_paths(f)
+        assert exc.value.state == 1
+        assert exc.value.scc == (1,)
+
+    def test_featurized_cycle_without_new_features_is_exact(self):
+        # The loop adds nothing, so the per-feature maximum is reached
+        # without it.
+        f = parse_text("#semiring featurized\n#initial 0\n#states 3\n"
+                       "0 1 97 97 f:2\n1 2 98 98 -\n2 1 99 99 -\n"
+                       "2 g:1\n")
+        assert sum_paths(f).text() == "f:2,g:1"
+
+    def test_boolean_distances_are_reachability(self, rng):
+        for _ in range(100):
+            f = lift(random_cyclic_fst(rng, max_states=8), BooleanWeight,
+                     cast=lambda w: True)
+            reached, frontier = {f.initial}, [f.initial]
+            while frontier:
+                for arc in f.arcs(frontier.pop()):
+                    if arc.target not in reached:
+                        reached.add(arc.target)
+                        frontier.append(arc.target)
+            assert shortest_distance(f) == [
+                BooleanWeight(s in reached) for s in f.states()]
+
+    @pytest.mark.parametrize("semiring, sign", [
+        (MinWeight, 1.0), (TropicalWeight, 1.0), (MaxWeight, -1.0)])
+    def test_shortest_path_on_cycles_of_weight_one(self, semiring, sign):
+        # Weights of one sign: no cycle improves a distance, but cycles
+        # of weight one (cost 0) are common, and the walk must not loop.
+        rng = random.Random(5)
+        accepting = 0
+        for _ in range(600):
+            f = small_cyclic_path_fst(rng, semiring, sign)
+            total = sum_paths(f)
+            if total == semiring.zero:
+                continue
+            accepting += 1
+            result = shortest_path(f)
+            state = f.initial
+            for arc in result.path.arcs:
+                assert arc in f.arcs(state)
+                state = arc.target
+            weight = semiring.one
+            for arc in result.path.arcs:
+                weight = weight * arc.weight
+            assert result.distance == total == weight * f.final_weight(state)
+        assert accepting >= 300
 
     def test_components_are_passed_in_topological_order(self):
         # Two cycles in sequence, reached in an order that is not the

@@ -376,8 +376,7 @@ class TestCommandTable:
         assert capsys.readouterr().out == "a\ta\t-800\n"
 
 
-DELTA_COMMANDS = {"rmepsilon", "determinize", "push", "shortestpath",
-                  "shortestdistance", "sumpaths"}
+DELTA_COMMANDS = {"determinize"}
 
 
 def _readme_delta_commands():
@@ -400,26 +399,32 @@ class TestDelta:
         args = build_parser().parse_args([command, "-", "--delta", "0.5"])
         assert args.delta == 0.5
 
-    def test_delta_changes_sumpaths_on_a_cycle(self, tmp_path, capsys):
-        # A real cycle is solved exactly, so the tolerance has no say.
+    @pytest.mark.parametrize("command", ["push", "rmepsilon",
+                                         "shortestdistance", "shortestpath",
+                                         "sumpaths"])
+    def test_exact_commands_reject_delta(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "-", "--delta", "0.1"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: wfst {command} ")
+        assert "unrecognized arguments: --delta 0.1" in err
+
+    def test_sumpaths_on_a_cycle_is_exact_or_diverges(self, tmp_path,
+                                                      capsys):
+        # A real cycle is solved by elimination; a featurized cycle that
+        # adds features has no total.
         model = tmp_path / "loop.fst"
         model.write_text(self.LOOP)
-        for delta in ("0.25", "1e-9"):
-            assert main(["sumpaths", str(model), "--delta", delta]) == 0
-            expected = sum_paths(parse_text(self.LOOP), float(delta))
-            assert capsys.readouterr().out == expected.text() + "\n" == "2\n"
-        # A featurized cycle has no star, so it is relaxed: an update that
-        # moves the counts by less than delta ends it, and a finer delta
-        # makes this growing cycle hit the sweep cap.
-        text = ("#semiring featurized\n#initial 0\n#states 1\n"
-                "0 0 97 97 f:1\n0 -\n")
+        assert main(["sumpaths", str(model)]) == 0
+        assert capsys.readouterr().out == "2\n"
         features = tmp_path / "features.fst"
-        features.write_text(text)
-        assert main(["sumpaths", str(features), "--delta", "2"]) == 0
-        expected = sum_paths(parse_text(text), 2.0)
-        assert capsys.readouterr().out == expected.text() + "\n" == "-\n"
-        assert main(["sumpaths", str(features), "--delta", "0.25"]) == 2
-        assert "did not converge" in capsys.readouterr().err
+        features.write_text("#semiring featurized\n#initial 0\n#states 1\n"
+                            "0 0 97 97 f:1\n0 -\n")
+        assert main(["sumpaths", str(features)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "through state 0" in captured.err
 
     def test_print_rejects_delta(self):
         result = run_cli(["print", "-", "--delta", "0.1"], stdin=self.LOOP)

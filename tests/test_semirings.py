@@ -249,6 +249,11 @@ class TestDescriptor:
         for semiring in (BooleanWeight, RealWeight, FeaturizedWeight):
             assert "path" not in semiring.descriptor().properties
 
+    def test_idempotent_property_flags(self):
+        for semiring in ALL_SEMIRINGS:
+            properties = semiring.descriptor().properties
+            assert ("idempotent" in properties) == (semiring is not RealWeight)
+
     def test_exactly_one_boolean(self):
         booleans = [s for s in ALL_SEMIRINGS if s.descriptor().is_boolean]
         assert booleans == [BooleanWeight]
@@ -275,6 +280,16 @@ class TestAxiomSuite:
         axioms = {v.axiom for v in report.violations}
         assert "plus associativity" in axioms
         assert all(v.witnesses for v in report.violations)
+
+    def test_false_idempotent_claim_is_reported(self):
+        class ClaimsIdempotent(RealWeight):
+            name = "claims-idempotent"
+            semiring_properties = frozenset({"base", "idempotent"})
+
+        ClaimsIdempotent.zero = ClaimsIdempotent(0.0)
+        ClaimsIdempotent.one = ClaimsIdempotent(1.0)
+        report = check_semiring_axioms(ClaimsIdempotent, sample_count=200)
+        assert {v.axiom for v in report.violations} == {"plus idempotence"}
 
     @pytest.mark.parametrize("semiring", [MinWeight, MaxWeight, TropicalWeight])
     def test_path_total_order(self, semiring, rng):

@@ -21,7 +21,13 @@ from .errors import (
     WfstError,
 )
 from .fst import EPSILON, Arc, Fst, Path, enumerate_paths
-from .semirings import DEFAULT_DELTA, _NumericWeight
+from .semirings import (
+    DEFAULT_DELTA,
+    _kernel,
+    _not_a_member,
+    _NumericWeight,
+    _same,
+)
 
 RELAXATION_SWEEP_CAP = 1000
 
@@ -30,10 +36,6 @@ RELAXATION_SWEEP_CAP = 1000
 class ShortestPathResult:
     path: Path
     distance: object
-
-
-def _same(weight):
-    return weight
 
 
 def _default_cast(source, target):
@@ -60,17 +62,35 @@ def _map_arcs(fst, semiring, map_arc, map_final):
     return out
 
 
+def _checked(semiring, kernel, value):
+    """``value`` as a weight, through the membership gate: arithmetic such
+    as inf * 0 can make a NaN, which raises InvalidWeightError."""
+    weight = kernel.box(value)
+    if kernel.nonmember(value):
+        raise _not_a_member(semiring, weight)
+    return weight
+
+
 def lift(fst, target_semiring, cast=None):
     """Rebuild ``fst`` with every weight mapped into ``target_semiring``.
 
     Each weight goes through ``cast`` and then ``target_semiring.cast``,
-    which rejects a non-member or a weight of another semiring.
+    which rejects a non-member or a weight of another semiring.  Without
+    ``cast``, a numeric weight lifted into a semiring with a float kernel
+    keeps its value, which passes the same gate (a NaN raises
+    InvalidWeightError) without a call to ``cast``.
     """
-    if cast is None:
-        cast = _default_cast(fst.semiring, target_semiring)
+    kernel = _kernel(target_semiring)
+    if (cast is None and kernel.box is target_semiring  # a float kernel
+            and issubclass(fst.semiring, _NumericWeight)):
+        def convert(w):
+            return _checked(target_semiring, kernel, w.value)
+    else:
+        if cast is None:
+            cast = _default_cast(fst.semiring, target_semiring)
 
-    def convert(w):
-        return target_semiring.cast(cast(w))
+        def convert(w):
+            return target_semiring.cast(cast(w))
 
     return _map_arcs(fst, target_semiring, lambda a: Arc(
         a.source, a.target, a.input, a.output, convert(a.weight)), convert)
@@ -179,13 +199,20 @@ def compose(a, b):
     """Composition: a's outputs matched against b's inputs.
 
     Epsilon moves go through the standard three-state epsilon filter so
-    that interleaved epsilon paths are counted exactly once.
+    that interleaved epsilon paths are counted exactly once.  Products of
+    two weights pass the membership gate, so a NaN (inf * 0, say) raises
+    InvalidWeightError.
     """
     a, b = _coerce(a, b)
     sr = a.semiring
     out = Fst(sr)
     if a.initial is None or b.initial is None:
         return out
+    kernel = _kernel(sr)
+    times, unbox = kernel.times, kernel.unbox
+
+    def product(x, y):
+        return _checked(sr, kernel, times(unbox(x), unbox(y)))
 
     arcs_b = {}  # b-state -> input label -> arcs
     for state in b.states():
@@ -208,7 +235,7 @@ def compose(a, b):
             fa = a.finals.get(qa)
             fb = b.finals.get(qb)
             if fa is not None and fb is not None:
-                out.finals[state] = fa * fb
+                out.finals[state] = product(fa, fb)
         return state
 
     out.initial = get_state((a.initial, b.initial, 0))
@@ -226,7 +253,7 @@ def compose(a, b):
                     dst = get_state((arc_a.target, arc_b.target, 0))
                     src_arcs.append(
                         Arc(src, dst, arc_a.input, arc_b.output,
-                            arc_a.weight * arc_b.weight)
+                            product(arc_a.weight, arc_b.weight))
                     )
             else:
                 # Both sides move on epsilon together: only from filter 0.
@@ -235,7 +262,7 @@ def compose(a, b):
                         dst = get_state((arc_a.target, arc_b.target, 0))
                         src_arcs.append(
                             Arc(src, dst, arc_a.input, arc_b.output,
-                                arc_a.weight * arc_b.weight)
+                                product(arc_a.weight, arc_b.weight))
                         )
                 # a moves alone on output epsilon.
                 if f in (0, 1):
@@ -342,10 +369,10 @@ def _describe(component):
             f"state{'s' if len(component) > 1 else ''} ({shown}{more})")
 
 
-def _eliminate(semiring, component, arcs_by_state, d):
+def _eliminate(kernel, component, arcs_by_state, d):
     """Solve x = b + x·A over one component by Gaussian elimination with
-    plus, times and star alone: A holds the arcs inside the component, b
-    the distances that reached it from outside.
+    the kernel's plus, times and star alone: A holds the arcs inside the
+    component, b the distances that reached it from outside.
 
     Eliminating state k writes x_k = (b_k + sum of x_s·A[s][k]) · A[k][k]*
     and substitutes it into the equations of the states after k; back
@@ -353,7 +380,7 @@ def _eliminate(semiring, component, arcs_by_state, d):
     elimination on (I - A)ᵀ without pivoting, which is stable when
     I - A is an M-matrix (non-negative weights, convergent sums).
     """
-    star = semiring.star
+    plus, times, star = kernel.plus, kernel.times, kernel.star
     position = {s: k for k, s in enumerate(component)}
     inflow = [{} for _ in component]        # inflow[t][s]: weight s -> t
     outflow = [set() for _ in component]    # outflow[s]: t with inflow[t][s]
@@ -362,7 +389,7 @@ def _eliminate(semiring, component, arcs_by_state, d):
             t = position.get(target)
             if t is not None:
                 terms = inflow[t]
-                terms[k] = terms[k] + weight if k in terms else weight
+                terms[k] = plus(terms[k], weight) if k in terms else weight
                 outflow[k].add(t)
     b = [d[s] for s in component]
     closures = []
@@ -378,12 +405,15 @@ def _eliminate(semiring, component, arcs_by_state, d):
                 row = inflow[t]
                 factor = row.pop(k)
                 if closure_k is not None:
-                    factor = closure_k * factor
-                b[t] = b[t] + b[k] * factor
+                    factor = times(closure_k, factor)
+                b[t] = plus(b[t], times(b[k], factor))
                 for s, weight in terms.items():
-                    add = weight * factor
-                    row[s] = row[s] + add if s in row else add
-                    outflow[s].add(t)
+                    add = times(weight, factor)
+                    if s in row:
+                        row[s] = plus(row[s], add)
+                    else:
+                        row[s] = add
+                        outflow[s].add(t)
     except DivergenceError as exc:
         raise DivergenceError(f"{_describe(component)} diverges: {exc}",
                               scc=component) from None
@@ -391,13 +421,13 @@ def _eliminate(semiring, component, arcs_by_state, d):
     for k in range(len(component) - 1, -1, -1):
         total = b[k]
         for s, weight in inflow[k].items():
-            total = total + x[s] * weight
+            total = plus(total, times(x[s], weight))
         if closures[k] is not None:
-            total = total * closures[k]
+            total = times(total, closures[k])
         x[k] = d[component[k]] = total
 
 
-def _label_correcting(semiring, component, members, arcs_by_state, d):
+def _label_correcting(kernel, component, members, arcs_by_state, d):
     """Exact label-correcting over one component of an idempotent semiring.
 
     Rounds of Bellman-Ford: each round scans, once, the states whose
@@ -409,7 +439,7 @@ def _label_correcting(semiring, component, members, arcs_by_state, d):
     DivergenceError names a state on it, found by walking back along the
     arcs that made the improvements.
     """
-    zero = semiring.zero
+    plus, times, zero = kernel.plus, kernel.times, kernel.zero
     scan = [s for s in component if d[s] != zero]
     waiting = set(scan)  # states due for a scan in this round or the next
     came_from = {}
@@ -422,7 +452,7 @@ def _label_correcting(semiring, component, members, arcs_by_state, d):
             for _, target, weight in arcs_by_state[s]:
                 if target in members:
                     old = d[target]
-                    new = old + ds * weight
+                    new = plus(old, times(ds, weight))
                     if new != old:
                         d[target] = new
                         came_from[target] = s
@@ -442,13 +472,17 @@ def _label_correcting(semiring, component, members, arcs_by_state, d):
         f"improves its distances without bound", scc=component, state=state)
 
 
-def _relax(semiring, component, members, arcs_by_state, d, delta):
+def _relax(kernel, component, members, arcs_by_state, d, delta):
     """Queue-based relaxation over one component, for semirings with
     neither an idempotent plus nor a star: d holds the distances and
     ``pending`` the mass not yet passed on.  An update within approx_eq's
     ``delta`` of the old distance is dropped; ConvergenceError names the
-    component and the last residual after the sweep cap."""
-    zero = semiring.zero
+    component and the last residual after the sweep cap.
+
+    Only semirings without a float kernel get here, so the values are the
+    weights themselves.
+    """
+    zero = kernel.zero
     pending = {s: d[s] for s in component}
     queue = deque(s for s in component if d[s] != zero)
     queued = set(queue)
@@ -478,13 +512,15 @@ def _relax(semiring, component, members, arcs_by_state, d, delta):
                         queued.add(target)
 
 
-def _generic_distance(semiring, arcs_by_state, sources, delta=DEFAULT_DELTA):
-    """Single-source (or multi-source) shortest distance over a semiring.
+def _generic_distance(semiring, kernel, arcs_by_state, sources,
+                      delta=DEFAULT_DELTA):
+    """Single-source (or multi-source) shortest distance over a semiring,
+    computed with its kernel (see ``semirings._kernel``).
 
     ``arcs_by_state[s]`` is a list of (source, target, weight) triples and
-    ``sources`` maps seed states to their initial weights.  Returns a dict
-    from each state reachable from the sources to its distance; only
-    those states are visited.
+    ``sources`` maps seed states to their initial weights, all as kernel
+    values.  Returns a dict from each state reachable from the sources to
+    its distance, a kernel value; only those states are visited.
 
     An acyclic reachable part gets one depth-first search and one exact
     topological pass.  Otherwise Tarjan's algorithm splits it into
@@ -502,21 +538,21 @@ def _generic_distance(semiring, arcs_by_state, sources, delta=DEFAULT_DELTA):
       ``delta``, the only use of ``delta`` here, with ConvergenceError
       after the sweep cap.
     """
-    zero = semiring.zero
+    plus, times, zero = kernel.plus, kernel.times, kernel.zero
     order = _reachable_order(arcs_by_state, sources)
     if order is not None:
         d = dict.fromkeys(order, zero)
         for s, w in sources.items():
-            d[s] = d[s] + w
+            d[s] = plus(d[s], w)
         for s in order:
             ds = d[s]
             for _, target, weight in arcs_by_state[s]:
-                d[target] = d[target] + ds * weight
+                d[target] = plus(d[target], times(ds, weight))
         return d
     components = _components(arcs_by_state, sources)
     d = {s: zero for component in components for s in component}
     for s, w in sources.items():
-        d[s] = d[s] + w
+        d[s] = plus(d[s], w)
     idempotent = {"path", "idempotent"} & semiring.semiring_properties
     for component in components:
         first = component[0]
@@ -526,28 +562,29 @@ def _generic_distance(semiring, arcs_by_state, sources, delta=DEFAULT_DELTA):
         else:
             members = set(component)
             if idempotent:
-                _label_correcting(semiring, component, members,
+                _label_correcting(kernel, component, members,
                                   arcs_by_state, d)
-            elif semiring.star is not None:
-                _eliminate(semiring, component, arcs_by_state, d)
+            elif kernel.star is not None:
+                _eliminate(kernel, component, arcs_by_state, d)
             else:
-                _relax(semiring, component, members, arcs_by_state, d, delta)
+                _relax(kernel, component, members, arcs_by_state, d, delta)
         for s in component:
             ds = d[s]
             for _, target, weight in arcs_by_state[s]:
                 if target not in members:
-                    d[target] = d[target] + ds * weight
+                    d[target] = plus(d[target], times(ds, weight))
     return d
 
 
-def _forward_arcs(fst):
-    return [[(a.source, a.target, a.weight) for a in arcs] for arcs in fst._arcs]
+def _forward_arcs(fst, unbox):
+    return [[(a.source, a.target, unbox(a.weight)) for a in arcs]
+            for arcs in fst._arcs]
 
 
-def _backward_arcs(fst):
+def _backward_arcs(fst, unbox):
     arcs = [[] for _ in fst.states()]
     for a in fst.all_arcs():
-        arcs[a.target].append((a.target, a.source, a.weight))
+        arcs[a.target].append((a.target, a.source, unbox(a.weight)))
     return arcs
 
 
@@ -565,24 +602,41 @@ def shortest_distance(fst, delta=DEFAULT_DELTA):
     sr = fst.semiring
     if fst.initial is None:
         return [sr.zero] * fst.num_states
-    return [sr.cast(w) for w in _forward_distance(fst, delta)]
+    kernel = _kernel(sr)
+    return [_checked(sr, kernel, v)
+            for v in _forward_values(fst, kernel, delta)]
+
+
+def _forward_values(fst, kernel, delta=DEFAULT_DELTA):
+    """Per-state plus-sum over paths from the initial state, which must
+    exist, as kernel values; no membership gate."""
+    d = _generic_distance(fst.semiring, kernel,
+                          _forward_arcs(fst, kernel.unbox),
+                          {fst.initial: kernel.one}, delta)
+    zero = kernel.zero
+    return [d.get(s, zero) for s in fst.states()]
+
+
+def _backward_values(fst, kernel, delta=DEFAULT_DELTA):
+    """Per-state plus-sum over accepting suffixes (final weights
+    included), as kernel values; no membership gate."""
+    unbox = kernel.unbox
+    d = _generic_distance(fst.semiring, kernel, _backward_arcs(fst, unbox),
+                          {s: unbox(w) for s, w in fst.finals.items()}, delta)
+    zero = kernel.zero
+    return [d.get(s, zero) for s in fst.states()]
 
 
 def _forward_distance(fst, delta=DEFAULT_DELTA):
-    """Per-state plus-sum over paths from the initial state, which must
-    exist; no membership gate."""
-    sr = fst.semiring
-    d = _generic_distance(sr, _forward_arcs(fst),
-                          {fst.initial: sr.one}, delta)
-    return [d.get(s, sr.zero) for s in fst.states()]
+    """``_forward_values`` as weights."""
+    kernel = _kernel(fst.semiring)
+    return list(map(kernel.box, _forward_values(fst, kernel, delta)))
 
 
 def _backward_distance(fst, delta=DEFAULT_DELTA):
-    """Per-state plus-sum over accepting suffixes (final weights included)."""
-    sr = fst.semiring
-    d = _generic_distance(sr, _backward_arcs(fst),
-                          fst.finals, delta)
-    return [d.get(s, sr.zero) for s in fst.states()]
+    """``_backward_values`` as weights."""
+    kernel = _kernel(fst.semiring)
+    return list(map(kernel.box, _backward_values(fst, kernel, delta)))
 
 
 def sum_paths(fst, delta=DEFAULT_DELTA):
@@ -598,20 +652,31 @@ def sum_paths(fst, delta=DEFAULT_DELTA):
         return sr.zero
     if sr.total_weight is not None:
         return sr.cast(sr.total_weight(fst))
-    d = _forward_distance(fst, delta)
-    # The membership gate: arithmetic such as inf * 0 can make a NaN.
-    return sr.cast(_plus_all(sr, (d[state] * weight
-                                  for state, weight in fst.finals.items())))
+    kernel = _kernel(sr)
+    plus, times, unbox = kernel.plus, kernel.times, kernel.unbox
+    d = _forward_values(fst, kernel, delta)
+    total = kernel.zero
+    for state, weight in fst.finals.items():
+        total = plus(total, times(d[state], unbox(weight)))
+    return _checked(sr, kernel, total)
 
 
 def remove_epsilon(fst, delta=DEFAULT_DELTA):
-    """Eliminate epsilon:epsilon arcs, preserving the weighted language."""
+    """Eliminate epsilon:epsilon arcs, preserving the weighted language.
+
+    Every arc and final weight of the result is a product of a closure
+    weight and an original weight, and passes the membership gate: a NaN
+    (inf * 0, say) raises InvalidWeightError.
+    """
     sr = fst.semiring
+    kernel = _kernel(sr)
+    plus, times, zero, one, unbox = (kernel.plus, kernel.times, kernel.zero,
+                                     kernel.one, kernel.unbox)
     n = fst.num_states
     eps_arcs = [[] for _ in range(n)]
     for a in fst.all_arcs():
         if a.input == EPSILON and a.output == EPSILON:
-            eps_arcs[a.source].append((a.source, a.target, a.weight))
+            eps_arcs[a.source].append((a.source, a.target, unbox(a.weight)))
 
     out = Fst(sr)
     out.initial = fst.initial
@@ -620,27 +685,28 @@ def remove_epsilon(fst, delta=DEFAULT_DELTA):
         # chains, plus-combined across alternative epsilon routes); a state
         # without epsilon arcs reaches only itself.
         if eps_arcs[s]:
-            closure_w = _generic_distance(sr, eps_arcs, {s: sr.one}, delta)
+            closure_w = _generic_distance(sr, kernel, eps_arcs, {s: one},
+                                          delta)
         else:
-            closure_w = {s: sr.one}
+            closure_w = {s: one}
         new_arcs = []
-        final = sr.zero
+        final = zero
         for t in sorted(closure_w):
             w = closure_w[t]
-            if w == sr.zero and t != s:
+            if w == zero and t != s:
                 continue
             for arc in fst._arcs[t]:
                 if arc.input == EPSILON and arc.output == EPSILON:
                     continue
-                new_arcs.append(
-                    Arc(s, arc.target, arc.input, arc.output, w * arc.weight)
-                )
+                new_arcs.append(Arc(
+                    s, arc.target, arc.input, arc.output,
+                    _checked(sr, kernel, times(w, unbox(arc.weight)))))
             fw = fst.finals.get(t)
             if fw is not None:
-                final = final + w * fw
+                final = plus(final, times(w, unbox(fw)))
         out._arcs.append(new_arcs)
-        if final != sr.zero:
-            out.finals[s] = final
+        if final != zero:
+            out.finals[s] = _checked(sr, kernel, final)
     return out
 
 
@@ -815,8 +881,10 @@ def shortest_path(fst):
         )
     if fst.initial is None:
         raise NoAcceptingPathError("FST has no initial state")
-    beta = _backward_distance(fst)
-    if beta[fst.initial] == sr.zero:
+    kernel = _kernel(sr)
+    times, unbox = kernel.times, kernel.unbox
+    beta = _backward_values(fst, kernel)
+    if beta[fst.initial] == kernel.zero:
         raise NoAcceptingPathError("FST accepts no string")
 
     finals = fst.finals
@@ -824,10 +892,11 @@ def shortest_path(fst):
     entered = {state}
     arcs = iter(fst._arcs[state])
     path = []  # (arc taken, the arcs of its source still to try)
-    while not (state in finals and finals[state] == beta[state]):
+    while not (state in finals and unbox(finals[state]) == beta[state]):
         for arc in arcs:
             if (arc.target not in entered
-                    and beta[arc.target] * arc.weight == beta[state]):
+                    and times(beta[arc.target], unbox(arc.weight))
+                    == beta[state]):
                 path.append((arc, arcs))
                 state = arc.target
                 entered.add(state)
@@ -840,10 +909,10 @@ def shortest_path(fst):
             arc, arcs = path.pop()
             state = arc.source
     taken = tuple(arc for arc, _ in path)
-    weight = sr.one
+    value = kernel.one
     for arc in taken:
-        weight = weight * arc.weight
-    weight = weight * finals[state]
+        value = times(value, unbox(arc.weight))
+    weight = kernel.box(times(value, unbox(finals[state])))
     return ShortestPathResult(Path(taken, weight), weight)
 
 

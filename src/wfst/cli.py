@@ -7,6 +7,7 @@ commands as text-format files (or stdin/stdout with ``-``).  Exit codes:
 """
 
 import argparse
+import math
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -60,6 +61,18 @@ def _path_line(path):
     ilabels = "".join(label_str(x) for x in path.input_labels)
     olabels = "".join(label_str(x) for x in path.output_labels)
     return f"{ilabels}\t{olabels}\t{path.weight.text()}"
+
+
+def _positive_float(text):
+    """An argparse type: a positive finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = None
+    if value is None or not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, got {text!r}")
+    return value
 
 
 def _semiring_arg(name):
@@ -171,7 +184,7 @@ COMMANDS = {
     "rmepsilon": Command("rmepsilon of an FST", 1, (),
                          _algorithm("remove_epsilon")),
     "determinize": Command("determinize of an FST", 1, (
-        ("--delta", {"type": float, "default": DEFAULT_DELTA,
+        ("--delta", {"type": _positive_float, "default": DEFAULT_DELTA,
                      "help": "quantization step: subsets whose residuals "
                              "agree within it merge (default 1/1024)"}),
     ), _algorithm("determinize", "delta")),

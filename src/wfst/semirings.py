@@ -9,11 +9,20 @@ the algebra (zero/one/properties) and instances are its elements.
 Semirings that declare the 'idempotent' property have a + a == a; those
 that declare 'path' also pick one operand of plus, which induces the total
 order a <= b  iff  a + b == a used by shortest-path.
+
+The algorithms compute through a semiring's kernel (``_kernel``).  The
+real, min, max and tropical classes each set a float kernel on the class
+itself, so shortest distance, lift and shortest path run on the plain
+float values and box them into weights only for the result.  A subclass
+inherits no float kernel: it may override an operator or ``star``, so it
+runs, like every other semiring, on the generic kernel of weight objects
+and their operators.
 """
 
 import math
 import numbers
-from collections import Counter
+import operator
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -151,9 +160,7 @@ class AbstractSemiringWeight:
                     f"cannot cast {value!r} to the {cls.name} semiring"
                 )
         if not result.member():
-            raise InvalidWeightError(
-                f"{result!r} is not a member of the {cls.name} semiring"
-            )
+            raise _not_a_member(cls, result)
         return result
 
     @classmethod
@@ -248,6 +255,50 @@ class BooleanWeight(AbstractSemiringWeight):
 
 BooleanWeight.zero = BooleanWeight(False)
 BooleanWeight.one = BooleanWeight(True)
+
+
+def _not_a_member(semiring, weight):
+    """The error for a weight that fails the membership gate."""
+    return InvalidWeightError(
+        f"{weight!r} is not a member of the {semiring.name} semiring")
+
+
+# The arithmetic of a semiring as the algorithms run it: plus and times on
+# the kernel's values, their zero and one, star (or None), unbox (weight
+# to value) and box (value to weight), and nonmember, true of a value that
+# fails the membership gate.
+_Kernel = namedtuple(
+    "_Kernel", "plus times zero one star unbox box nonmember")
+
+
+def _make_float_kernel(semiring, plus, times, zero, one, star=None):
+    """A kernel on the plain float ``value`` of ``semiring``'s weights."""
+    return _Kernel(plus, times, zero, one, star,
+                   operator.attrgetter("value"), semiring, math.isnan)
+
+
+def _same(value):
+    return value
+
+
+def _is_nonmember(weight):
+    return not weight.member()
+
+
+def _kernel(semiring):
+    """The float kernel that ``semiring``'s own class declares, else the
+    generic kernel, whose values are the weights themselves.
+
+    A float kernel is looked up in the class's own namespace, never
+    inherited: a subclass may override an operator or ``star``, and its
+    weights then run through those overrides.
+    """
+    kernel = semiring.__dict__.get("_float_kernel")
+    if kernel is None:
+        kernel = _Kernel(operator.add, operator.mul, semiring.zero,
+                         semiring.one, semiring.star, _same, _same,
+                         _is_nonmember)
+    return kernel
 
 
 def _float_text(v):
@@ -365,6 +416,26 @@ class RealWeight(_NumericWeight):
 
 RealWeight.zero = RealWeight(0.0)
 RealWeight.one = RealWeight(1.0)
+RealWeight._float_kernel = _make_float_kernel(
+    RealWeight, operator.add, operator.mul, 0.0, 1.0, _real_star)
+
+
+def _path_times(zero_value):
+    """times of the path semiring whose zero has ``zero_value``: the sum
+    of two values, or zero_value when either is infinite."""
+    isinf = math.isinf
+
+    def times(a, b):
+        if isinf(a) or isinf(b):
+            return zero_value
+        return a + b
+
+    return times
+
+
+def _path_kernel(semiring):
+    return _make_float_kernel(semiring, semiring._select, semiring._times,
+                              semiring._zero_value, 0.0)
 
 
 class _PathWeight(_NumericWeight):
@@ -372,7 +443,8 @@ class _PathWeight(_NumericWeight):
     reals, where select is min (zero +inf) or max (zero -inf).
 
     ``_sign`` turns a value into a sampling score (higher is likelier).
-    times gives zero whenever an operand is infinite.
+    ``_times`` (see ``_path_times``) gives zero whenever an operand is
+    infinite.
     """
 
     semiring_properties = frozenset({"base", "path", "idempotent"})
@@ -383,9 +455,7 @@ class _PathWeight(_NumericWeight):
 
     def __mul__(self, other):
         other = self._coerce(other)
-        if math.isinf(self.value) or math.isinf(other.value):
-            return type(self)(self._zero_value)
-        return type(self)(self.value + other.value)
+        return type(self)(self._times(self.value, other.value))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -420,11 +490,13 @@ class MinWeight(_PathWeight):
     name = "min"
     _select = min
     _zero_value = math.inf
+    _times = staticmethod(_path_times(math.inf))
     _sign = -1.0  # lower cost, likelier arc
 
 
 MinWeight.zero = MinWeight(math.inf)
 MinWeight.one = MinWeight(0.0)
+MinWeight._float_kernel = _path_kernel(MinWeight)
 
 
 class TropicalWeight(MinWeight):
@@ -435,6 +507,7 @@ class TropicalWeight(MinWeight):
 
 TropicalWeight.zero = TropicalWeight(math.inf)
 TropicalWeight.one = TropicalWeight(0.0)
+TropicalWeight._float_kernel = _path_kernel(TropicalWeight)
 
 
 class MaxWeight(_PathWeight):
@@ -443,11 +516,13 @@ class MaxWeight(_PathWeight):
     name = "max"
     _select = max
     _zero_value = -math.inf
+    _times = staticmethod(_path_times(-math.inf))
     _sign = 1.0
 
 
 MaxWeight.zero = MaxWeight(-math.inf)
 MaxWeight.one = MaxWeight(0.0)
+MaxWeight._float_kernel = _path_kernel(MaxWeight)
 
 
 # Default global feature-weight table used by FeaturizedWeight's

@@ -103,3 +103,20 @@ def rewrite_fst():
 @pytest.fixture
 def rng():
     return random.Random(12345)
+
+
+def single_scc_real_fst(rng, n):
+    """Real machine whose n states form one strongly connected component:
+    a ring plus three random arcs per state, each state's arcs weighing
+    0.9 in total and its final weight 0.1, so the total weight is 1."""
+    f = Fst(RealWeight)
+    for _ in range(n):
+        f.add_state()
+    f.set_initial_state(0)
+    for s in range(n):
+        targets = [(s + 1) % n] + [rng.randrange(n) for _ in range(3)]
+        raw = [rng.uniform(0.1, 1.0) for _ in targets]
+        for t, r in zip(targets, raw):
+            f.add_arc(s, t, 0.9 * r / sum(raw), "a", "a")
+        f.set_final_weight(s, 0.1)
+    return f

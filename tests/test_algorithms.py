@@ -2,8 +2,11 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from scipy import linalg
 
+import wfst.algorithms as algorithms
 from wfst import (
     BooleanWeight,
     Fst,
@@ -44,8 +47,9 @@ from wfst.errors import (
 )
 from wfst.fst import EPSILON, Arc
 from wfst.io import parse_text, render_text
+from wfst.semirings import _kernel
 from conftest import (random_acyclic_fst, random_boolean_fst,
-                      random_cyclic_fst)
+                      random_cyclic_fst, single_scc_real_fst)
 
 
 def accepted_strings(fst, max_paths=1000):
@@ -179,6 +183,17 @@ class TestClosure:
 
 
 class TestCompose:
+    def test_nan_product_is_refused(self):
+        # inf * 0 is no real number: the arc it made could be rendered
+        # but not read back.
+        a = parse_text("#semiring real\n#initial 0\n#states 2\n"
+                       "0 1 97 98 inf\n1 1\n")
+        b = parse_text("#semiring real\n#initial 0\n#states 2\n"
+                       "0 1 98 99 0\n1 1\n")
+        with pytest.raises(InvalidWeightError,
+                           match=r"RealWeight\(nan\) is not a member"):
+            compose(a, b)
+
     def test_only_hello_transduced(self):
         acceptor = union(fst_from_sequence("hello"), fst_from_sequence("help"))
         composed = compose(acceptor, hello_world_transducer())
@@ -284,6 +299,16 @@ class TestProjectInvert:
 
 
 class TestRemoveEpsilon:
+    @pytest.mark.parametrize("arcs", [
+        "0 1 0 0 inf\n1 2 97 97 0\n2 1\n",   # an arc weight inf * 0
+        "0 1 0 0 inf\n1 2 0 0 0\n2 1\n",     # a final weight inf * 0
+    ])
+    def test_nan_product_is_refused(self, arcs):
+        f = parse_text("#semiring real\n#initial 0\n#states 3\n" + arcs)
+        with pytest.raises(InvalidWeightError,
+                           match=r"RealWeight\(nan\) is not a member"):
+            remove_epsilon(f)
+
     def test_union_result_is_epsilon_free(self):
         u = union(fst_from_sequence("hello"), fst_from_sequence("help"))
         r = remove_epsilon(u)
@@ -371,7 +396,8 @@ class TestRemoveEpsilon:
         r = remove_epsilon(f)
         assert r.num_arcs == n - 1
         # A scan of all n states per closure would compare n * n times.
-        assert CountingWeight.counts["*"] < 4 * f.num_arcs
+        # The subclass has no float kernel, so its own operators ran.
+        assert 0 < CountingWeight.counts["*"] < 4 * f.num_arcs
         assert CountingWeight.counts["=="] < 4 * f.num_arcs
 
     def test_epsilon_free_closures_need_no_sums(self):
@@ -1237,3 +1263,104 @@ class TestEquivalence:
         b = fst_from_sequence("x", RealWeight)
         b.set_final_weight(1, 2.0)
         assert not equivalent_by_enumeration(a, b)
+
+
+def counting_pair(semiring):
+    """A real machine with an epsilon cycle (states 0 and 1) and a
+    self-loop (state 2), built over ``semiring``."""
+    f = Fst(semiring)
+    for _ in range(3):
+        f.add_state()
+    f.set_initial_state(0)
+    f.add_arc(0, 1, 0.5, EPSILON, EPSILON)
+    f.add_arc(1, 0, 0.25, EPSILON, EPSILON)
+    f.add_arc(0, 2, 0.5, "a", "a")
+    f.add_arc(1, 2, 0.5, "b", "b")
+    f.add_arc(2, 2, 0.3, "a", "a")
+    f.set_final_weight(2, 1.0)
+    return f
+
+
+def arc_values(f):
+    return [(a.source, a.target, a.input, a.output, a.weight.value)
+            for a in f.all_arcs()], {s: w.value for s, w in f.finals.items()}
+
+
+KERNEL_OPERATIONS = {
+    "sum_paths": lambda f: sum_paths(f).value,
+    "shortest_distance": lambda f: [w.value for w in shortest_distance(f)],
+    "remove_epsilon": lambda f: arc_values(remove_epsilon(f)),
+    "compose": lambda f: arc_values(compose(f, f)),
+}
+
+
+class TestFloatKernels:
+    """The built-in float semirings run on plain floats; a class has a
+    float kernel only if it declares one itself."""
+
+    @pytest.mark.parametrize("operation", sorted(KERNEL_OPERATIONS))
+    def test_subclass_operators_are_called(self, operation):
+        run = KERNEL_OPERATIONS[operation]
+        expected = run(counting_pair(RealWeight))
+        machine = counting_pair(CountingWeight)
+        CountingWeight.counts.update({"+": 0, "*": 0})
+        assert run(machine) == expected
+        assert CountingWeight.counts["*"] > 0
+        if operation != "compose":  # composition only multiplies
+            assert CountingWeight.counts["+"] > 0
+
+    def test_kernels_are_declared_not_inherited(self):
+        w = RealWeight(2.0)
+        assert _kernel(RealWeight).unbox(w) == 2.0
+        assert _kernel(TropicalWeight).box is TropicalWeight
+        for subclass in (CountingWeight, StarlessReal):
+            kernel = _kernel(subclass)
+            assert kernel.unbox(w) is w
+            assert kernel.star == subclass.star
+
+    @pytest.mark.parametrize("semiring",
+                             [RealWeight, MinWeight, MaxWeight, TropicalWeight])
+    def test_results_are_weights_of_the_machine_semiring(self, semiring):
+        # Negated for max, so that no cycle improves.
+        sign = -1.0 if semiring is MaxWeight else 1.0
+        f = lift(counting_pair(RealWeight), semiring,
+                 cast=lambda w: sign * w.value)
+        assert all(type(w) is semiring for w in shortest_distance(f))
+        assert type(sum_paths(f)) is semiring
+        assert all(type(a.weight) is semiring
+                   for a in remove_epsilon(f).all_arcs())
+        if semiring is not RealWeight:
+            assert type(shortest_path(f).distance) is semiring
+
+    def test_starless_subclass_is_relaxed(self, monkeypatch):
+        relaxed = []
+        relax = algorithms._relax
+
+        def recording_relax(kernel, component, *args):
+            relaxed.append(component)
+            return relax(kernel, component, *args)
+
+        monkeypatch.setattr(algorithms, "_relax", recording_relax)
+        for semiring in (StarlessReal, RealWeight):
+            f = Fst(semiring)
+            f.add_state()
+            f.set_initial_state(0)
+            f.add_arc(0, 0, 0.5, "a", "a")
+            f.set_final_weight(0, 1.0)
+            assert sum_paths(f, delta=1e-12).value == pytest.approx(2.0)
+        # RealWeight's star solves its loop; StarlessReal's is relaxed.
+        assert relaxed == [[0]]
+
+    def test_single_component_sum_matches_a_linear_solve(self):
+        f = single_scc_real_fst(random.Random(60), 60)
+        n = f.num_states
+        a = np.zeros((n, n))
+        for arc in f.all_arcs():
+            a[arc.source, arc.target] += arc.weight.value
+        final = np.array([f.final_weight(s).value for s in range(n)])
+        start = np.eye(n)[f.initial]
+        total = linalg.solve(np.eye(n) - a, final)[f.initial]
+        forward = linalg.solve((np.eye(n) - a).T, start)
+        assert sum_paths(f).value == pytest.approx(total, rel=1e-12)
+        assert [w.value for w in shortest_distance(f)] == \
+            pytest.approx(list(forward), rel=1e-12)

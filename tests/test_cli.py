@@ -399,6 +399,26 @@ class TestDelta:
         args = build_parser().parse_args([command, "-", "--delta", "0.5"])
         assert args.delta == 0.5
 
+    @pytest.mark.parametrize("delta", ["0", "-1", "nan", "inf", "-inf",
+                                       "abc"])
+    def test_determinize_delta_must_be_positive_and_finite(self, delta,
+                                                           capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["determinize", "-", f"--delta={delta}"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: wfst determinize ")
+        assert f"argument --delta: must be a positive finite number, " \
+            f"got {delta!r}" in err
+
+    def test_determinize_delta_zero_is_a_usage_error_before_reading(self):
+        # Before the check, 0 reached quantize as a ZeroDivisionError.
+        result = run_cli(["determinize", "-", "--delta", "0"], stdin=self.LOOP)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("usage: wfst determinize ")
+        assert "Traceback" not in result.stderr
+
     @pytest.mark.parametrize("command", ["push", "rmepsilon",
                                          "shortestdistance", "shortestpath",
                                          "sumpaths"])

@@ -1,0 +1,148 @@
+"""Pinned outputs: SHA-256 digests of renders, distances, sums and best
+paths on fixed seeds.
+
+A speed-up must not change a single bit of an answer.  Each case renders
+its result as text (floats by ``repr``), and the digest of that text was
+recorded before the float kernels went in; a change that alters an output
+on purpose must say so and record the new digest.
+"""
+
+import hashlib
+import math
+import random
+
+import pytest
+
+from wfst import (
+    Fst,
+    MinWeight,
+    RealWeight,
+    TropicalWeight,
+    compose,
+    fst_from_sequence,
+    lift,
+    remove_epsilon,
+    shortest_distance,
+    shortest_path,
+    sum_paths,
+)
+from wfst.io import render_text
+from conftest import single_scc_real_fst
+from test_algorithms import random_epsilon_fst
+
+LETTERS = "abcdefgh"
+
+
+def decode_lattice(seed, length):
+    """A seeded string composed with a one-state rewrite transducer whose
+    rows of eight weights each sum to 1, as in the ``decode`` benchmark."""
+    rng = random.Random(seed)
+    model = Fst(RealWeight)
+    model.add_state()
+    model.set_initial_state(0)
+    model.set_final_weight(0, 1.0)
+    for x in LETTERS:
+        raw = [rng.uniform(0.2, 1.0) for _ in LETTERS]
+        for y, w in zip(LETTERS, raw):
+            model.add_arc(0, 0, w / sum(raw), x, y)
+    text = "".join(rng.choice(LETTERS) for _ in range(length))
+    return compose(fst_from_sequence(text, RealWeight), model)
+
+
+def cyclic_min_fst(seed, n):
+    """Min machine with uniform [0, 5) costs: a ring plus two random arcs
+    per state, so every state sits on a cycle; two final states."""
+    rng = random.Random(seed)
+    f = Fst(MinWeight)
+    for _ in range(n):
+        f.add_state()
+    f.set_initial_state(0)
+    for s in range(n):
+        for t in [(s + 1) % n, rng.randrange(n), rng.randrange(n)]:
+            f.add_arc(s, t, rng.uniform(0.0, 5.0), rng.choice("ab"), "a")
+    f.set_final_weight(n - 1, 0.0)
+    f.set_final_weight(n // 2, rng.uniform(0.0, 5.0))
+    return f
+
+
+def values(weights):
+    return " ".join(repr(w.value) for w in weights)
+
+
+def path_text(result):
+    arcs = " ".join(f"{a.source}>{a.target}:{a.input}:{a.output}"
+                    for a in result.path.arcs)
+    return f"{arcs} = {result.distance.value!r}"
+
+
+def epsilon_machines(semiring):
+    rng = random.Random(5)
+    return "".join(
+        render_text(remove_epsilon(random_epsilon_fst(
+            rng, semiring, reachable_cycles=k % 2 == 1)))
+        for k in range(20))
+
+
+CASES = {
+    "lattice render": lambda: render_text(decode_lattice(1, 60)),
+    "lattice lifted to min": lambda: render_text(
+        lift(decode_lattice(1, 60), MinWeight)),
+    "shortest_distance real lattice": lambda: values(
+        shortest_distance(decode_lattice(2, 60))),
+    "shortest_distance min lattice": lambda: values(
+        shortest_distance(lift(decode_lattice(2, 60), MinWeight))),
+    "shortest_distance cyclic min": lambda: values(
+        shortest_distance(cyclic_min_fst(3, 80))),
+    "shortest_distance cyclic real": lambda: values(
+        shortest_distance(single_scc_real_fst(random.Random(4), 40))),
+    "sum_paths acyclic": lambda: repr(sum_paths(decode_lattice(3, 200)).value),
+    "sum_paths cyclic real": lambda: repr(
+        sum_paths(single_scc_real_fst(random.Random(6), 60)).value),
+    "shortest_path min lattice": lambda: path_text(
+        shortest_path(lift(decode_lattice(1, 60), MinWeight))),
+    "shortest_path cyclic min": lambda: path_text(
+        shortest_path(cyclic_min_fst(7, 80))),
+    "remove_epsilon real": lambda: epsilon_machines(RealWeight),
+    "remove_epsilon tropical": lambda: epsilon_machines(TropicalWeight),
+}
+
+DIGESTS = {
+    "lattice lifted to min":
+        "07ba8b53cffc8e1e224956a3b82c35430410f2cdc54ea5275860deac72a622d3",
+    "lattice render":
+        "b0194c8944b9aa4f0113408cb09dab65cae083bc7c892663990d812d26f5e737",
+    "remove_epsilon real":
+        "3072902a69dd393dc5e889df23f672d335230b3f369f01537101874ef9a50306",
+    "remove_epsilon tropical":
+        "bc46fc1f0cd52d25b39c8cd0d714a970b48337d536fd1e304c2182b9c811cfcf",
+    "shortest_distance cyclic min":
+        "97161d8e507672239810efce32f92cb8c32393a66c5a343cfbb6f209fc0ba1ab",
+    "shortest_distance cyclic real":
+        "7c26c003d2b546186c81cee3bdca9a1fbf9f595a4b1ba3d66e26017f702d984d",
+    "shortest_distance min lattice":
+        "053f23563d8e7d2703253cacb46740854cc4f928512c80c7be627ab500c46447",
+    "shortest_distance real lattice":
+        "9e770998d88220b1a7f5e164ce15fc79d8bf550e49f6d8cda491e1d09b9bde7f",
+    "shortest_path cyclic min":
+        "32290884bd7a1f83060aed1b94069ef9922f3214b7266400414b7940f5cc79f9",
+    "shortest_path min lattice":
+        "c0e1e8a35e810a969af854c7e46756d487f620e699558d3e2ea7fcdadc92fab0",
+    "sum_paths acyclic":
+        "9a56979bf69aa69d90d24da293ed138549c2901c6928be57b2cbe454c64d627d",
+    "sum_paths cyclic real":
+        "5feb4977d280385ac3bc8260fcfb39e0bd35f0baad404c02d2dfaac69632b69a",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_output_digest_is_pinned(case):
+    text = CASES[case]()
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DIGESTS[case]
+
+
+def test_cases_are_not_degenerate():
+    # A digest of an empty or infinite answer would pin nothing useful.
+    assert math.isfinite(sum_paths(decode_lattice(3, 200)).value)
+    assert sum_paths(single_scc_real_fst(random.Random(6), 60)).value \
+        == pytest.approx(1.0, rel=1e-12)
+    assert shortest_path(cyclic_min_fst(7, 80)).path.arcs

@@ -118,29 +118,38 @@ def _coerce(*fsts):
 
 
 def _copy_into(dst, src):
-    """Append a copy of src's states/arcs/finals into dst; return the offset."""
+    """Append src's states and arcs to dst, renumbered by dst's state
+    count; return that offset.  At offset 0 the arc lists are copied and
+    their immutable arcs shared, since no arc changes."""
     offset = dst.num_states
-    dst._arcs.extend(
-        [Arc(offset + source, offset + target, ilabel, olabel, weight)
-         for source, target, ilabel, olabel, weight in arcs]
-        for arcs in src._arcs
-    )
+    if offset == 0:
+        dst._arcs.extend([list(arcs) for arcs in src._arcs])
+    else:
+        dst._arcs.extend(
+            [Arc(offset + source, offset + target, ilabel, olabel, weight)
+             for source, target, ilabel, olabel, weight in arcs]
+            for arcs in src._arcs
+        )
     return offset
 
 
 def union(*fsts):
     """Accepts the strings of any operand; shared strings get plus-combined
-    weights.  One new start state has an epsilon arc to each operand's
-    start, in argument order."""
+    weights.
+
+    As in OpenFST, the first operand keeps its state ids, the others
+    follow in argument order, and one new start state, numbered last, has
+    an epsilon arc to each operand's start, in argument order.
+    """
     if not fsts:
         raise WfstError("union needs at least one FST")
     fsts = _coerce(*fsts)
     sr = fsts[0].semiring
     out = Fst(sr)
+    offsets = [_copy_into(out, side) for side in fsts]
     start = out.add_state()
     out.set_initial_state(start)
-    for side in fsts:
-        offset = _copy_into(out, side)
+    for side, offset in zip(fsts, offsets):
         if side.initial is not None:
             out.add_arc(start, offset + side.initial, sr.one, EPSILON, EPSILON)
         for state, weight in side.finals.items():
@@ -661,26 +670,90 @@ def sum_paths(fst, delta=DEFAULT_DELTA):
     return _checked(sr, kernel, total)
 
 
+def _renumbered(semiring, initial, arcs, finals, keep):
+    """A new FST over ``semiring`` with the states in ``keep``, a sorted
+    list of original ids, numbered by their rank in it, so the survivors
+    keep their order.
+
+    ``arcs[s]`` holds state s's arcs as (source, target, input, output,
+    weight) tuples in original ids; an arc into a state not kept is
+    dropped, as are the final weights of such states.  The initial state
+    is None unless it is kept.
+    """
+    rank = {s: i for i, s in enumerate(keep)}
+    out = Fst(semiring)
+    out._arcs = [[Arc(i, rank[target], ilabel, olabel, weight)
+                  for _, target, ilabel, olabel, weight in arcs[s]
+                  if target in rank]
+                 for i, s in enumerate(keep)]
+    out.initial = rank.get(initial)
+    out.finals = {i: finals[s] for i, s in enumerate(keep) if s in finals}
+    return out
+
+
+def _reached(next_states, sources):
+    """The set of states reachable from ``sources`` (themselves
+    included) along ``next_states[s]``."""
+    seen = set(sources)
+    todo = list(seen)
+    while todo:
+        for t in next_states[todo.pop()]:
+            if t not in seen:
+                seen.add(t)
+                todo.append(t)
+    return seen
+
+
+def connect(fst):
+    """Trim: keep the states that are both accessible (reachable from the
+    initial state) and co-accessible (reaching a final state), with the
+    arcs between them, numbered by rank in their original order.
+
+    OpenFST's ``Connect``.  A machine that accepts nothing gives an FST
+    without states.
+    """
+    sources = [] if fst.initial is None else [fst.initial]
+    accessible = _reached(
+        [[arc.target for arc in arcs] for arcs in fst._arcs], sources)
+    predecessors = [[] for _ in fst.states()]
+    for arc in fst.all_arcs():
+        predecessors[arc.target].append(arc.source)
+    coaccessible = _reached(predecessors, fst.finals)
+    return _renumbered(fst.semiring, fst.initial, fst._arcs, fst.finals,
+                       sorted(accessible & coaccessible))
+
+
 def remove_epsilon(fst, delta=DEFAULT_DELTA):
     """Eliminate epsilon:epsilon arcs, preserving the weighted language.
 
-    Every arc and final weight of the result is a product of a closure
-    weight and an original weight, and passes the membership gate: a NaN
+    Only the states the result can reach are built, as in OpenFST's
+    ``RmEpsilon``: a worklist from the initial state gives a closure pass
+    to it and to each target of a non-epsilon arc that leaves a closure,
+    and these states are renumbered by rank in their original order.  A
+    machine without an initial state gives an empty FST.
+
+    A kept state's arcs are its closure members' non-epsilon arcs, in
+    state order, each weighted by the member's closure weight.  Every arc
+    and final weight of the result is such a product of a closure weight
+    and an original weight, and passes the membership gate: a NaN
     (inf * 0, say) raises InvalidWeightError.
     """
     sr = fst.semiring
+    if fst.initial is None:
+        return Fst(sr)
     kernel = _kernel(sr)
     plus, times, zero, one, unbox = (kernel.plus, kernel.times, kernel.zero,
                                      kernel.one, kernel.unbox)
-    n = fst.num_states
-    eps_arcs = [[] for _ in range(n)]
+    eps_arcs = [[] for _ in fst.states()]
     for a in fst.all_arcs():
         if a.input == EPSILON and a.output == EPSILON:
             eps_arcs[a.source].append((a.source, a.target, unbox(a.weight)))
 
-    out = Fst(sr)
-    out.initial = fst.initial
-    for s in range(n):
+    arcs = {fst.initial: None}  # kept state -> its new arcs, once built
+    finals = {}
+    todo = [fst.initial]
+    while todo:
+        s = todo.pop()
         # Epsilon-closure weights from s (times-accumulated along epsilon
         # chains, plus-combined across alternative epsilon routes); a state
         # without epsilon arcs reaches only itself.
@@ -698,16 +771,20 @@ def remove_epsilon(fst, delta=DEFAULT_DELTA):
             for arc in fst._arcs[t]:
                 if arc.input == EPSILON and arc.output == EPSILON:
                     continue
-                new_arcs.append(Arc(
-                    s, arc.target, arc.input, arc.output,
+                target = arc.target
+                if target not in arcs:
+                    arcs[target] = None
+                    todo.append(target)
+                new_arcs.append((
+                    s, target, arc.input, arc.output,
                     _checked(sr, kernel, times(w, unbox(arc.weight)))))
             fw = fst.finals.get(t)
             if fw is not None:
                 final = plus(final, times(w, unbox(fw)))
-        out._arcs.append(new_arcs)
+        arcs[s] = new_arcs
         if final != zero:
-            out.finals[s] = _checked(sr, kernel, final)
-    return out
+            finals[s] = _checked(sr, kernel, final)
+    return _renumbered(sr, fst.initial, arcs, finals, sorted(arcs))
 
 
 def determinize(fst, delta=DEFAULT_DELTA):
@@ -717,6 +794,9 @@ def determinize(fst, delta=DEFAULT_DELTA):
     by their (input, output) label pair; for acceptors this yields a
     machine with no two same-input arcs leaving any state.  Residual
     weights need semiring division whenever arc weights are non-trivial.
+    Final weights, arc weights (the per-label totals) and residuals pass
+    the membership gate, so a NaN (inf / inf, say) raises
+    InvalidWeightError.
     """
     sr = fst.semiring
     for a in fst.all_arcs():
@@ -730,16 +810,27 @@ def determinize(fst, delta=DEFAULT_DELTA):
         return out
     cap = 10 * fst.num_states + 1000
     finals = fst.finals
+    kernel = _kernel(sr)
+    plus, times, zero, one, unbox, box = (kernel.plus, kernel.times,
+                                          kernel.zero, kernel.one,
+                                          kernel.unbox, kernel.box)
 
-    def divide(x, y):
-        if y == sr.one:
-            return x
-        if not sr.has_division:
-            raise UnsupportedOperationError(
-                f"weighted determinization needs division, which the "
-                f"{sr.name} semiring lacks"
-            )
-        return x / y
+    def plus_all(values):
+        total = zero
+        for value in values:
+            total = plus(total, value)
+        return total
+
+    def residual(x, y):
+        """x / y as a weight, through the membership gate."""
+        if y != one:
+            if not sr.has_division:
+                raise UnsupportedOperationError(
+                    f"weighted determinization needs division, which the "
+                    f"{sr.name} semiring lacks"
+                )
+            x = unbox(box(x) / box(y))
+        return _checked(sr, kernel, x)
 
     # Subsets are keyed by quantized residuals so nearly identical subsets
     # merge, but the exact residuals of the first-seen subset are used for
@@ -755,24 +846,24 @@ def determinize(fst, delta=DEFAULT_DELTA):
         src = len(out._arcs)
         src_arcs = []
         out._arcs.append(src_arcs)
-        final = _plus_all(sr, (residual * finals[state]
-                               for state, residual in key if state in finals))
-        if final != sr.zero:
-            out.finals[src] = final
+        final = plus_all(times(unbox(r), unbox(finals[state]))
+                         for state, r in key if state in finals)
+        if final != zero:
+            out.finals[src] = _checked(sr, kernel, final)
         # Group outgoing arcs by label pair.
         grouped = {}
-        for state, residual in key:
+        for state, r in key:
+            r = unbox(r)
             for arc in fst._arcs[state]:
                 grouped.setdefault((arc.input, arc.output), {}) \
-                    .setdefault(arc.target, []).append(residual * arc.weight)
+                    .setdefault(arc.target, []) \
+                    .append(times(r, unbox(arc.weight)))
         for (ilabel, olabel), targets in sorted(grouped.items()):
-            per_target = {
-                t: _plus_all(sr, ws) for t, ws in targets.items()
-            }
-            total = _plus_all(sr, per_target.values())
-            subset = tuple(
-                (t, divide(per_target[t], total)) for t in sorted(per_target)
-            )
+            per_target = {t: plus_all(vs) for t, vs in targets.items()}
+            total = plus_all(per_target.values())
+            weight = _checked(sr, kernel, total)
+            subset = tuple((t, residual(per_target[t], total))
+                           for t in sorted(per_target))
             new_key = tuple((t, r.quantize(delta)) for t, r in subset)
             dst = state_map.get(new_key)
             if dst is None:
@@ -782,15 +873,8 @@ def determinize(fst, delta=DEFAULT_DELTA):
                     )
                 dst = state_map[new_key] = len(state_map)
                 queue.append(subset)
-            src_arcs.append(Arc(src, dst, ilabel, olabel, total))
+            src_arcs.append(Arc(src, dst, ilabel, olabel, weight))
     return out
-
-
-def _plus_all(sr, weights):
-    total = sr.zero
-    for w in weights:
-        total = total + w
-    return total
 
 
 def reverse(fst):

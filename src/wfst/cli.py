@@ -181,6 +181,8 @@ COMMANDS = {
     "compose": Command("compose of two FSTs", 2, (), _algorithm("compose")),
     "closure": Command("closure of an FST", 1, (), _algorithm("closure")),
     "invert": Command("invert of an FST", 1, (), _algorithm("invert")),
+    "connect": Command("keep the states on accepting paths", 1, (),
+                       _algorithm("connect")),
     "rmepsilon": Command("rmepsilon of an FST", 1, (),
                          _algorithm("remove_epsilon")),
     "determinize": Command("determinize of an FST", 1, (

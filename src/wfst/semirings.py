@@ -345,10 +345,13 @@ class _NumericWeight(AbstractSemiringWeight):
         return abs(self.value - other.value) < delta
 
     def quantize(self, delta=DEFAULT_DELTA):
-        if not math.isfinite(self.value):
+        steps = self.value / delta
+        # An infinite value, or a quotient that overflows (a tiny delta),
+        # has no nearest step.
+        if not math.isfinite(steps):
             return self
         # round() is banker's rounding, so quantization is half-even.
-        return self.cast(round(self.value / delta) * delta)
+        return self.cast(round(steps) * delta)
 
     def member(self):
         return not math.isnan(self.value)

@@ -19,6 +19,7 @@ from wfst import (
     make_diff_semiring,
     compose,
     concat,
+    connect,
     determinize,
     enumerate_paths,
     equivalent_by_enumeration,
@@ -95,10 +96,19 @@ class TestUnion:
         a.set_final_weight(2, 0.5)
         b = fst_from_sequence("c", RealWeight)
         b.add_arc(1, 1, 0.25, "c", "d")
+        # As in OpenFST: a keeps its ids, b follows, the start is last.
         assert render_text(union(a, b)) == (
-            "#semiring real\n#initial 0\n#states 6\n"
-            "0 1 0 0 1\n0 4 0 0 1\n1 2 97 97 1\n2 3 98 98 1\n"
-            "4 5 99 99 1\n5 5 99 100 0.25\n3 0.5\n5 1\n")
+            "#semiring real\n#initial 5\n#states 6\n"
+            "0 1 97 97 1\n1 2 98 98 1\n3 4 99 99 1\n4 4 99 100 0.25\n"
+            "5 0 0 0 1\n5 3 0 0 1\n2 0.5\n4 1\n")
+
+    def test_first_operand_keeps_its_arcs(self, rng):
+        for _ in range(20):
+            a, b = random_acyclic_fst(rng), random_acyclic_fst(rng)
+            u = union(a, b)
+            for state in a.states():
+                assert u.arcs(state) == a.arcs(state)
+            assert u.initial == a.num_states + b.num_states
 
     def test_n_ary_start_arcs_in_argument_order(self):
         words = ["one", "two", "three", "four"]
@@ -394,11 +404,40 @@ class TestRemoveEpsilon:
         f.set_final_weight(n - 1, 1.0)
         CountingWeight.counts.update({"*": 0, "==": 0})
         r = remove_epsilon(f)
-        assert r.num_arcs == n - 1
+        # State n // 2 + 1 is reached only by the epsilon arc, so it goes.
+        assert r.num_arcs == n - 2
         # A scan of all n states per closure would compare n * n times.
         # The subclass has no float kernel, so its own operators ran.
         assert 0 < CountingWeight.counts["*"] < 4 * f.num_arcs
         assert CountingWeight.counts["=="] < 4 * f.num_arcs
+
+    def test_every_state_of_the_result_is_accessible(self, rng):
+        for semiring in (RealWeight, TropicalWeight):
+            for k in range(40):
+                r = remove_epsilon(random_epsilon_fst(
+                    rng, semiring, reachable_cycles=k % 2 == 1))
+                assert accessible(r) == set(r.states())
+
+    def test_a_machine_without_initial_state_gives_an_empty_one(self):
+        f = fst_from_sequence("ab", RealWeight)
+        f.initial = None
+        r = remove_epsilon(f)
+        assert (r.num_states, r.initial, r.finals) == (0, None, {})
+
+    def test_pairwise_lexicon_costs_linear_products(self):
+        # Each pairwise union nests the previous start state; closures
+        # for those nested starts, which nothing reaches, once made the
+        # products quadratic in the number of words.
+        rng = random.Random(3)
+        f = None
+        for _ in range(200):
+            word = "".join(rng.choice("abc") for _ in range(rng.randint(2, 6)))
+            chain = fst_from_sequence(word, CountingWeight)
+            f = chain if f is None else union(f, chain)
+        CountingWeight.counts["*"] = 0
+        r = remove_epsilon(f)
+        assert 0 < CountingWeight.counts["*"] < 3 * f.num_arcs
+        assert equivalent_by_enumeration(r, f)
 
     def test_epsilon_free_closures_need_no_sums(self):
         f = fst_from_sequence("a" * 499, CountingWeight)
@@ -408,6 +447,73 @@ class TestRemoveEpsilon:
         # The final weight of the one final state is the only sum; a
         # distance pass per closure would add zero + one for each state.
         assert CountingWeight.counts["+"] == 1
+
+
+def accessible(fst):
+    """States reachable from the initial state, by a fixpoint over all
+    arcs (a brute-force oracle, independent of the library's search)."""
+    seen = set() if fst.initial is None else {fst.initial}
+    grew = True
+    while grew:
+        grew = False
+        for a in fst.all_arcs():
+            if a.source in seen and a.target not in seen:
+                seen.add(a.target)
+                grew = True
+    return seen
+
+
+def coaccessible(fst):
+    """States from which a final state is reachable, by the same fixpoint
+    run backwards."""
+    seen = set(fst.finals)
+    grew = True
+    while grew:
+        grew = False
+        for a in fst.all_arcs():
+            if a.target in seen and a.source not in seen:
+                seen.add(a.source)
+                grew = True
+    return seen
+
+
+class TestConnect:
+    @staticmethod
+    def machines(rng):
+        """Seeded (machine, whether its paths are finitely many) pairs,
+        with unreachable states, dead states and cycles among them."""
+        for k in range(30):
+            yield random_acyclic_fst(rng), True
+            yield random_epsilon_fst(rng, RealWeight,
+                                     reachable_cycles=k % 2 == 1), k % 2 == 0
+            yield random_cyclic_fst(rng), False
+
+    def test_keeps_exactly_the_useful_states_in_order(self, rng):
+        for f, _ in self.machines(rng):
+            keep = sorted(accessible(f) & coaccessible(f))
+            rank = {s: i for i, s in enumerate(keep)}
+            c = connect(f)
+            assert c.num_states == len(keep)
+            assert c.initial == rank.get(f.initial)
+            for s in keep:
+                assert c.arcs(rank[s]) == tuple(
+                    Arc(rank[s], rank[a.target], a.input, a.output, a.weight)
+                    for a in f.arcs(s) if a.target in rank)
+            assert c.finals == {rank[s]: w for s, w in f.finals.items()
+                                if s in rank}
+
+    def test_weighted_language_unchanged(self, rng):
+        for f, finite in self.machines(rng):
+            c = connect(f)
+            assert sum_paths(c).approx_eq(sum_paths(f), 1e-12)
+            if finite:
+                assert equivalent_by_enumeration(c, f, delta=1e-12)
+
+    def test_empty_language_gives_no_states(self):
+        f = fst_from_sequence("ab", RealWeight)
+        f.finals.clear()
+        c = connect(f)
+        assert (c.num_states, c.initial, c.finals) == (0, None, {})
 
 
 class CountingWeight(RealWeight):
@@ -572,6 +678,17 @@ class TestDeterminize:
         u = union(fst_from_sequence("a"), fst_from_sequence("b"))
         with pytest.raises(UnsupportedOperationError):
             determinize(u)
+
+    @pytest.mark.parametrize("arcs", [
+        "0 1 97 97 inf\n0 2 97 97 0.5\n1 1\n2 1\n",   # residual inf / inf
+        "0 1 97 97 inf\n0 2 97 97 -inf\n1 1\n2 1\n",  # total inf + -inf
+        "0 1 97 97 0\n0 2 97 97 0.5\n1 inf\n2 1\n",   # final 0 * inf
+    ])
+    def test_nan_weight_is_refused(self, arcs):
+        f = parse_text("#semiring real\n#initial 0\n#states 3\n" + arcs)
+        with pytest.raises(InvalidWeightError,
+                           match=r"RealWeight\(nan\) is not a member"):
+            determinize(f)
 
 
 class TestReverse:
@@ -1177,8 +1294,8 @@ class TestConstructionOrder:
             PINNED[name]
 
     @pytest.mark.parametrize("build", [
-        union, concat, lambda a, b: closure(a)],
-        ids=["union", "concat", "closure"])
+        union, concat, lambda a, b: closure(a), lambda a, b: connect(a)],
+        ids=["union", "concat", "closure", "connect"])
     def test_operands_are_not_mutated(self, build):
         a, b = epsilon_machine(), fst_from_sequence("ab", RealWeight)
         before = render_text(a), render_text(b)

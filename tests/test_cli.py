@@ -11,6 +11,7 @@ from wfst import (
     closure,
     compose,
     concat,
+    connect,
     determinize,
     enumerate_paths,
     equivalent_by_enumeration,
@@ -266,6 +267,15 @@ class TestExitCodes:
         assert result.stdout == ""
         assert "not a member" in result.stderr
 
+    def test_nan_residual_is_domain_error(self):
+        # The residual inf / inf once reached the output as "1 nan".
+        doc = ("#semiring real\n#initial 0\n#states 3\n"
+               "0 1 97 97 inf\n0 2 97 97 0.5\n1 1\n2 1\n")
+        result = run_cli(["determinize", "-"], stdin=doc)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "RealWeight(nan) is not a member" in result.stderr
+
     def test_determinize_with_epsilons_is_domain_error(self, tmp_path):
         a = tmp_path / "a.fst"
         b = tmp_path / "b.fst"
@@ -283,6 +293,19 @@ TROLL = build_hello_world_troll()
 HELLO, HELP = fst_from_sequence("hello"), fst_from_sequence("help")
 LEXICON = union(HELLO, HELP)
 
+
+def _with_useless_states(fst):
+    """``fst`` plus a state it cannot reach and one that reaches no final
+    state, both with arcs."""
+    f = fst.copy()
+    unreachable, dead = f.add_state(), f.add_state()
+    f.add_arc(unreachable, f.initial, 1.0, "u", "u")
+    f.add_arc(f.initial, dead, 1.0, "d", "d")
+    return f
+
+
+TRIMMABLE = _with_useless_states(TROLL)
+
 # Subcommand -> (arguments before --out, the library call's rendering).
 # "@name" stands for the file the machines fixture writes for that name.
 CASES = {
@@ -297,6 +320,8 @@ CASES = {
     "compose": (["compose", "@aaa", "@rewrite"], lambda: render_text(compose(
         fst_from_sequence("aaa"), build_double_a_machine()))),
     "closure": (["closure", "@hello"], lambda: render_text(closure(HELLO))),
+    "connect": (["connect", "@trimmable"],
+                lambda: render_text(connect(TRIMMABLE))),
     "invert": (["invert", "@troll"], lambda: render_text(invert(TROLL))),
     "rmepsilon": (["rmepsilon", "@lexicon"],
                   lambda: render_text(remove_epsilon(LEXICON))),
@@ -340,6 +365,7 @@ class TestCommandTable:
     def machines(self, tmp_path):
         texts = {
             "troll": render_text(TROLL),
+            "trimmable": render_text(TRIMMABLE),
             "hello": render_text(HELLO),
             "help": render_text(HELP),
             "aaa": render_text(fst_from_sequence("aaa")),
@@ -418,6 +444,15 @@ class TestDelta:
         assert result.stdout == ""
         assert result.stderr.startswith("usage: wfst determinize ")
         assert "Traceback" not in result.stderr
+
+    def test_determinize_tiny_delta_leaves_residuals_unquantized(self):
+        # value / 1e-320 overflows, which once died with OverflowError.
+        doc = ("#semiring real\n#initial 0\n#states 3\n"
+               "0 1 97 97 0.5\n0 2 97 97 0.25\n1 1\n2 1\n")
+        result = run_cli(["determinize", "-", "--delta", "1e-320"], stdin=doc)
+        assert result.returncode == 0
+        assert result.stdout == render_text(
+            determinize(parse_text(doc), delta=1e-320))
 
     @pytest.mark.parametrize("command", ["push", "rmepsilon",
                                          "shortestdistance", "shortestpath",

@@ -19,12 +19,14 @@ from wfst import (
     RealWeight,
     TropicalWeight,
     compose,
+    determinize,
     fst_from_sequence,
     lift,
     remove_epsilon,
     shortest_distance,
     shortest_path,
     sum_paths,
+    union,
 )
 from wfst.io import render_text
 from conftest import single_scc_real_fst
@@ -63,6 +65,19 @@ def cyclic_min_fst(seed, n):
     f.set_final_weight(n - 1, 0.0)
     f.set_final_weight(n // 2, rng.uniform(0.0, 5.0))
     return f
+
+
+def pairwise_lexicon(seed, n):
+    """``n`` seeded real-weighted words folded by pairwise ``union``, as
+    in the ``lexicon`` benchmark: each fold nests the previous start."""
+    rng = random.Random(seed)
+    lexicon = None
+    for _ in range(n):
+        word = "".join(rng.choice("abcdef") for _ in range(rng.randint(2, 6)))
+        chain = fst_from_sequence(word, RealWeight)
+        chain.set_final_weight(chain.num_states - 1, rng.uniform(0.1, 1.0))
+        lexicon = chain if lexicon is None else union(lexicon, chain)
+    return lexicon
 
 
 def values(weights):
@@ -104,6 +119,8 @@ CASES = {
         shortest_path(cyclic_min_fst(7, 80))),
     "remove_epsilon real": lambda: epsilon_machines(RealWeight),
     "remove_epsilon tropical": lambda: epsilon_machines(TropicalWeight),
+    "determinize pairwise lexicon": lambda: render_text(
+        determinize(remove_epsilon(pairwise_lexicon(8, 80)))),
 }
 
 DIGESTS = {
@@ -111,10 +128,15 @@ DIGESTS = {
         "07ba8b53cffc8e1e224956a3b82c35430410f2cdc54ea5275860deac72a622d3",
     "lattice render":
         "b0194c8944b9aa4f0113408cb09dab65cae083bc7c892663990d812d26f5e737",
+    "determinize pairwise lexicon":
+        "8e717b129e02b71026d96ac1df8df4b7c09f3f7e209863d56084ca287a708c2f",
+    # Re-pinned when remove_epsilon came to keep only accessible states:
+    # each new render is the old one restricted to its accessible states,
+    # renumbered by rank.
     "remove_epsilon real":
-        "3072902a69dd393dc5e889df23f672d335230b3f369f01537101874ef9a50306",
+        "4d2e85e4fe5fe7abf9897ede386db79eebee9af4f048b2e069886704b763d98c",
     "remove_epsilon tropical":
-        "bc46fc1f0cd52d25b39c8cd0d714a970b48337d536fd1e304c2182b9c811cfcf",
+        "774f56ece6f12a12b715e9839b330bec21489cefcc67d6525ca2ecccb32f2338",
     "shortest_distance cyclic min":
         "97161d8e507672239810efce32f92cb8c32393a66c5a343cfbb6f209fc0ba1ab",
     "shortest_distance cyclic real":

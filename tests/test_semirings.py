@@ -524,7 +524,7 @@ def test_public_names_are_pinned_and_resolve():
         "ShortestPathResult", "TapeNode", "TropicalWeight",
         "UnsupportedOperationError", "WfstError", "backward",
         "cast_from_boolean", "check_semiring_axioms", "closure", "compose",
-        "concat", "determinize", "enumerate_paths",
+        "concat", "connect", "determinize", "enumerate_paths",
         "equivalent_by_enumeration", "featurized_semiring",
         "fst_from_sequence", "invert", "lift", "loglikelihood_loss",
         "make_diff_semiring", "pair_acceptor", "parse_text", "project",

@@ -22,12 +22,14 @@ from wfst import (
     determinize,
     fst_from_sequence,
     lift,
+    push,
     remove_epsilon,
     shortest_distance,
     shortest_path,
     sum_paths,
     union,
 )
+from wfst.autodiff import train
 from wfst.io import render_text
 from conftest import single_scc_real_fst
 from test_algorithms import random_epsilon_fst
@@ -80,6 +82,36 @@ def pairwise_lexicon(seed, n):
     return lexicon
 
 
+def cyclic_train_model(seed, n):
+    """Real transducer over {a, b} whose every state has one arc, to a
+    random state, for each of the four label pairs, weighing 0.8 in
+    total, and final weight 0.2: every equal-length pair has a path."""
+    rng = random.Random(seed)
+    f = Fst(RealWeight)
+    for _ in range(n):
+        f.add_state()
+    f.set_initial_state(0)
+    for s in range(n):
+        raw = [rng.uniform(0.2, 1.0) for _ in range(4)]
+        for r, (i, o) in zip(raw, ["aa", "ab", "ba", "bb"]):
+            f.add_arc(s, rng.randrange(n), 0.8 * r / sum(raw), i, o)
+        f.set_final_weight(s, 0.2)
+    return f
+
+
+def trained(seed):
+    """A 3-step ``train`` of ``cyclic_train_model(seed, 8)``: the trained
+    machine and its per-step losses."""
+    return train(cyclic_train_model(seed, 8),
+                 [("ab", "ba"), ("aab", "bba"), ("b", "a")],
+                 steps=3, rate=1e-2)
+
+
+def train_text(seed):
+    model, losses = trained(seed)
+    return f"{losses!r}\n{render_text(model)}"
+
+
 def values(weights):
     return " ".join(repr(w.value) for w in weights)
 
@@ -121,6 +153,17 @@ CASES = {
     "remove_epsilon tropical": lambda: epsilon_machines(TropicalWeight),
     "determinize pairwise lexicon": lambda: render_text(
         determinize(remove_epsilon(pairwise_lexicon(8, 80)))),
+    "push initial cyclic real": lambda: render_text(
+        push(single_scc_real_fst(random.Random(4), 40), "initial")),
+    "push final cyclic real": lambda: render_text(
+        push(single_scc_real_fst(random.Random(4), 40), "final")),
+    "push initial cyclic min": lambda: render_text(
+        push(cyclic_min_fst(3, 30), "initial")),
+    "push final cyclic min": lambda: render_text(
+        push(cyclic_min_fst(3, 30), "final")),
+    "push final real lattice": lambda: render_text(
+        push(decode_lattice(1, 60), "final")),
+    "train cyclic real": lambda: train_text(9),
 }
 
 DIGESTS = {
@@ -153,6 +196,20 @@ DIGESTS = {
         "9a56979bf69aa69d90d24da293ed138549c2901c6928be57b2cbe454c64d627d",
     "sum_paths cyclic real":
         "5feb4977d280385ac3bc8260fcfb39e0bd35f0baad404c02d2dfaac69632b69a",
+    # Recorded before push and the diff semiring's total_weight came to
+    # take their distances as kernel values.
+    "push initial cyclic real":
+        "38f742d5fea2fa69d02e99b811de3389e1d0e1b9aecffd6653cf87bc1fc69885",
+    "push final cyclic real":
+        "de797ad262723d0bbab3636c61f02e560c4dae7fea5789a9c016a411a901211f",
+    "push initial cyclic min":
+        "c3b5dd4fdfae0bd7740d0003f665e8a9a3dfb6e799297c8b580f936e84c8714d",
+    "push final cyclic min":
+        "1fead13673fb2c47cef9d66e2f1cbaab83acebec01cc47029fce9167d510a118",
+    "push final real lattice":
+        "f95503f59c2abf4781802c4b74fb1c527f32d5b4116082a2d69260199ed6f271",
+    "train cyclic real":
+        "c1b9461be446358f85958c629eaa5be26f15e63457af512b92bdb89dda8803b7",
 }
 
 
@@ -168,3 +225,5 @@ def test_cases_are_not_degenerate():
     assert sum_paths(single_scc_real_fst(random.Random(6), 60)).value \
         == pytest.approx(1.0, rel=1e-12)
     assert shortest_path(cyclic_min_fst(7, 80)).path.arcs
+    _, losses = trained(9)
+    assert all(math.isfinite(x) for x in losses) and losses[-1] < losses[0]

@@ -481,12 +481,13 @@ def _label_correcting(kernel, component, members, arcs_by_state, d):
         f"improves its distances without bound", scc=component, state=state)
 
 
-def _relax(kernel, component, members, arcs_by_state, d, delta):
+def _relax(kernel, component, members, arcs_by_state, d):
     """Queue-based relaxation over one component, for semirings with
     neither an idempotent plus nor a star: d holds the distances and
-    ``pending`` the mass not yet passed on.  An update within approx_eq's
-    ``delta`` of the old distance is dropped; ConvergenceError names the
-    component and the last residual after the sweep cap.
+    ``pending`` the mass not yet passed on.  An update that the old
+    distance's ``approx_eq`` accepts, at the semiring's own default
+    tolerance, is dropped; ConvergenceError names the component and the
+    last residual after the sweep cap.
 
     Only semirings without a float kernel get here, so the values are the
     weights themselves.
@@ -513,7 +514,7 @@ def _relax(kernel, component, members, arcs_by_state, d, delta):
             if target in members:
                 add = mass * weight
                 new = d[target] + add
-                if not d[target].approx_eq(new, delta):
+                if not d[target].approx_eq(new):
                     d[target] = new
                     pending[target] = pending[target] + add
                     if target not in queued:
@@ -521,8 +522,7 @@ def _relax(kernel, component, members, arcs_by_state, d, delta):
                         queued.add(target)
 
 
-def _generic_distance(semiring, kernel, arcs_by_state, sources,
-                      delta=DEFAULT_DELTA):
+def _generic_distance(semiring, kernel, arcs_by_state, sources):
     """Single-source (or multi-source) shortest distance over a semiring,
     computed with its kernel (see ``semirings._kernel``).
 
@@ -543,9 +543,9 @@ def _generic_distance(semiring, kernel, arcs_by_state, sources,
       cycle;
     - a ``star``: exact elimination, DivergenceError where a star does not
       exist (the sum over the cycles diverges);
-    - neither (custom semirings only): relaxation to within approx_eq's
-      ``delta``, the only use of ``delta`` here, with ConvergenceError
-      after the sweep cap.
+    - neither (custom semirings only): relaxation until every update is
+      within the semiring's own ``approx_eq``, with ConvergenceError after
+      the sweep cap.
     """
     plus, times, zero = kernel.plus, kernel.times, kernel.zero
     order = _reachable_order(arcs_by_state, sources)
@@ -576,7 +576,7 @@ def _generic_distance(semiring, kernel, arcs_by_state, sources,
             elif kernel.star is not None:
                 _eliminate(kernel, component, arcs_by_state, d)
             else:
-                _relax(kernel, component, members, arcs_by_state, d, delta)
+                _relax(kernel, component, members, arcs_by_state, d)
         for s in component:
             ds = d[s]
             for _, target, weight in arcs_by_state[s]:
@@ -597,58 +597,46 @@ def _backward_arcs(fst, unbox):
     return arcs
 
 
-def shortest_distance(fst, delta=DEFAULT_DELTA):
+def shortest_distance(fst):
     """Per-state plus-sum over all paths from the initial state.
 
     Exact wherever the semiring allows (see ``_generic_distance``): on
     real and diff weights a cycle whose sum diverges raises
     DivergenceError, as does an improving cycle on an idempotent semiring
-    (a featurized cycle that adds features, say).  ``delta`` matters only
-    to custom semirings with neither a star nor an idempotent plus.  Each
-    distance passes the membership gate, so a NaN (from inf * 0, say)
-    raises InvalidWeightError.
+    (a featurized cycle that adds features, say).  A custom semiring with
+    neither a star nor an idempotent plus is relaxed to within its own
+    ``approx_eq``.  Each distance passes the membership gate, so a NaN
+    (from inf * 0, say) raises InvalidWeightError.
     """
     sr = fst.semiring
     if fst.initial is None:
         return [sr.zero] * fst.num_states
     kernel = _kernel(sr)
     return [_checked(sr, kernel, v)
-            for v in _forward_values(fst, kernel, delta)]
+            for v in _forward_values(fst, kernel)]
 
 
-def _forward_values(fst, kernel, delta=DEFAULT_DELTA):
+def _forward_values(fst, kernel):
     """Per-state plus-sum over paths from the initial state, which must
     exist, as kernel values; no membership gate."""
     d = _generic_distance(fst.semiring, kernel,
                           _forward_arcs(fst, kernel.unbox),
-                          {fst.initial: kernel.one}, delta)
+                          {fst.initial: kernel.one})
     zero = kernel.zero
     return [d.get(s, zero) for s in fst.states()]
 
 
-def _backward_values(fst, kernel, delta=DEFAULT_DELTA):
+def _backward_values(fst, kernel):
     """Per-state plus-sum over accepting suffixes (final weights
     included), as kernel values; no membership gate."""
     unbox = kernel.unbox
     d = _generic_distance(fst.semiring, kernel, _backward_arcs(fst, unbox),
-                          {s: unbox(w) for s, w in fst.finals.items()}, delta)
+                          {s: unbox(w) for s, w in fst.finals.items()})
     zero = kernel.zero
     return [d.get(s, zero) for s in fst.states()]
 
 
-def _forward_distance(fst, delta=DEFAULT_DELTA):
-    """``_forward_values`` as weights."""
-    kernel = _kernel(fst.semiring)
-    return list(map(kernel.box, _forward_values(fst, kernel, delta)))
-
-
-def _backward_distance(fst, delta=DEFAULT_DELTA):
-    """``_backward_values`` as weights."""
-    kernel = _kernel(fst.semiring)
-    return list(map(kernel.box, _backward_values(fst, kernel, delta)))
-
-
-def sum_paths(fst, delta=DEFAULT_DELTA):
+def sum_paths(fst):
     """Plus-sum of all accepting path weights (the total machine weight).
 
     The shortest-distance pass of ``shortest_distance``, summed over the
@@ -663,7 +651,7 @@ def sum_paths(fst, delta=DEFAULT_DELTA):
         return sr.cast(sr.total_weight(fst))
     kernel = _kernel(sr)
     plus, times, unbox = kernel.plus, kernel.times, kernel.unbox
-    d = _forward_values(fst, kernel, delta)
+    d = _forward_values(fst, kernel)
     total = kernel.zero
     for state, weight in fst.finals.items():
         total = plus(total, times(d[state], unbox(weight)))
@@ -723,7 +711,7 @@ def connect(fst):
                        sorted(accessible & coaccessible))
 
 
-def remove_epsilon(fst, delta=DEFAULT_DELTA):
+def remove_epsilon(fst):
     """Eliminate epsilon:epsilon arcs, preserving the weighted language.
 
     Only the states the result can reach are built, as in OpenFST's
@@ -758,8 +746,7 @@ def remove_epsilon(fst, delta=DEFAULT_DELTA):
         # chains, plus-combined across alternative epsilon routes); a state
         # without epsilon arcs reaches only itself.
         if eps_arcs[s]:
-            closure_w = _generic_distance(sr, kernel, eps_arcs, {s: one},
-                                          delta)
+            closure_w = _generic_distance(sr, kernel, eps_arcs, {s: one})
         else:
             closure_w = {s: one}
         new_arcs = []
@@ -896,13 +883,15 @@ def reverse(fst):
     return out
 
 
-def push(fst, direction="initial", delta=DEFAULT_DELTA):
+def push(fst, direction="initial"):
     """Redistribute weights toward one end without changing the language.
 
     Uses per-state shortest-distance potentials with the initial state's
     potential pinned to one, so every path's total weight telescopes back
-    to its original value.  A potential that is not a member of the
-    semiring (a NaN from inf * 0, say) raises InvalidWeightError.
+    to its original value; a final weight that becomes zero is dropped.
+    The potentials and every reweighted arc and final weight pass the
+    membership gate, so a NaN (from inf * 0 or inf / inf, say) raises
+    InvalidWeightError.
     """
     if direction not in ("initial", "final"):
         raise WfstError(f"push direction must be 'initial' or 'final', got {direction!r}")
@@ -911,39 +900,29 @@ def push(fst, direction="initial", delta=DEFAULT_DELTA):
         raise UnsupportedOperationError(
             f"push needs division, which the {sr.name} semiring lacks"
         )
-    out = fst.copy()
     if fst.initial is None:
-        return out
-    distance = (_backward_distance if direction == "initial"
-                else _forward_distance)
-    pot = [sr.cast(w) for w in distance(fst, delta)]
+        return fst.copy()
+    kernel = _kernel(sr)
+    toward_initial = direction == "initial"
+    values = (_backward_values if toward_initial else _forward_values)(
+        fst, kernel)
+    pot = [_checked(sr, kernel, v) for v in values]
     pot[fst.initial] = sr.one
-    zero = sr.zero
-    new_arcs = [[] for _ in fst.states()]
-    for arc in fst.all_arcs():
-        w = arc.weight
-        ps, pt = pot[arc.source], pot[arc.target]
-        if direction == "initial":
-            if ps != zero and pt != zero:
-                w = (w * pt) / ps
-        else:
-            if ps != zero and pt != zero:
-                w = (ps * w) / pt
-        new_arcs[arc.source].append(
-            Arc(arc.source, arc.target, arc.input, arc.output, w)
-        )
-    out._arcs = new_arcs
-    out.finals = {}
+    zero, cast = sr.zero, sr.cast
+
+    def reweight(a):
+        ps, pt = pot[a.source], pot[a.target]
+        if ps == zero or pt == zero:
+            return a
+        w = (a.weight * pt) / ps if toward_initial else (ps * a.weight) / pt
+        return Arc(a.source, a.target, a.input, a.output, cast(w))
+
+    out = _map_arcs(fst, sr, reweight, _same)
     for state, weight in fst.finals.items():
         p = pot[state]
-        if p == zero:
-            out.finals[state] = weight
-        elif direction == "initial":
-            out.finals[state] = weight / p
-        else:
-            new = p * weight
-            if new != zero:
-                out.finals[state] = new
+        if p != zero:
+            out.set_final_weight(state,
+                                 weight / p if toward_initial else p * weight)
     return out
 
 

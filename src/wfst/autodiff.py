@@ -27,7 +27,7 @@ from .errors import (
     WfstError,
 )
 from .fst import Fst
-from .semirings import RealWeight, _NumericWeight, _real_star
+from .semirings import RealWeight, _kernel, _NumericWeight, _real_star
 
 
 class TapeNode:
@@ -147,12 +147,13 @@ class _DiffWeightBase(_NumericWeight):
 
     @classmethod
     def total_weight(cls, fst):
-        """The total weight of ``fst`` as one tape node (forward-backward)."""
-        from .algorithms import _backward_distance, _forward_distance, lift
+        """The total weight of ``fst`` as one tape node (forward-backward):
+        the distances run on the weights' values, with the real kernel."""
+        from .algorithms import _backward_values, _forward_values
 
-        real = lift(fst, RealWeight)
-        alpha = [w.value for w in _forward_distance(real)]
-        beta = [w.value for w in _backward_distance(real)]
+        kernel = _kernel(RealWeight)
+        alpha = _forward_values(fst, kernel)
+        beta = _backward_values(fst, kernel)
         parents, partials = [], []
         for arc in fst.all_arcs():
             parents.append(arc.weight.node)
@@ -284,10 +285,12 @@ def train(real_fst, pairs, steps=200, rate=0.05, min_weight=1e-6):
     nodes.  A model whose total weight diverges (a cycle of weight 1 or
     more) raises DivergenceError.  Weights are clamped positive so the
     probability model stays well defined.  Returns (trained real FST,
-    per-step losses).
+    per-step losses).  An empty ``pairs`` raises WfstError.
     """
     from .algorithms import lift
 
+    if not pairs:
+        raise WfstError("train needs at least one observed pair")
     observed = [pair_acceptor(i, o) for i, o in pairs]
     model = lift(real_fst, RealWeight)
     losses = []

@@ -2,8 +2,9 @@
 
 Subcommands delegate 1:1 to library operations; FSTs travel between
 commands as text-format files (or stdin/stdout with ``-``).  Exit codes:
-0 success, 1 usage error (bad flags, missing files), 2 domain error
-(semiring mismatch, convergence failure, parse error, ...).
+0 success, 1 usage error (bad flags, missing or unreadable files), 2
+domain error (semiring mismatch, convergence failure, parse error, input
+that is not UTF-8, ...).
 """
 
 import argparse
@@ -36,15 +37,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _read_document(path):
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+def _read_text(path):
+    """The text of the file ``path``; one that is not UTF-8 raises
+    WfstError."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise WfstError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                        f"{exc.start})") from None
 
 
 def _load(path):
-    document = _read_document(path)
+    document = sys.stdin.read() if path == "-" else _read_text(path)
     return parse_text(document,
                       semirings={"diff": autodiff.make_diff_semiring()})
 
@@ -72,6 +77,18 @@ def _positive_float(text):
     if value is None or not 0.0 < value < math.inf:
         raise argparse.ArgumentTypeError(
             f"must be a positive finite number, got {text!r}")
+    return value
+
+
+def _non_negative_int(text):
+    """An argparse type: an integer of zero or more."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}")
     return value
 
 
@@ -117,17 +134,13 @@ def _enumerate(args, fst):
 
 def _load_pairs(path):
     pairs = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise WfstError(
-                    f"{path}:{lineno}: expected input<TAB>output"
-                )
-            pairs.append((fields[0], fields[1]))
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise WfstError(f"{path}:{lineno}: expected input<TAB>output")
+        pairs.append((fields[0], fields[1]))
     return pairs
 
 
@@ -219,8 +232,8 @@ COMMANDS = {
     "train": Command("gradient-descent weight learning", 1, (
         ("--pairs", {"required": True, "metavar": "FILE",
                      "help": "tab-separated input/output pairs, one per line"}),
-        ("--steps", {"type": int, "default": 200}),
-        ("--rate", {"type": float, "default": 0.05}),
+        ("--steps", {"type": _non_negative_int, "default": 200}),
+        ("--rate", {"type": _positive_float, "default": 0.05}),
     ), _train),
 }
 
@@ -253,6 +266,10 @@ def main(argv=None):
     except FileNotFoundError as exc:
         print(f"wfst {args.command}: missing file: {exc.filename}",
               file=sys.stderr)
+        return USAGE_ERROR
+    except OSError as exc:
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"wfst {args.command}: {where}{exc.strerror}", file=sys.stderr)
         return USAGE_ERROR
     except WfstError as exc:
         print(f"wfst {args.command}: {exc}", file=sys.stderr)

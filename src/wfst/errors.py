@@ -33,9 +33,10 @@ class ConvergenceError(WfstError):
     """A cyclic shortest-distance computation has no answer.
 
     ``scc`` is the tuple of states of the strongly connected component
-    where it failed, and ``residual`` the mass that the relaxation (which
-    runs only for custom semirings with neither a star nor an idempotent
-    plus) was still passing on at its sweep cap, or None.
+    where it failed, and ``residual`` the mass that the relaxation was
+    still passing on at its sweep cap, or None.  The relaxation runs only
+    for custom semirings with neither a star nor an idempotent plus, and
+    stops once every update is within the semiring's own ``approx_eq``.
     """
 
     def __init__(self, message, scc=(), residual=None):

@@ -391,6 +391,11 @@ class TestTrain:
         assert got_model.semiring is RealWeight
         assert list(got_model.all_arcs()) == list(want_model.all_arcs())
 
+    def test_no_pairs_is_an_error(self):
+        # Once an AttributeError on the missing loss of the first step.
+        with pytest.raises(WfstError, match="at least one observed pair"):
+            train(build_hello_world_troll(), [], steps=1)
+
     def test_weights_stay_positive(self):
         trained, _ = train(build_hello_world_troll(),
                            [("hello", "troll")], steps=100, rate=0.2)

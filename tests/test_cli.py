@@ -216,6 +216,37 @@ class TestTrain:
         result = run_cli(["train", str(model), "--pairs", str(pairs)])
         assert result.returncode == 2
 
+    def test_empty_pairs_file_is_domain_error(self, tmp_path, troll_file):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("\n\n")
+        result = run_cli(["train", troll_file, "--pairs", str(pairs)])
+        assert result.returncode == 2
+        assert result.stderr == \
+            "wfst train: train needs at least one observed pair\n"
+
+    @pytest.mark.parametrize("flag, value, expected", [
+        ("--rate", "nan", "must be a positive finite number"),
+        ("--rate", "0", "must be a positive finite number"),
+        ("--rate", "-inf", "must be a positive finite number"),
+        ("--steps", "-1", "must be a non-negative integer"),
+        ("--steps", "1.5", "must be a non-negative integer"),
+    ])
+    def test_bad_train_argument_is_usage_error(self, flag, value, expected,
+                                               capsys):
+        # --rate nan once trained every weight to the floor and exited 0;
+        # --steps -1 silently did nothing.
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "-", "--pairs", "-", f"{flag}={value}"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: wfst train ")
+        assert f"argument {flag}: {expected}, got {value!r}" in err
+
+    def test_train_arguments_are_parsed(self):
+        args = build_parser().parse_args(
+            ["train", "-", "--pairs", "-", "--steps", "0", "--rate", "0.5"])
+        assert (args.steps, args.rate) == (0, 0.5)
+
 
 class TestExitCodes:
     def test_success_is_zero(self):
@@ -235,6 +266,31 @@ class TestExitCodes:
         result = run_cli(["print", str(tmp_path / "absent.fst")])
         assert result.returncode == 1
         assert "missing file" in result.stderr
+
+    def test_directory_input_is_usage_error(self, tmp_path):
+        result = run_cli(["print", str(tmp_path)])
+        assert result.returncode == 1
+        assert result.stderr == \
+            f"wfst print: {tmp_path}: Is a directory\n"
+
+    def test_directory_pairs_file_is_usage_error(self, tmp_path,
+                                                 troll_file):
+        result = run_cli(["train", troll_file, "--pairs", str(tmp_path)])
+        assert result.returncode == 1
+        assert result.stderr == \
+            f"wfst train: {tmp_path}: Is a directory\n"
+
+    def test_undecodable_input_is_domain_error(self, tmp_path, troll_file):
+        binary = tmp_path / "binary"
+        binary.write_bytes(b"#semiring real\n\xff\xfe\x00\x01\n")
+        for args in (["print", str(binary)],
+                     ["train", troll_file, "--pairs", str(binary)]):
+            result = run_cli(args)
+            assert result.returncode == 2
+            assert result.stdout == ""
+            assert result.stderr == (
+                f"wfst {args[0]}: {binary}: not UTF-8 text "
+                f"(invalid start byte at byte 15)\n")
 
     def test_parse_error_is_domain_error(self):
         result = run_cli(["print", "-"], stdin="#semiring bogus\n")
@@ -272,6 +328,17 @@ class TestExitCodes:
         doc = ("#semiring real\n#initial 0\n#states 3\n"
                "0 1 97 97 inf\n0 2 97 97 0.5\n1 1\n2 1\n")
         result = run_cli(["determinize", "-"], stdin=doc)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "RealWeight(nan) is not a member" in result.stderr
+
+    @pytest.mark.parametrize("direction", ["initial", "final"])
+    def test_nan_pushed_weight_is_domain_error(self, direction):
+        # Both potentials are members, but inf / inf reweights the second
+        # arc; this once reached the output as "1 2 98 98 nan".
+        doc = ("#semiring real\n#initial 0\n#states 3\n"
+               "0 1 97 97 1\n1 2 98 98 inf\n2 1\n")
+        result = run_cli(["push", "-", "--to", direction], stdin=doc)
         assert result.returncode == 2
         assert result.stdout == ""
         assert "RealWeight(nan) is not a member" in result.stderr

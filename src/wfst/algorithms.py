@@ -14,13 +14,14 @@ from .errors import (
     CycleLimitError,
     DeterminizationLimitError,
     DivergenceError,
+    InvalidWeightError,
     NoAcceptingPathError,
     SamplingError,
     SemiringMismatchError,
     UnsupportedOperationError,
     WfstError,
 )
-from .fst import EPSILON, Arc, Fst, Path, enumerate_paths
+from .fst import EPSILON, Arc, Fst, Path, enumerate_paths, label_str
 from .semirings import (
     DEFAULT_DELTA,
     _kernel,
@@ -212,13 +213,27 @@ def compose(a, b):
     two weights pass the membership gate, so a NaN (inf * 0, say) raises
     InvalidWeightError.
     """
+    return _compose(a, b)[0]
+
+
+def _compose(a, b, provenance=False):
+    """``compose``'s one body: returns (out, origins, pairs).
+
+    With ``provenance``, ``origins[s][k]`` is the pair (arc of a, arc of
+    b) that out's k-th arc from state s came from, None for a side that
+    stood still; and ``pairs[s]`` is the pair (a-state, b-state) that
+    state s stands for, so that its final weight, if any, is the product
+    of theirs.  The arcs are the operands' own Arc objects, unless the
+    boolean auto-cast made new ones.  Without provenance, both are None.
+    """
     a, b = _coerce(a, b)
     sr = a.semiring
     out = Fst(sr)
     if a.initial is None or b.initial is None:
-        return out
+        return (out, [], []) if provenance else (out, None, None)
     kernel = _kernel(sr)
     times, unbox = kernel.times, kernel.unbox
+    origins = [] if provenance else None
 
     def product(x, y):
         return _checked(sr, kernel, times(unbox(x), unbox(y)))
@@ -226,7 +241,7 @@ def compose(a, b):
     arcs_b = {}  # b-state -> input label -> arcs
     for state in b.states():
         by_label = {}
-        for arc in b.arcs(state):
+        for arc in b._arcs[state]:
             by_label.setdefault(arc.input, []).append(arc)
         arcs_b[state] = by_label
 
@@ -254,8 +269,11 @@ def compose(a, b):
         src = len(out._arcs)
         src_arcs = []
         out._arcs.append(src_arcs)
+        if provenance:
+            src_origins = []
+            origins.append(src_origins)
         by_label = arcs_b[qb]
-        for arc_a in a.arcs(qa):
+        for arc_a in a._arcs[qa]:
             if arc_a.output != EPSILON:
                 # Matched non-epsilon move: allowed from any filter state.
                 for arc_b in by_label.get(arc_a.output, ()):
@@ -264,6 +282,8 @@ def compose(a, b):
                         Arc(src, dst, arc_a.input, arc_b.output,
                             product(arc_a.weight, arc_b.weight))
                     )
+                    if provenance:
+                        src_origins.append((arc_a, arc_b))
             else:
                 # Both sides move on epsilon together: only from filter 0.
                 if f == 0:
@@ -273,12 +293,16 @@ def compose(a, b):
                             Arc(src, dst, arc_a.input, arc_b.output,
                                 product(arc_a.weight, arc_b.weight))
                         )
+                        if provenance:
+                            src_origins.append((arc_a, arc_b))
                 # a moves alone on output epsilon.
                 if f in (0, 1):
                     dst = get_state((arc_a.target, qb, 1))
                     src_arcs.append(
                         Arc(src, dst, arc_a.input, EPSILON, arc_a.weight)
                     )
+                    if provenance:
+                        src_origins.append((arc_a, None))
         # b moves alone on input epsilon.
         if f in (0, 2):
             for arc_b in by_label.get(EPSILON, ()):
@@ -286,7 +310,11 @@ def compose(a, b):
                 src_arcs.append(
                     Arc(src, dst, EPSILON, arc_b.output, arc_b.weight)
                 )
-    return out
+                if provenance:
+                    src_origins.append((None, arc_b))
+    if not provenance:
+        return out, None, None
+    return out, origins, [key[:2] for key in state_map]
 
 
 def _reachable_order(arcs_by_state, sources):
@@ -856,8 +884,11 @@ def determinize(fst, delta=DEFAULT_DELTA):
             if dst is None:
                 if len(state_map) >= cap:
                     raise DeterminizationLimitError(
-                        f"subset construction exceeded {cap} states"
-                    )
+                        f"subset construction hit its cap of {cap} states: "
+                        f"{len(state_map)} subsets built, and the arc "
+                        f"{label_str(ilabel)}:{label_str(olabel)} out of "
+                        f"state {src} needs one more",
+                        len(state_map), cap, (ilabel, olabel))
                 dst = state_map[new_key] = len(state_map)
                 queue.append(subset)
             src_arcs.append(Arc(src, dst, ilabel, olabel, weight))
@@ -891,7 +922,10 @@ def push(fst, direction="initial"):
     to its original value; a final weight that becomes zero is dropped.
     The potentials and every reweighted arc and final weight pass the
     membership gate, so a NaN (from inf * 0 or inf / inf, say) raises
-    InvalidWeightError.
+    InvalidWeightError.  A semiring whose division is partial, as the
+    featurized one's is, can fail to divide by a state's potential (two
+    arcs with different features into one state, pushed toward the final
+    state); that raises UnsupportedOperationError naming the state.
     """
     if direction not in ("initial", "final"):
         raise WfstError(f"push direction must be 'initial' or 'final', got {direction!r}")
@@ -910,19 +944,32 @@ def push(fst, direction="initial"):
     pot[fst.initial] = sr.one
     zero, cast = sr.zero, sr.cast
 
+    def divide(x, state):
+        try:
+            return x / pot[state]
+        except InvalidWeightError as exc:
+            raise UnsupportedOperationError(
+                f"push toward the {direction} state: {x} / {pot[state]} "
+                f"does not exist, so the potential of state {state} cannot "
+                f"be divided out; {sr.name} division is partial ({exc})"
+            ) from exc
+
     def reweight(a):
         ps, pt = pot[a.source], pot[a.target]
         if ps == zero or pt == zero:
             return a
-        w = (a.weight * pt) / ps if toward_initial else (ps * a.weight) / pt
+        if toward_initial:
+            w = divide(a.weight * pt, a.source)
+        else:
+            w = divide(ps * a.weight, a.target)
         return Arc(a.source, a.target, a.input, a.output, cast(w))
 
     out = _map_arcs(fst, sr, reweight, _same)
     for state, weight in fst.finals.items():
         p = pot[state]
         if p != zero:
-            out.set_final_weight(state,
-                                 weight / p if toward_initial else p * weight)
+            out.set_final_weight(state, divide(weight, state)
+                                 if toward_initial else p * weight)
     return out
 
 

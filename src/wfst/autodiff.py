@@ -1,9 +1,10 @@
-"""Differentiable real semiring backed by a scalar reverse-mode tape.
+"""Differentiable real semiring backed by a scalar reverse-mode tape,
+and training by the expected-count gradient.
 
 Weights are <+, *, 0, 1> real numbers whose operations are recorded on a
 GradientTape, so the total weight produced by sum_paths can be
 differentiated with respect to designated arc-weight parameters.  A tape
-is confined to a single thread; training creates a fresh tape per step.
+is confined to a single thread.
 
 sum_paths does not record its distance pass.  Through the semiring's
 ``total_weight`` hook it computes the forward distances alpha and the
@@ -12,9 +13,19 @@ real-semiring solver, and records the total as one node whose parents
 are the arc and final weights: the partial of an arc s -> t is
 alpha(s)·beta(t) and that of a final weight at f is alpha(f) (Eisner,
 "Inside-Outside and Forward-Backward Algorithms Are Just Backprop",
-2016).  So the gradient of a cyclic sum is exact, and a loss costs
-O(arcs) tape nodes.  Elsewhere (shortest_distance, push) the operators
-record as usual, ``star`` included.
+2016).  So the gradient of a cyclic sum is exact.  Elsewhere
+(shortest_distance, push) the operators record as usual, ``star``
+included.
+
+The log-likelihood loss of an observed pair, log Z - log Z_obs, is
+computed with all its partials on float values (``_losses``).  The
+machine restricted to the pair is composed on the real float kernel,
+and the composition reports which model arc made each of its arcs, so
+the partial of a model arc is its expected count under the model minus
+its expected count on the paths that agree with the pair (Eisner,
+"Parameter Estimation for Probabilistic Finite-State Transducers",
+2002).  loglikelihood_loss records the loss as one tape node; train
+keeps no tape and solves the model's total once per step.
 """
 
 import math
@@ -26,7 +37,7 @@ from .errors import (
     UnsupportedOperationError,
     WfstError,
 )
-from .fst import Fst
+from .fst import Arc, Fst
 from .semirings import RealWeight, _kernel, _NumericWeight, _real_star
 
 
@@ -149,21 +160,8 @@ class _DiffWeightBase(_NumericWeight):
     def total_weight(cls, fst):
         """The total weight of ``fst`` as one tape node (forward-backward):
         the distances run on the weights' values, with the real kernel."""
-        from .algorithms import _backward_values, _forward_values
-
-        kernel = _kernel(RealWeight)
-        alpha = _forward_values(fst, kernel)
-        beta = _backward_values(fst, kernel)
-        parents, partials = [], []
-        for arc in fst.all_arcs():
-            parents.append(arc.weight.node)
-            partials.append(alpha[arc.source] * beta[arc.target])
-        total = 0.0
-        for state, weight in fst.finals.items():
-            parents.append(weight.node)
-            partials.append(alpha[state])
-            total += alpha[state] * weight.value
-        return cls(cls.tape.record(total, parents, partials))
+        total, partials = _forward_backward(fst)
+        return cls(cls.tape.record(total, _weight_nodes(fst), partials))
 
     def log(self):
         if self.value <= 0.0:
@@ -230,27 +228,159 @@ def loglikelihood_loss(full_fst, observed_fst):
     The numerator restricts the machine to paths agreeing with the
     observed pair on both tapes (by composing with the pair's input and
     output projections); the denominator is the machine's total weight.
-    Returns log(denominator) - log(numerator) as a recorded diff weight.
+    Returns log(denominator) - log(numerator) as a diff weight recorded
+    as one tape node, whose parents are the machine's arc and final
+    weights, and the observed machine's too when it is diff-weighted.
+    The loss and its partials, the expected-count gradient, are computed
+    on the weights' float values (see ``_losses``).
     """
-    from .algorithms import compose, project, sum_paths
+    from .algorithms import lift
 
-    if not issubclass(full_fst.semiring, _DiffWeightBase):
+    semiring = full_fst.semiring
+    if not issubclass(semiring, _DiffWeightBase):
         raise SemiringMismatchError("loglikelihood_loss needs a diff-semiring FST")
-    restricted = compose(
-        compose(project(observed_fst, "input"), full_fst),
-        project(observed_fst, "output"),
-    )
-    numerator = sum_paths(restricted)
-    denominator = sum_paths(full_fst)
-    if numerator.value <= 0.0:
-        raise WfstError(
-            f"observed pair has non-positive total weight {numerator.value}"
-        )
-    if denominator.value <= 0.0:
-        raise WfstError(
-            f"machine has non-positive total weight {denominator.value}"
-        )
-    return denominator.log() - numerator.log()
+    if not (observed_fst.semiring is semiring
+            or observed_fst.semiring.is_boolean):
+        raise SemiringMismatchError(
+            f"incompatible semirings: {observed_fst.semiring.name} vs "
+            f"{semiring.name}")
+    (loss,), partials = _losses(lift(full_fst, RealWeight),
+                                [lift(observed_fst, RealWeight)])
+    parents = _weight_nodes(full_fst)
+    if observed_fst.semiring is semiring:
+        parents += _weight_nodes(observed_fst)
+    return semiring(semiring.tape.record(loss, parents,
+                                         partials[:len(parents)]))
+
+
+def _weight_nodes(fst):
+    """The tape nodes of a diff machine's weights, in parameter order:
+    arcs in ``all_arcs()`` order, then final weights in ``finals`` order."""
+    return ([arc.weight.node for arc in fst.all_arcs()]
+            + [weight.node for weight in fst.finals.values()])
+
+
+def _slots(fst, first):
+    """Parameter numbers from ``first`` on for ``fst``'s arcs, by identity
+    in ``all_arcs()`` order, and then for its final states: (arc slots,
+    final slots, the next free number)."""
+    arcs = {id(arc): first + k for k, arc in enumerate(fst.all_arcs())}
+    first += len(arcs)
+    finals = {state: first + k for k, state in enumerate(fst.finals)}
+    return arcs, finals, first + len(finals)
+
+
+def _losses(model, observed):
+    """Each observed machine's loss log Z - log Z_obs under ``model``, and
+    the partials of their sum, all on float values.
+
+    ``model`` and the machines in ``observed`` are real FSTs.  The model's
+    forward and backward values alpha and beta, and its total weight Z,
+    are computed once for all the observed machines.  For each, the
+    restricted machine R (the observed input projection, composed with
+    the model, composed with the observed output projection) is built on
+    the real float kernel, with every product through the membership
+    gate, and its own alpha_R, beta_R and total Z_obs are computed.
+
+    The partials come as one flat list: the model's arc weights in
+    ``all_arcs()`` order, then its final weights in ``finals`` order, then
+    each observed machine's the same way.  Log Z contributes
+    alpha(s)·beta(t)/Z to the model arc s -> t and alpha(f)/Z to the final
+    weight at f.  Each arc of R is the product of up to three factors, one
+    arc weight from each machine (the composition's provenance), and
+    -log Z_obs contributes to each factor -alpha_R(source)·beta_R(target)
+    times the product of the other factors, over Z_obs; R's final weights
+    work the same way.  This is the expected-count gradient (Eisner,
+    "Parameter Estimation for Probabilistic Finite-State Transducers",
+    2002): the chain rule of the diff tape, summed without recording it.
+
+    A non-positive Z_obs or Z raises WfstError, and a divergent total
+    DivergenceError.
+    """
+    from .algorithms import _compose, project
+
+    if model.initial is None:  # every restricted machine is empty
+        raise WfstError("observed pair has non-positive total weight 0.0")
+    total, total_partials = _forward_backward(model)
+    model_arcs, model_finals, first = _slots(model, 0)
+    partials = [0.0] * first
+    losses = []
+    for obs in observed:
+        p_in, p_out = project(obs, "input"), project(obs, "output")
+        # The two projections share the observed machine's numbers.
+        in_arcs, obs_finals, _ = _slots(p_in, first)
+        out_arcs, _, first = _slots(p_out, first)
+        partials += [0.0] * (first - len(partials))
+        middle, middle_origins, middle_pairs = _compose(p_in, model, True)
+        restricted, origins, pairs = _compose(middle, p_out, True)
+        observed_total = 0.0
+        if restricted.initial is not None:
+            observed_total, restricted_partials = _forward_backward(restricted)
+        if observed_total <= 0.0:
+            raise WfstError("observed pair has non-positive total weight "
+                            f"{observed_total}")
+        if total <= 0.0:
+            raise WfstError(f"machine has non-positive total weight {total}")
+        losses.append(math.log(total) - math.log(observed_total))
+        scale = 1.0 / total
+        for k, partial in enumerate(total_partials):
+            partials[k] += scale * partial
+        # Back through the two products that made each weight of R: its
+        # partial, times the output side's factor, then the input side's.
+        scale = -1.0 / observed_total
+        middle_origin = {
+            id(arc): origin
+            for arcs, arc_origins in zip(middle._arcs, middle_origins)
+            for arc, origin in zip(arcs, arc_origins)}
+        restricted_partials = iter(restricted_partials)
+        for arc_origins in origins:
+            for (middle_arc, out_arc), partial in zip(arc_origins,
+                                                      restricted_partials):
+                adjoint = scale * partial
+                if adjoint == 0.0:
+                    continue
+                in_arc = model_arc = None
+                if middle_arc is not None:
+                    in_arc, model_arc = middle_origin[id(middle_arc)]
+                w_in = 1.0 if in_arc is None else in_arc.weight.value
+                w_model = 1.0 if model_arc is None else model_arc.weight.value
+                if out_arc is not None:
+                    partials[out_arcs[id(out_arc)]] += (
+                        adjoint * (w_in * w_model))
+                    adjoint *= out_arc.weight.value
+                if in_arc is not None:
+                    partials[in_arcs[id(in_arc)]] += adjoint * w_model
+                if model_arc is not None:
+                    partials[model_arcs[id(model_arc)]] += adjoint * w_in
+        for state, partial in zip(restricted.finals, restricted_partials):
+            adjoint = scale * partial
+            middle_state, out_state = pairs[state]
+            in_state, model_state = middle_pairs[middle_state]
+            w_in = obs.finals[in_state].value
+            w_model = model.finals[model_state].value
+            partials[obs_finals[out_state]] += adjoint * (w_in * w_model)
+            adjoint *= obs.finals[out_state].value
+            partials[obs_finals[in_state]] += adjoint * w_model
+            partials[model_finals[model_state]] += adjoint * w_in
+    return losses, partials
+
+
+def _forward_backward(fst):
+    """The total weight of a real or diff ``fst``, which has an initial
+    state, and its partials, all on float values: alpha(s)·beta(t) for
+    each arc s -> t in ``all_arcs()`` order, then alpha(f) for each final
+    state f in ``finals`` order, from the exact real-semiring solver."""
+    from .algorithms import _backward_values, _forward_values
+
+    kernel = _kernel(RealWeight)
+    alpha = _forward_values(fst, kernel)
+    beta = _backward_values(fst, kernel)
+    total = 0.0
+    for state, weight in fst.finals.items():
+        total += alpha[state] * weight.value
+    return total, ([alpha[arc.source] * beta[arc.target]
+                    for arc in fst.all_arcs()]
+                   + [alpha[state] for state in fst.finals])
 
 
 def pair_acceptor(input_str, output_str):
@@ -277,33 +407,39 @@ def pair_acceptor(input_str, output_str):
 def train(real_fst, pairs, steps=200, rate=0.05, min_weight=1e-6):
     """Gradient descent on the summed pair log-likelihood loss.
 
-    ``real_fst`` supplies the initial arc and final weights (real
-    semiring); each step rebuilds the machine on a fresh tape with every
-    weight as a parameter, backpropagates through sum_paths and updates
-    with plain gradient descent.  Each sum_paths is exact, cycles
-    included, and adds one tape node, so a step's tape holds O(arcs)
-    nodes.  A model whose total weight diverges (a cycle of weight 1 or
-    more) raises DivergenceError.  Weights are clamped positive so the
-    probability model stays well defined.  Returns (trained real FST,
+    ``real_fst`` supplies the initial arc and final weights (real or diff
+    semiring); every arc and final weight is a parameter.  Each step
+    computes the model's total weight Z, with its forward and backward
+    values, once, then each pair's loss and the expected-count gradient
+    on float values (see ``_losses``), and updates with plain gradient
+    descent.  No tape is kept: a step neither records nor backpropagates.
+    Z and every pair's total are exact, cycles included.  A model whose
+    total weight diverges (a cycle of weight 1 or more) raises
+    DivergenceError.  Weights are clamped to at least ``min_weight`` so
+    the probability model stays well defined.  Returns (trained real FST,
     per-step losses).  An empty ``pairs`` raises WfstError.
     """
-    from .algorithms import lift
+    from .algorithms import _checked, _map_arcs, lift
 
     if not pairs:
         raise WfstError("train needs at least one observed pair")
-    observed = [pair_acceptor(i, o) for i, o in pairs]
+    observed = [lift(pair_acceptor(i, o), RealWeight) for i, o in pairs]
     model = lift(real_fst, RealWeight)
+    kernel = _kernel(RealWeight)
     losses = []
     for _ in range(steps):
-        semiring = make_diff_semiring()
-        dfst = lift(model, semiring,
-                    cast=lambda w: semiring.parameter(w.value))
-        total = None
-        for obs in observed:
-            loss = loglikelihood_loss(dfst, obs)
-            total = loss if total is None else total + loss
-        losses.append(total.value)
-        grads = semiring.tape.backward(total.node)
-        model = lift(dfst, RealWeight, cast=lambda w: RealWeight(
-            max(min_weight, w.value - rate * grads[w.node.node_id])))
+        step_losses, partials = _losses(model, observed)
+        losses.append(sum(step_losses))
+        # _map_arcs visits the arcs in all_arcs() order, then the finals
+        # in finals order: the order of the partials.
+        descent = iter(partials)
+
+        def descend(w):
+            return _checked(RealWeight, kernel, max(
+                min_weight, w.value - rate * next(descent)))
+
+        model = _map_arcs(model, RealWeight,
+                          lambda a: Arc(a.source, a.target, a.input,
+                                        a.output, descend(a.weight)),
+                          descend)
     return model, losses

@@ -58,7 +58,18 @@ class DivergenceError(ConvergenceError):
 
 
 class DeterminizationLimitError(WfstError):
-    """Subset construction exceeded the state-expansion cap."""
+    """Subset construction exceeded the state-expansion cap.
+
+    ``subsets`` is the number of subsets built when it stopped, ``cap``
+    the cap, and ``label`` the (input, output) label pair of the arc whose
+    new subset would have crossed the cap.
+    """
+
+    def __init__(self, message, subsets=None, cap=None, label=None):
+        super().__init__(message)
+        self.subsets = subsets
+        self.cap = cap
+        self.label = label
 
 
 class NoAcceptingPathError(WfstError):

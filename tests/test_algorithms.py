@@ -38,6 +38,7 @@ from wfst import (
 )
 from wfst.errors import (
     ConvergenceError,
+    DeterminizationLimitError,
     DivergenceError,
     InvalidWeightError,
     NoAcceptingPathError,
@@ -226,6 +227,44 @@ class TestCompose:
             cast_from_boolean(fst_from_sequence("aaa"), RealWeight), rewrite_fst
         )
         assert equivalent_by_enumeration(auto, explicit)
+
+    def test_provenance_names_the_operand_arcs_and_states(self):
+        # Machines with epsilon on either side exercise all three moves
+        # of the epsilon filter.
+        rng = random.Random(12)
+        for _ in range(40):
+            a = random_epsilon_fst(rng, RealWeight, reachable_cycles=False)
+            b = random_epsilon_fst(rng, RealWeight, reachable_cycles=False)
+            out, origins, pairs = algorithms._compose(a, b, True)
+            assert render_text(out) == render_text(compose(a, b))
+            assert [len(arcs) for arcs in origins] == \
+                [len(arcs) for arcs in out._arcs]
+            a_arcs = {id(arc) for arc in a.all_arcs()}
+            b_arcs = {id(arc) for arc in b.all_arcs()}
+            for arcs, arc_origins in zip(out._arcs, origins):
+                for arc, (arc_a, arc_b) in zip(arcs, arc_origins):
+                    qa, qb = pairs[arc.source]
+                    ta, tb = pairs[arc.target]
+                    if arc_a is None:
+                        assert (qa, arc.input) == (ta, EPSILON)
+                    else:
+                        assert id(arc_a) in a_arcs
+                        assert (arc_a.source, arc_a.target, arc_a.input) \
+                            == (qa, ta, arc.input)
+                    if arc_b is None:
+                        assert (qb, arc.output) == (tb, EPSILON)
+                    else:
+                        assert id(arc_b) in b_arcs
+                        assert (arc_b.source, arc_b.target, arc_b.output) \
+                            == (qb, tb, arc.output)
+                    factors = [x.weight.value for x in (arc_a, arc_b)
+                               if x is not None]
+                    assert arc.weight.value == math.prod(factors)
+            for state, weight in out.finals.items():
+                qa, qb = pairs[state]
+                assert weight.value == \
+                    a.finals[qa].value * b.finals[qb].value
+        assert algorithms._compose(a, b)[1:] == (None, None)
 
     def test_composed_weight_is_product_of_parts(self, rng):
         for _ in range(30):
@@ -683,6 +722,20 @@ class TestDeterminize:
         with pytest.raises(UnsupportedOperationError):
             determinize(u)
 
+    def test_limit_error_says_what_grew(self):
+        # The residual of the costlier loop grows by one per step, so
+        # every subset is new until the cap of 10 * 3 + 1000.
+        f = parse_text("#semiring min\n#initial 0\n#states 3\n"
+                       "0 1 97 98 0\n0 2 97 98 0\n1 1 97 98 1\n"
+                       "2 2 97 98 2\n1 0\n2 0\n")
+        with pytest.raises(DeterminizationLimitError) as exc:
+            determinize(f)
+        err = exc.value
+        assert (err.subsets, err.cap, err.label) == (1030, 1030, (97, 98))
+        assert str(err) == (
+            "subset construction hit its cap of 1030 states: 1030 subsets "
+            "built, and the arc a:b out of state 1029 needs one more")
+
     @pytest.mark.parametrize("arcs", [
         "0 1 97 97 inf\n0 2 97 97 0.5\n1 1\n2 1\n",   # residual inf / inf
         "0 1 97 97 inf\n0 2 97 97 -inf\n1 1\n2 1\n",  # total inf + -inf
@@ -763,6 +816,18 @@ class TestPush:
             f = parse_text("#semiring real\n#initial 0\n" + doc)
             with pytest.raises(InvalidWeightError):
                 push(f, direction)
+
+
+    def test_partial_featurized_division_is_unsupported(self):
+        # Toward the final state, a:1 / (a:1, b:1) has no quotient; toward
+        # the initial state every potential divides.
+        f = parse_text("#semiring featurized\n#initial 0\n#states 2\n"
+                       "0 1 97 97 a:1\n0 1 98 98 b:1\n1 -\n")
+        assert equivalent_by_enumeration(push(f, "initial"), f)
+        with pytest.raises(UnsupportedOperationError,
+                           match="potential of state 1 cannot be divided out; "
+                                 "featurized division is partial"):
+            push(f, "final")
 
 
 class TestLiftCast:

@@ -15,11 +15,13 @@ from wfst import (
     loglikelihood_loss,
     make_diff_semiring,
     pair_acceptor,
+    project,
     shortest_distance,
     sum_paths,
     train,
 )
-from wfst.errors import DivergenceError, InvalidWeightError, WfstError
+from wfst.errors import (DivergenceError, InvalidWeightError,
+                         SemiringMismatchError, WfstError)
 from conftest import build_hello_world_troll, random_cyclic_fst
 
 
@@ -333,6 +335,211 @@ class TestLogLikelihood:
         troll_first_arc = params[("arc", 0, 1)]
         assert grads[world_first_arc.node.node_id] < 0
         assert grads[troll_first_arc.node.node_id] > 0
+
+
+def epsilon_model():
+    """A cyclic real transducer with input-epsilon, output-epsilon and
+    epsilon:epsilon arcs, self-loops among them; each state's arcs weigh
+    0.65 or less, so its total weight converges."""
+    f = Fst(RealWeight)
+    for _ in range(3):
+        f.add_state()
+    f.set_initial_state(0)
+    for s, t, i, o, w in [(0, 1, "a", "b", 0.3), (0, 0, "b", 0, 0.2),
+                          (0, 2, 0, "a", 0.15), (1, 0, "a", "a", 0.25),
+                          (1, 2, "b", 0, 0.2), (1, 1, 0, "b", 0.1),
+                          (2, 0, 0, 0, 0.1), (2, 1, "a", "b", 0.3),
+                          (2, 2, "b", "a", 0.2)]:
+        f.add_arc(s, t, w, i, o)
+    for s, w in [(0, 0.2), (1, 0.3), (2, 0.3)]:
+        f.set_final_weight(s, w)
+    return f
+
+
+# Unequal lengths pad one projection with epsilon, so the compositions
+# take all three moves of the epsilon filter.
+EPSILON_PAIRS = [("ab", "b"), ("a", "bb"), ("aab", "ba"), ("ab", "aba"),
+                 ("", "a"), ("b", "")]
+
+
+def tape_loss(machine, observed):
+    """The loss recorded operation by operation on the diff tape: both
+    compositions on diff weights, then one node per total."""
+    restricted = compose(
+        compose(project(observed, "input"), machine),
+        project(observed, "output"),
+    )
+    numerator = sum_paths(restricted)
+    denominator = sum_paths(machine)
+    return denominator.log() - numerator.log()
+
+
+def tape_train(real_fst, pairs, steps, rate, min_weight=1e-6):
+    """Gradient descent as it ran on the tape: each step lifts the model
+    onto a fresh tape with every weight a parameter, sums ``tape_loss``
+    over the pairs and backpropagates."""
+    observed = [pair_acceptor(i, o) for i, o in pairs]
+    model = lift(real_fst, RealWeight)
+    losses = []
+    for _ in range(steps):
+        semiring = make_diff_semiring()
+        machine = lift(model, semiring,
+                       cast=lambda w: semiring.parameter(w.value))
+        total = None
+        for obs in observed:
+            loss = tape_loss(machine, obs)
+            total = loss if total is None else total + loss
+        losses.append(total.value)
+        grads = semiring.tape.backward(total.node)
+        model = lift(machine, RealWeight, cast=lambda w: RealWeight(
+            max(min_weight, w.value - rate * grads[w.node.node_id])))
+    return model, losses
+
+
+def workload_model(seed, cycle):
+    """The ``train`` benchmark's model: 8 states, two arcs per label pair
+    out of each, 0.9 of a state's mass on its arcs and final weight 0.1."""
+    rng = random.Random(f"train:{seed}:model:{cycle}")
+    model = Fst(RealWeight)
+    for _ in range(8):
+        model.add_state()
+    model.set_initial_state(0)
+    for state in range(8):
+        raw = [rng.uniform(0.2, 1.0) for _ in range(8)]
+        labels = [(i, o) for i in "ab" for o in "ab" for _ in range(2)]
+        for r, (i, o) in zip(raw, labels):
+            model.add_arc(state, rng.randrange(8), 0.9 * r / sum(raw), i, o)
+        model.set_final_weight(state, 0.1)
+    return model
+
+
+def weights_of(fst):
+    return ([a.weight.value for a in fst.all_arcs()]
+            + [w.value for w in fst.finals.values()])
+
+
+class TestExpectedCountLoss:
+    def test_loss_gradients_match_finite_differences(self):
+        base = epsilon_model()
+        for i, o in EPSILON_PAIRS:
+            sr = make_diff_semiring()
+            machine, params = diff_copy(base, sr)
+            loss = loglikelihood_loss(machine, pair_acceptor(i, o))
+            assert math.isfinite(loss.value) and loss.value > 0
+            grads = backward(sr.tape, loss)
+            keys = sorted(params)
+            numeric = numeric_gradient(
+                lambda vals: loglikelihood_loss(
+                    lift(with_values(base, keys, vals), make_diff_semiring()),
+                    pair_acceptor(i, o)).value,
+                [params[k].value for k in keys])
+            for k, num in zip(keys, numeric):
+                got = grads[params[k].node.node_id]
+                assert abs(got - num) <= 1e-6 * max(abs(num), 1.0), \
+                    (i, o, k, got, num)
+
+    def test_loss_matches_the_tape(self):
+        base = epsilon_model()
+        for i, o in EPSILON_PAIRS:
+            sr = make_diff_semiring()
+            machine, params = diff_copy(base, sr)
+            want = tape_loss(machine, pair_acceptor(i, o))
+            got = loglikelihood_loss(machine, pair_acceptor(i, o))
+            assert got.value == want.value
+            want_grads = backward(sr.tape, want)
+            got_grads = backward(sr.tape, got)
+            for p in params.values():
+                assert got_grads[p.node.node_id] == pytest.approx(
+                    want_grads[p.node.node_id], rel=1e-12, abs=1e-15)
+
+    def test_train_step_is_the_loss_gradient(self):
+        base = epsilon_model()
+        rate = 1e-3
+        trained, (loss,) = train(base, EPSILON_PAIRS, steps=1, rate=rate)
+        sr = make_diff_semiring()
+        _, params = diff_copy(base, sr)
+        keys = sorted(params)
+        numeric = numeric_gradient(
+            lambda vals: train(with_values(base, keys, vals), EPSILON_PAIRS,
+                               steps=1, rate=rate)[1][0],
+            [params[k].value for k in keys])
+        for k, num in zip(keys, numeric):
+            if k[0] == "arc":
+                before = base._arcs[k[1]][k[2]].weight.value
+                after = trained._arcs[k[1]][k[2]].weight.value
+            else:
+                before = base.finals[k[1]].value
+                after = trained.finals[k[1]].value
+            got = (before - after) / rate
+            assert abs(got - num) <= 1e-6 * max(abs(num), 1.0), (k, got, num)
+
+    def test_diff_weighted_observation_gets_its_gradient(self):
+        base = epsilon_model()
+        rng = random.Random(3)
+        for i, o in EPSILON_PAIRS:
+            observed = lift(pair_acceptor(i, o), RealWeight,
+                            cast=lambda w: rng.uniform(0.5, 1.5))
+            sr = make_diff_semiring()
+            machine, model_params = diff_copy(base, sr)
+            diff_observed, obs_params = diff_copy(observed, sr)
+            before = len(sr.tape.nodes)
+            loss = loglikelihood_loss(machine, diff_observed)
+            assert len(sr.tape.nodes) == before + 1
+            want = tape_loss(machine, diff_observed)
+            assert loss.value == want.value
+            grads = backward(sr.tape, loss)
+            want_grads = backward(sr.tape, want)
+            model_keys, obs_keys = sorted(model_params), sorted(obs_params)
+            n = len(model_keys)
+
+            def value(vals):
+                fresh = make_diff_semiring()
+                return loglikelihood_loss(
+                    lift(with_values(base, model_keys, vals[:n]), fresh),
+                    lift(with_values(observed, obs_keys, vals[n:]), fresh),
+                ).value
+
+            params = ([model_params[k] for k in model_keys]
+                      + [obs_params[k] for k in obs_keys])
+            numeric = numeric_gradient(value, [p.value for p in params])
+            for p, num in zip(params, numeric):
+                got = grads[p.node.node_id]
+                assert abs(got - num) <= 1e-6 * max(abs(num), 1.0), (got, num)
+                assert got == pytest.approx(want_grads[p.node.node_id],
+                                            rel=1e-12, abs=1e-15)
+
+    def test_loss_records_one_node(self):
+        sr = make_diff_semiring()
+        machine, _ = diff_copy(epsilon_model(), sr)
+        before = len(sr.tape.nodes)
+        loglikelihood_loss(machine, pair_acceptor("ab", "b"))
+        assert len(sr.tape.nodes) == before + 1
+
+    def test_observed_machine_of_another_semiring_rejected(self):
+        sr = make_diff_semiring()
+        machine, _ = diff_copy(epsilon_model(), sr)
+        for other in (RealWeight, make_diff_semiring()):
+            with pytest.raises(SemiringMismatchError):
+                loglikelihood_loss(
+                    machine, lift(pair_acceptor("ab", "b"), other))
+
+    def test_train_matches_the_tape_on_the_benchmark_models(self):
+        worst = 0.0
+        for seed in range(3):
+            rng = random.Random(seed)
+            for cycle in range(2):
+                model = workload_model(seed, cycle)
+                for n in range(2, 7):
+                    pairs = [("".join(rng.choice("ab") for _ in range(n)),
+                              "".join(rng.choice("ab") for _ in range(n)))
+                             for _ in range(4)]
+                    got_model, got = train(model, pairs, steps=3, rate=1e-3)
+                    want_model, want = tape_train(model, pairs, steps=3,
+                                                  rate=1e-3)
+                    for x, y in zip(got + weights_of(got_model),
+                                    want + weights_of(want_model)):
+                        worst = max(worst, abs(x - y) / abs(y))
+        assert worst <= 1e-15
 
 
 class TestPairAcceptor:

@@ -5,9 +5,7 @@ Binary operations require both arguments to share a semiring; a boolean
 argument is auto-cast into the other side's semiring first.
 """
 
-import random
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 
 from .errors import (
     ConvergenceError,
@@ -33,10 +31,11 @@ from .semirings import (
 RELAXATION_SWEEP_CAP = 1000
 
 
-@dataclass(frozen=True)
-class ShortestPathResult:
-    path: Path
-    distance: object
+class ShortestPathResult(namedtuple("ShortestPathResult", "path distance")):
+    """``shortest_path``'s answer: the best ``Path`` and its weight, the
+    distance.  A named tuple: ``path, distance = shortest_path(f)``."""
+
+    __slots__ = ()
 
 
 def _default_cast(source, target):
@@ -1032,6 +1031,8 @@ def random_path(fst, seed=None, max_steps=10_000):
     At a final state, stopping competes with the outgoing arcs using the
     final weight's sampling weight.  Deterministic for a fixed seed.
     """
+    import random
+
     if fst.initial is None:
         raise NoAcceptingPathError("FST has no initial state")
     rng = random.Random(seed)

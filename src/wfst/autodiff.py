@@ -244,8 +244,9 @@ def loglikelihood_loss(full_fst, observed_fst):
         raise SemiringMismatchError(
             f"incompatible semirings: {observed_fst.semiring.name} vs "
             f"{semiring.name}")
-    (loss,), partials = _losses(lift(full_fst, RealWeight),
-                                [lift(observed_fst, RealWeight)])
+    model = lift(full_fst, RealWeight)
+    (loss,), partials = _losses(model, *_project_observed(
+        model, [lift(observed_fst, RealWeight)]))
     parents = _weight_nodes(full_fst)
     if observed_fst.semiring is semiring:
         parents += _weight_nodes(observed_fst)
@@ -270,17 +271,38 @@ def _slots(fst, first):
     return arcs, finals, first + len(finals)
 
 
-def _losses(model, observed):
+def _project_observed(model, observed):
+    """The input and output projections of each real machine in
+    ``observed``, with its parameter numbers after ``model``'s, which the
+    two projections share: ([(machine, input projection, output
+    projection, input arc slots, final slots, output arc slots), ...],
+    the total parameter count).  ``train`` builds them once for all its
+    steps, which keep the model's parameter count."""
+    from .algorithms import project
+
+    first = _slots(model, 0)[2]
+    projected = []
+    for obs in observed:
+        p_in, p_out = project(obs, "input"), project(obs, "output")
+        in_arcs, obs_finals, _ = _slots(p_in, first)
+        out_arcs, _, first = _slots(p_out, first)
+        projected.append((obs, p_in, p_out, in_arcs, obs_finals, out_arcs))
+    return projected, first
+
+
+def _losses(model, projected, size):
     """Each observed machine's loss log Z - log Z_obs under ``model``, and
     the partials of their sum, all on float values.
 
-    ``model`` and the machines in ``observed`` are real FSTs.  The model's
-    forward and backward values alpha and beta, and its total weight Z,
-    are computed once for all the observed machines.  For each, the
-    restricted machine R (the observed input projection, composed with
-    the model, composed with the observed output projection) is built on
-    the real float kernel, with every product through the membership
-    gate, and its own alpha_R, beta_R and total Z_obs are computed.
+    ``model`` is a real FST; ``projected`` and ``size`` are
+    ``_project_observed(model, observed)`` for the observed real machines.
+    The model's forward and backward values alpha and beta, and its total
+    weight Z, are computed once for all the observed machines.  For each,
+    the restricted machine R (the observed input projection, composed
+    with the model, composed with the observed output projection) is
+    built on the real float kernel, with every product through the
+    membership gate, and its own alpha_R, beta_R and total Z_obs are
+    computed.
 
     The partials come as one flat list: the model's arc weights in
     ``all_arcs()`` order, then its final weights in ``finals`` order, then
@@ -297,20 +319,15 @@ def _losses(model, observed):
     A non-positive Z_obs or Z raises WfstError, and a divergent total
     DivergenceError.
     """
-    from .algorithms import _compose, project
+    from .algorithms import _compose
 
     if model.initial is None:  # every restricted machine is empty
         raise WfstError("observed pair has non-positive total weight 0.0")
     total, total_partials = _forward_backward(model)
-    model_arcs, model_finals, first = _slots(model, 0)
-    partials = [0.0] * first
+    model_arcs, model_finals, _ = _slots(model, 0)
+    partials = [0.0] * size
     losses = []
-    for obs in observed:
-        p_in, p_out = project(obs, "input"), project(obs, "output")
-        # The two projections share the observed machine's numbers.
-        in_arcs, obs_finals, _ = _slots(p_in, first)
-        out_arcs, _, first = _slots(p_out, first)
-        partials += [0.0] * (first - len(partials))
+    for obs, p_in, p_out, in_arcs, obs_finals, out_arcs in projected:
         middle, middle_origins, middle_pairs = _compose(p_in, model, True)
         restricted, origins, pairs = _compose(middle, p_out, True)
         observed_total = 0.0
@@ -408,7 +425,9 @@ def train(real_fst, pairs, steps=200, rate=0.05, min_weight=1e-6):
     """Gradient descent on the summed pair log-likelihood loss.
 
     ``real_fst`` supplies the initial arc and final weights (real or diff
-    semiring); every arc and final weight is a parameter.  Each step
+    semiring); every arc and final weight is a parameter.  The pairs'
+    input and output projections are built once, before the first step.
+    Each step
     computes the model's total weight Z, with its forward and backward
     values, once, then each pair's loss and the expected-count gradient
     on float values (see ``_losses``), and updates with plain gradient
@@ -423,12 +442,13 @@ def train(real_fst, pairs, steps=200, rate=0.05, min_weight=1e-6):
 
     if not pairs:
         raise WfstError("train needs at least one observed pair")
-    observed = [lift(pair_acceptor(i, o), RealWeight) for i, o in pairs]
     model = lift(real_fst, RealWeight)
+    projected, size = _project_observed(
+        model, [lift(pair_acceptor(i, o), RealWeight) for i, o in pairs])
     kernel = _kernel(RealWeight)
     losses = []
     for _ in range(steps):
-        step_losses, partials = _losses(model, observed)
+        step_losses, partials = _losses(model, projected, size)
         losses.append(sum(step_losses))
         # _map_arcs visits the arcs in all_arcs() order, then the finals
         # in finals order: the order of the partials.

@@ -10,10 +10,11 @@ that is not UTF-8, ...).
 import argparse
 import math
 import sys
-from collections.abc import Callable
-from dataclasses import dataclass
+from collections import namedtuple
 
-from . import algorithms, autodiff
+# ``algorithms`` and ``autodiff`` are imported inside the functions that
+# use them, so a command loads only what it runs: ``print`` and ``draw``
+# on a file that is not diff-weighted compile neither.
 from .errors import WfstError
 from .fst import fst_from_sequence, enumerate_paths, label_str
 from .io import parse_text, render_dot, render_html, render_text
@@ -50,8 +51,15 @@ def _read_text(path):
 
 def _load(path):
     document = sys.stdin.read() if path == "-" else _read_text(path)
-    return parse_text(document,
-                      semirings={"diff": autodiff.make_diff_semiring()})
+    # "diff" is always a known name, so an unknown name's message lists
+    # it.  Its class is built only for a text that contains the word: one
+    # that does not cannot name it in its #semiring header, so parse_text
+    # never looks the placeholder up.
+    diff = None
+    if "diff" in document:
+        from . import autodiff
+        diff = autodiff.make_diff_semiring()
+    return parse_text(document, semirings={"diff": diff})
 
 
 def _write(args, text):
@@ -94,15 +102,23 @@ def _non_negative_int(text):
 
 def _semiring_arg(name):
     if name == "diff":
+        from . import autodiff
         return autodiff.make_diff_semiring()
     return BUILTIN_SEMIRINGS[name]
+
+
+def _op(name):
+    """``algorithms.<name>``, importing the module when a command first
+    needs it."""
+    from . import algorithms
+    return getattr(algorithms, name)
 
 
 def _algorithm(name, *options):
     """Run function rendering ``algorithms.<name>(*fsts, *options)``."""
     def run(args, *fsts):
-        op = getattr(algorithms, name)
-        return render_text(op(*fsts, *(getattr(args, o) for o in options)))
+        return render_text(
+            _op(name)(*fsts, *(getattr(args, o) for o in options)))
     return run
 
 
@@ -116,11 +132,11 @@ def _draw(args, fst):
 
 
 def _lift(args, fst):
-    return render_text(algorithms.lift(fst, _semiring_arg(args.to)))
+    return render_text(_op("lift")(fst, _semiring_arg(args.to)))
 
 
 def _shortest_distance(args, fst):
-    d = algorithms.shortest_distance(fst)
+    d = _op("shortest_distance")(fst)
     return "".join(f"{s} {w.text()}\n" for s, w in enumerate(d))
 
 
@@ -145,6 +161,8 @@ def _load_pairs(path):
 
 
 def _train(args, fst):
+    from . import autodiff
+
     was_diff = issubclass(fst.semiring, autodiff._DiffWeightBase)
     if not issubclass(fst.semiring, (RealWeight, autodiff._DiffWeightBase)):
         raise WfstError(
@@ -156,29 +174,26 @@ def _train(args, fst):
     for step, loss in enumerate(losses):
         print(f"step {step} loss {loss:.6f}", file=sys.stderr)
     if was_diff:
-        trained = algorithms.lift(trained, autodiff.make_diff_semiring())
+        trained = _op("lift")(trained, autodiff.make_diff_semiring())
     return render_text(trained)
 
 
 SEMIRING_NAMES = sorted(BUILTIN_SEMIRINGS) + ["diff"]
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(namedtuple("Command", "help inputs options run")):
     """One subcommand: its help line, the number of FST files it reads,
     its extra arguments as (flag, add_argument keywords) pairs, and the
     function that takes the parsed arguments and the loaded FSTs and
     returns the text to write."""
 
-    help: str
-    inputs: int
-    options: tuple
-    run: Callable[..., str]
+    __slots__ = ()
 
 
 # Run functions look library functions up when they run (module globals,
-# ``algorithms.<name>``), never at import, so that wrappers installed on
-# those modules after this one is imported see the calls.
+# ``algorithms.<name>`` through ``_op``), never at import, so that
+# wrappers installed on those modules after this one is imported see the
+# calls.
 COMMANDS = {
     "compile": Command("build an acceptor from a string", 0, (
         ("--string", {"required": True}),
@@ -215,17 +230,16 @@ COMMANDS = {
     ), _lift),
     "shortestpath": Command(
         "best path in a path semiring", 1, (),
-        lambda args, fst: _path_line(
-            algorithms.shortest_path(fst).path) + "\n"),
+        lambda args, fst: _path_line(_op("shortest_path")(fst).path) + "\n"),
     "shortestdistance": Command("per-state distances", 1, (),
                                 _shortest_distance),
     "sumpaths": Command(
         "total weight over accepting paths", 1, (),
-        lambda args, fst: algorithms.sum_paths(fst).text() + "\n"),
+        lambda args, fst: _op("sum_paths")(fst).text() + "\n"),
     "randpath": Command(
         "sample a random path", 1, (("--seed", {"type": int, "default": None}),),
         lambda args, fst: _path_line(
-            algorithms.random_path(fst, seed=args.seed)) + "\n"),
+            _op("random_path")(fst, seed=args.seed)) + "\n"),
     "enumerate": Command("list accepting paths", 1, (
         ("--max", {"type": int, "default": 1000, "dest": "max_paths"}),
     ), _enumerate),

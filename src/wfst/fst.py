@@ -7,7 +7,6 @@ the algorithms module treats a finished FST as immutable.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass
 from itertools import chain
 
 from .errors import (
@@ -16,7 +15,7 @@ from .errors import (
     InvalidWeightError,
     WfstError,
 )
-from .semirings import AbstractSemiringWeight, BooleanWeight
+from .semirings import BooleanWeight
 
 EPSILON = 0
 MAX_LABEL = 2 ** 64 - 1
@@ -57,15 +56,15 @@ class Arc(namedtuple("Arc", "source target input output weight")):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Path:
-    """An accepting path: its arcs plus the accumulated weight.
+class Path(namedtuple("Path", "arcs weight")):
+    """An accepting path: its tuple of arcs plus the accumulated weight.
 
-    The weight includes the final weight of the terminal state.
+    The weight includes the final weight of the terminal state.  Like
+    ``Arc``, a named tuple: ``arcs, weight = path`` unpacks it, and it
+    equals a plain ``(arcs, weight)`` tuple.
     """
 
-    arcs: tuple
-    weight: AbstractSemiringWeight
+    __slots__ = ()
 
     @property
     def input_labels(self):

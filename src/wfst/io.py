@@ -14,7 +14,6 @@ the colon dropped when the labels match and the weight dropped when it
 is the semiring's one; epsilon renders as "ε".
 """
 
-import html as _html
 from collections import deque
 
 from .errors import FstParseError
@@ -233,13 +232,15 @@ def _layout(fst):
 def render_html(fst, title="FST"):
     """Self-contained HTML page with an inline SVG drawing (no external
     resources), mirroring the DOT color and label conventions."""
+    import html
+
     positions = _layout(fst)
     width = max((x for x, _ in positions.values()), default=60) + 80
     height = max((y for _, y in positions.values()), default=50) + 60
     parts = [
         "<!DOCTYPE html>",
         '<html><head><meta charset="utf-8">',
-        f"<title>{_html.escape(title)}</title></head><body>",
+        f"<title>{html.escape(title)}</title></head><body>",
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">',
         "<defs><marker id=\"arrow\" viewBox=\"0 0 10 10\" refX=\"10\" "
@@ -250,7 +251,7 @@ def render_html(fst, title="FST"):
     for arc in fst.all_arcs():
         x1, y1 = positions[arc.source]
         x2, y2 = positions[arc.target]
-        label = _html.escape(_edge_label(arc, one))
+        label = html.escape(_edge_label(arc, one))
         if arc.source == arc.target:
             parts.append(
                 f'<path d="M {x1 - 8} {y1 - 16} C {x1 - 24} {y1 - 48}, '

@@ -23,7 +23,6 @@ import math
 import numbers
 import operator
 from collections import Counter, namedtuple
-from dataclasses import dataclass, field
 
 from .errors import (
     DivergenceError,
@@ -36,13 +35,14 @@ from .errors import (
 DEFAULT_DELTA = 1.0 / 1024
 
 
-@dataclass(frozen=True)
-class SemiringDescriptor:
-    name: str
-    properties: frozenset
-    has_division: bool
-    has_power: bool
-    is_boolean: bool
+class SemiringDescriptor(namedtuple(
+        "SemiringDescriptor",
+        "name properties has_division has_power is_boolean")):
+    """A semiring's name, its property set (a frozenset) and its three
+    capability flags.  A named tuple: it equals a plain tuple of its
+    fields and unpacks like one."""
+
+    __slots__ = ()
 
 
 class AbstractSemiringWeight:
@@ -702,21 +702,39 @@ BUILTIN_SEMIRINGS = {
 }
 
 
-@dataclass(frozen=True)
-class AxiomViolation:
-    axiom: str
-    witnesses: tuple
+class AxiomViolation(namedtuple("AxiomViolation", "axiom witnesses")):
+    """One broken law: the axiom's name and the tuple of elements that
+    break it.  A named tuple, like ``SemiringDescriptor``."""
+
+    __slots__ = ()
 
     def __str__(self):
         parts = ", ".join(repr(w) for w in self.witnesses)
         return f"{self.axiom} violated by ({parts})"
 
 
-@dataclass
 class AxiomReport:
-    semiring: str
-    samples: int
-    violations: list = field(default_factory=list)
+    """What ``check_semiring_axioms`` found: the semiring's name, the
+    number of samples drawn, and the list of violations it collected."""
+
+    __slots__ = ("semiring", "samples", "violations")
+
+    def __init__(self, semiring, samples, violations=None):
+        self.semiring = semiring
+        self.samples = samples
+        self.violations = [] if violations is None else violations
+
+    def __repr__(self):
+        return (f"AxiomReport(semiring={self.semiring!r}, "
+                f"samples={self.samples!r}, violations={self.violations!r})")
+
+    def __eq__(self, other):
+        if type(other) is not AxiomReport:
+            return NotImplemented
+        return ((self.semiring, self.samples, self.violations)
+                == (other.semiring, other.samples, other.violations))
+
+    __hash__ = None
 
     @property
     def ok(self):

@@ -5,6 +5,7 @@ Binary operations require both arguments to share a semiring; a boolean
 argument is auto-cast into the other side's semiring first.
 """
 
+import math
 from collections import deque, namedtuple
 
 from .errors import (
@@ -20,13 +21,7 @@ from .errors import (
     WfstError,
 )
 from .fst import EPSILON, Arc, Fst, Path, enumerate_paths, label_str
-from .semirings import (
-    DEFAULT_DELTA,
-    _kernel,
-    _not_a_member,
-    _NumericWeight,
-    _same,
-)
+from .semirings import DEFAULT_DELTA, _kernel, _NumericWeight, _same
 
 RELAXATION_SWEEP_CAP = 1000
 
@@ -51,24 +46,15 @@ def _default_cast(source, target):
     )
 
 
-def _map_arcs(fst, semiring, map_arc, map_final):
+def _map_arcs(fst, semiring, map_arcs, map_final):
     """A new FST over ``semiring`` with ``fst``'s states and initial state,
-    each arc replaced by ``map_arc(arc)`` (same source) and each final
-    weight by ``map_final(weight)``."""
+    each state's arc list replaced by ``map_arcs(arcs)`` (same sources)
+    and each final weight by ``map_final(weight)``."""
     out = Fst(semiring)
-    out._arcs = [[map_arc(arc) for arc in arcs] for arcs in fst._arcs]
+    out._arcs = [map_arcs(arcs) for arcs in fst._arcs]
     out.initial = fst.initial
     out.finals = {state: map_final(w) for state, w in fst.finals.items()}
     return out
-
-
-def _checked(semiring, kernel, value):
-    """``value`` as a weight, through the membership gate: arithmetic such
-    as inf * 0 can make a NaN, which raises InvalidWeightError."""
-    weight = kernel.box(value)
-    if kernel.nonmember(value):
-        raise _not_a_member(semiring, weight)
-    return weight
 
 
 def lift(fst, target_semiring, cast=None):
@@ -81,19 +67,22 @@ def lift(fst, target_semiring, cast=None):
     InvalidWeightError) without a call to ``cast``.
     """
     kernel = _kernel(target_semiring)
+    new = tuple.__new__
     if (cast is None and kernel.box is target_semiring  # a float kernel
             and issubclass(fst.semiring, _NumericWeight)):
-        def convert(w):
-            return _checked(target_semiring, kernel, w.value)
-    else:
-        if cast is None:
-            cast = _default_cast(fst.semiring, target_semiring)
+        checked = kernel.checked
+        return _map_arcs(fst, target_semiring, lambda arcs: [
+            new(Arc, (s, t, i, o, checked(w.value))) for s, t, i, o, w in arcs
+        ], lambda w: checked(w.value))
+    if cast is None:
+        cast = _default_cast(fst.semiring, target_semiring)
 
-        def convert(w):
-            return target_semiring.cast(cast(w))
+    def convert(w):
+        return target_semiring.cast(cast(w))
 
-    return _map_arcs(fst, target_semiring, lambda a: Arc(
-        a.source, a.target, a.input, a.output, convert(a.weight)), convert)
+    return _map_arcs(fst, target_semiring, lambda arcs: [
+        new(Arc, (s, t, i, o, convert(w))) for s, t, i, o, w in arcs
+    ], convert)
 
 
 def cast_from_boolean(fst, target_semiring):
@@ -125,9 +114,10 @@ def _copy_into(dst, src):
     if offset == 0:
         dst._arcs.extend([list(arcs) for arcs in src._arcs])
     else:
+        new = tuple.__new__
         dst._arcs.extend(
-            [Arc(offset + source, offset + target, ilabel, olabel, weight)
-             for source, target, ilabel, olabel, weight in arcs]
+            [new(Arc, (offset + s, offset + t, i, o, w))
+             for s, t, i, o, w in arcs]
             for arcs in src._arcs
         )
     return offset
@@ -194,14 +184,16 @@ def project(fst, side):
     """Copy both labels of every arc from the chosen side."""
     if side not in ("input", "output"):
         raise WfstError(f"project side must be 'input' or 'output', got {side!r}")
-    return _map_arcs(fst, fst.semiring, lambda a: Arc(
-        a.source, a.target, getattr(a, side), getattr(a, side), a.weight), _same)
+    k, new = (2 if side == "input" else 3), tuple.__new__
+    return _map_arcs(fst, fst.semiring, lambda arcs: [
+        new(Arc, (a[0], a[1], a[k], a[k], a[4])) for a in arcs], _same)
 
 
 def invert(fst):
     """Swap input and output labels on every arc."""
-    return _map_arcs(fst, fst.semiring, lambda a: Arc(
-        a.source, a.target, a.output, a.input, a.weight), _same)
+    new = tuple.__new__
+    return _map_arcs(fst, fst.semiring, lambda arcs: [
+        new(Arc, (s, t, o, i, w)) for s, t, i, o, w in arcs], _same)
 
 
 def compose(a, b):
@@ -231,17 +223,15 @@ def _compose(a, b, provenance=False):
     if a.initial is None or b.initial is None:
         return (out, [], []) if provenance else (out, None, None)
     kernel = _kernel(sr)
-    times, unbox = kernel.times, kernel.unbox
+    checked, times, unbox = kernel.checked, kernel.times, kernel.unbox
+    new = tuple.__new__
     origins = [] if provenance else None
 
-    def product(x, y):
-        return _checked(sr, kernel, times(unbox(x), unbox(y)))
-
-    arcs_b = {}  # b-state -> input label -> arcs
+    arcs_b = {}  # b-state -> input label -> (arc, its kernel value) pairs
     for state in b.states():
         by_label = {}
         for arc in b._arcs[state]:
-            by_label.setdefault(arc.input, []).append(arc)
+            by_label.setdefault(arc.input, []).append((arc, unbox(arc.weight)))
         arcs_b[state] = by_label
 
     # States are numbered in queue order and the queue is FIFO, so the
@@ -249,19 +239,17 @@ def _compose(a, b, provenance=False):
     state_map = {}
     queue = deque()
 
-    def get_state(key):
-        state = state_map.get(key)
-        if state is None:
-            state = state_map[key] = len(state_map)
-            queue.append(key)
-            qa, qb, _ = key
-            fa = a.finals.get(qa)
-            fb = b.finals.get(qb)
-            if fa is not None and fb is not None:
-                out.finals[state] = product(fa, fb)
+    def add_state(key):
+        state = state_map[key] = len(state_map)
+        queue.append(key)
+        qa, qb, _ = key
+        fa = a.finals.get(qa)
+        fb = b.finals.get(qb)
+        if fa is not None and fb is not None:
+            out.finals[state] = checked(times(unbox(fa), unbox(fb)))
         return state
 
-    out.initial = get_state((a.initial, b.initial, 0))
+    out.initial = add_state((a.initial, b.initial, 0))
 
     while queue:
         qa, qb, f = queue.popleft()
@@ -273,42 +261,42 @@ def _compose(a, b, provenance=False):
             origins.append(src_origins)
         by_label = arcs_b[qb]
         for arc_a in a._arcs[qa]:
-            if arc_a.output != EPSILON:
-                # Matched non-epsilon move: allowed from any filter state.
-                for arc_b in by_label.get(arc_a.output, ()):
-                    dst = get_state((arc_a.target, arc_b.target, 0))
-                    src_arcs.append(
-                        Arc(src, dst, arc_a.input, arc_b.output,
-                            product(arc_a.weight, arc_b.weight))
-                    )
+            target_a, input_a, output_a = arc_a[1:4]
+            # A matched non-epsilon move is allowed from any filter state;
+            # both sides move on epsilon together only from filter 0.
+            matches = by_label.get(output_a) if (
+                output_a != EPSILON or f == 0) else None
+            if matches:
+                wa = unbox(arc_a.weight)
+                for arc_b, wb in matches:
+                    key = (target_a, arc_b.target, 0)
+                    dst = state_map.get(key)
+                    if dst is None:
+                        dst = add_state(key)
+                    src_arcs.append(new(Arc, (
+                        src, dst, input_a, arc_b.output,
+                        checked(times(wa, wb)))))
                     if provenance:
                         src_origins.append((arc_a, arc_b))
-            else:
-                # Both sides move on epsilon together: only from filter 0.
-                if f == 0:
-                    for arc_b in by_label.get(EPSILON, ()):
-                        dst = get_state((arc_a.target, arc_b.target, 0))
-                        src_arcs.append(
-                            Arc(src, dst, arc_a.input, arc_b.output,
-                                product(arc_a.weight, arc_b.weight))
-                        )
-                        if provenance:
-                            src_origins.append((arc_a, arc_b))
-                # a moves alone on output epsilon.
-                if f in (0, 1):
-                    dst = get_state((arc_a.target, qb, 1))
-                    src_arcs.append(
-                        Arc(src, dst, arc_a.input, EPSILON, arc_a.weight)
-                    )
-                    if provenance:
-                        src_origins.append((arc_a, None))
+            # a moves alone on output epsilon.
+            if output_a == EPSILON and f != 2:
+                key = (target_a, qb, 1)
+                dst = state_map.get(key)
+                if dst is None:
+                    dst = add_state(key)
+                src_arcs.append(new(Arc, (
+                    src, dst, input_a, EPSILON, arc_a.weight)))
+                if provenance:
+                    src_origins.append((arc_a, None))
         # b moves alone on input epsilon.
-        if f in (0, 2):
-            for arc_b in by_label.get(EPSILON, ()):
-                dst = get_state((qa, arc_b.target, 2))
-                src_arcs.append(
-                    Arc(src, dst, EPSILON, arc_b.output, arc_b.weight)
-                )
+        if f != 1:
+            for arc_b, _ in by_label.get(EPSILON, ()):
+                key = (qa, arc_b.target, 2)
+                dst = state_map.get(key)
+                if dst is None:
+                    dst = add_state(key)
+                src_arcs.append(new(Arc, (
+                    src, dst, EPSILON, arc_b.output, arc_b.weight)))
                 if provenance:
                     src_origins.append((None, arc_b))
     if not provenance:
@@ -639,8 +627,7 @@ def shortest_distance(fst):
     if fst.initial is None:
         return [sr.zero] * fst.num_states
     kernel = _kernel(sr)
-    return [_checked(sr, kernel, v)
-            for v in _forward_values(fst, kernel)]
+    return list(map(kernel.checked, _forward_values(fst, kernel)))
 
 
 def _forward_values(fst, kernel):
@@ -682,7 +669,7 @@ def sum_paths(fst):
     total = kernel.zero
     for state, weight in fst.finals.items():
         total = plus(total, times(d[state], unbox(weight)))
-    return _checked(sr, kernel, total)
+    return kernel.checked(total)
 
 
 def _renumbered(semiring, initial, arcs, finals, keep):
@@ -696,8 +683,9 @@ def _renumbered(semiring, initial, arcs, finals, keep):
     is None unless it is kept.
     """
     rank = {s: i for i, s in enumerate(keep)}
+    new = tuple.__new__
     out = Fst(semiring)
-    out._arcs = [[Arc(i, rank[target], ilabel, olabel, weight)
+    out._arcs = [[new(Arc, (i, rank[target], ilabel, olabel, weight))
                   for _, target, ilabel, olabel, weight in arcs[s]
                   if target in rank]
                  for i, s in enumerate(keep)]
@@ -757,8 +745,9 @@ def remove_epsilon(fst):
     if fst.initial is None:
         return Fst(sr)
     kernel = _kernel(sr)
-    plus, times, zero, one, unbox = (kernel.plus, kernel.times, kernel.zero,
-                                     kernel.one, kernel.unbox)
+    plus, times, zero, one, unbox, checked = (
+        kernel.plus, kernel.times, kernel.zero, kernel.one, kernel.unbox,
+        kernel.checked)
     eps_arcs = [[] for _ in fst.states()]
     for a in fst.all_arcs():
         if a.input == EPSILON and a.output == EPSILON:
@@ -789,15 +778,14 @@ def remove_epsilon(fst):
                 if target not in arcs:
                     arcs[target] = None
                     todo.append(target)
-                new_arcs.append((
-                    s, target, arc.input, arc.output,
-                    _checked(sr, kernel, times(w, unbox(arc.weight)))))
+                new_arcs.append((s, target, arc.input, arc.output,
+                                 checked(times(w, unbox(arc.weight)))))
             fw = fst.finals.get(t)
             if fw is not None:
                 final = plus(final, times(w, unbox(fw)))
         arcs[s] = new_arcs
         if final != zero:
-            finals[s] = _checked(sr, kernel, final)
+            finals[s] = checked(final)
     return _renumbered(sr, fst.initial, arcs, finals, sorted(arcs))
 
 
@@ -825,9 +813,10 @@ def determinize(fst, delta=DEFAULT_DELTA):
     cap = 10 * fst.num_states + 1000
     finals = fst.finals
     kernel = _kernel(sr)
-    plus, times, zero, one, unbox, box = (kernel.plus, kernel.times,
-                                          kernel.zero, kernel.one,
-                                          kernel.unbox, kernel.box)
+    plus, times, zero, one, unbox, box, checked = (
+        kernel.plus, kernel.times, kernel.zero, kernel.one, kernel.unbox,
+        kernel.box, kernel.checked)
+    new = tuple.__new__
 
     def plus_all(values):
         total = zero
@@ -844,7 +833,7 @@ def determinize(fst, delta=DEFAULT_DELTA):
                     f"{sr.name} semiring lacks"
                 )
             x = unbox(box(x) / box(y))
-        return _checked(sr, kernel, x)
+        return checked(x)
 
     # Subsets are keyed by quantized residuals so nearly identical subsets
     # merge, but the exact residuals of the first-seen subset are used for
@@ -863,7 +852,7 @@ def determinize(fst, delta=DEFAULT_DELTA):
         final = plus_all(times(unbox(r), unbox(finals[state]))
                          for state, r in key if state in finals)
         if final != zero:
-            out.finals[src] = _checked(sr, kernel, final)
+            out.finals[src] = checked(final)
         # Group outgoing arcs by label pair.
         grouped = {}
         for state, r in key:
@@ -875,7 +864,7 @@ def determinize(fst, delta=DEFAULT_DELTA):
         for (ilabel, olabel), targets in sorted(grouped.items()):
             per_target = {t: plus_all(vs) for t, vs in targets.items()}
             total = plus_all(per_target.values())
-            weight = _checked(sr, kernel, total)
+            weight = checked(total)
             subset = tuple((t, residual(per_target[t], total))
                            for t in sorted(per_target))
             new_key = tuple((t, r.quantize(delta)) for t, r in subset)
@@ -890,7 +879,7 @@ def determinize(fst, delta=DEFAULT_DELTA):
                         len(state_map), cap, (ilabel, olabel))
                 dst = state_map[new_key] = len(state_map)
                 queue.append(subset)
-            src_arcs.append(Arc(src, dst, ilabel, olabel, weight))
+            src_arcs.append(new(Arc, (src, dst, ilabel, olabel, weight)))
     return out
 
 
@@ -899,11 +888,9 @@ def reverse(fst):
     sr = fst.semiring
     out = Fst(sr)
     out._arcs = [[] for _ in range(fst.num_states + 1)]
-    for arc in fst.all_arcs():
-        out._arcs[arc.target].append(
-            Arc(arc.target, arc.source, arc.input, arc.output,
-                arc.weight.reverse())
-        )
+    new = tuple.__new__
+    for s, t, i, o, w in fst.all_arcs():
+        out._arcs[t].append(new(Arc, (t, s, i, o, w.reverse())))
     start = fst.num_states
     out.set_initial_state(start)
     for state, weight in fst.finals.items():
@@ -939,9 +926,9 @@ def push(fst, direction="initial"):
     toward_initial = direction == "initial"
     values = (_backward_values if toward_initial else _forward_values)(
         fst, kernel)
-    pot = [_checked(sr, kernel, v) for v in values]
+    pot = list(map(kernel.checked, values))
     pot[fst.initial] = sr.one
-    zero, cast = sr.zero, sr.cast
+    zero, cast, new = sr.zero, sr.cast, tuple.__new__
 
     def divide(x, state):
         try:
@@ -954,16 +941,17 @@ def push(fst, direction="initial"):
             ) from exc
 
     def reweight(a):
-        ps, pt = pot[a.source], pot[a.target]
+        s, t, i, o, w = a
+        ps, pt = pot[s], pot[t]
         if ps == zero or pt == zero:
             return a
         if toward_initial:
-            w = divide(a.weight * pt, a.source)
+            w = divide(w * pt, s)
         else:
-            w = divide(ps * a.weight, a.target)
-        return Arc(a.source, a.target, a.input, a.output, cast(w))
+            w = divide(ps * w, t)
+        return new(Arc, (s, t, i, o, cast(w)))
 
-    out = _map_arcs(fst, sr, reweight, _same)
+    out = _map_arcs(fst, sr, lambda arcs: list(map(reweight, arcs)), _same)
     for state, weight in fst.finals.items():
         p = pot[state]
         if p != zero:
@@ -1030,49 +1018,61 @@ def random_path(fst, seed=None, max_steps=10_000):
 
     At a final state, stopping competes with the outgoing arcs using the
     final weight's sampling weight.  Deterministic for a fixed seed.
+    SamplingError is raised for a negative sampling weight, and at a state
+    whose choices' sampling weights sum to zero or to a total that is not
+    finite (an infinite weight, or a sum that overflows).
     """
     import random
 
     if fst.initial is None:
         raise NoAcceptingPathError("FST has no initial state")
     rng = random.Random(seed)
-    sr = fst.semiring
+    kernel = _kernel(fst.semiring)
+    times, unbox, score = kernel.times, kernel.unbox, kernel.score
+    finals, arcs_of = fst.finals, fst._arcs
     state = fst.initial
     taken = []
-    acc = sr.one
+    value = kernel.one
     for _ in range(max_steps):
-        choices = []
-        fw = fst.finals.get(state)
+        # The choices: stopping (None) at a final state, then the arcs.
+        choices = arcs_of[state]
+        values = [unbox(arc.weight) for arc in choices]
+        fw = finals.get(state)
         if fw is not None:
-            choices.append((None, _sampling_weight(fw)))
-        for arc in fst._arcs[state]:
-            choices.append((arc, _sampling_weight(arc.weight)))
-        total = sum(w for _, w in choices)
+            choices = [None, *choices]
+            values.insert(0, unbox(fw))
+        weights = values if score is None else list(map(score, values))
+        if weights and min(weights) < 0:
+            v = next(v for v, w in zip(values, weights) if w < 0)
+            raise SamplingError(
+                f"negative sampling weight for {kernel.box(v)!r}")
+        total = sum(weights)
         if total <= 0.0:
             raise SamplingError(
                 f"sampling dead end at state {state}: all choices weigh zero"
             )
+        if not total < math.inf:
+            raise SamplingError(
+                f"sampling at state {state}: its choices' sampling weights "
+                f"sum to {total!r}, so none can be drawn in proportion"
+            )
         pick = rng.random() * total
         running = 0.0
-        selected = choices[-1][0]
-        for option, weight in choices:
+        k = 0
+        for weight in weights:
             running += weight
             if pick < running:
-                selected = option
                 break
-        if selected is None:
-            return Path(tuple(taken), acc * fw)
-        taken.append(selected)
-        acc = acc * selected.weight
-        state = selected.target
+            k += 1
+        else:
+            k -= 1
+        arc = choices[k]
+        if arc is None:
+            return Path(tuple(taken), kernel.checked(times(value, values[0])))
+        taken.append(arc)
+        value = times(value, values[k])
+        state = arc.target
     raise CycleLimitError(f"random path exceeded {max_steps} steps")
-
-
-def _sampling_weight(weight):
-    value = weight.sampling_weight()
-    if value < 0:
-        raise SamplingError(f"negative sampling weight for {weight!r}")
-    return value
 
 
 def equivalent_by_enumeration(a, b, max_paths=1000, delta=DEFAULT_DELTA):

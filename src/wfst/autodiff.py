@@ -438,14 +438,16 @@ def train(real_fst, pairs, steps=200, rate=0.05, min_weight=1e-6):
     the probability model stays well defined.  Returns (trained real FST,
     per-step losses).  An empty ``pairs`` raises WfstError.
     """
-    from .algorithms import _checked, _map_arcs, lift
+    from .algorithms import _map_arcs, lift
 
     if not pairs:
         raise WfstError("train needs at least one observed pair")
     model = lift(real_fst, RealWeight)
     projected, size = _project_observed(
         model, [lift(pair_acceptor(i, o), RealWeight) for i, o in pairs])
-    kernel = _kernel(RealWeight)
+    checked, new = _kernel(RealWeight).checked, tuple.__new__
+    # Floats, so that every descended value is one, as checked needs.
+    floor, rate = float(min_weight), float(rate)
     losses = []
     for _ in range(steps):
         step_losses, partials = _losses(model, projected, size)
@@ -455,11 +457,9 @@ def train(real_fst, pairs, steps=200, rate=0.05, min_weight=1e-6):
         descent = iter(partials)
 
         def descend(w):
-            return _checked(RealWeight, kernel, max(
-                min_weight, w.value - rate * next(descent)))
+            return checked(max(floor, w.value - rate * next(descent)))
 
-        model = _map_arcs(model, RealWeight,
-                          lambda a: Arc(a.source, a.target, a.input,
-                                        a.output, descend(a.weight)),
-                          descend)
+        model = _map_arcs(model, RealWeight, lambda arcs: [
+            new(Arc, (s, t, i, o, descend(w))) for s, t, i, o, w in arcs
+        ], descend)
     return model, losses

@@ -203,18 +203,21 @@ class Fst:
 
 
 def fst_from_sequence(labels, semiring=BooleanWeight):
-    """Linear-chain acceptor for an iterable of labels (e.g. a string)."""
-    fst = Fst(semiring)
-    state = fst.add_state()
-    fst.set_initial_state(state)
-    for label in labels:
-        value = as_label(label)
+    """Linear-chain acceptor for an iterable of labels (e.g. a string);
+    the first bad label, epsilon included, raises InvalidLabelError."""
+    values = []
+    for value in map(as_label, labels):
         if value == EPSILON:
             raise InvalidLabelError("label 0 is reserved for epsilon")
-        nxt = fst.add_state()
-        fst.add_arc(state, nxt, semiring.one, value, value)
-        state = nxt
-    fst.set_final_weight(state, semiring.one)
+        values.append(value)
+    one = semiring.one
+    new = tuple.__new__
+    fst = Fst(semiring)
+    fst._arcs = [[new(Arc, (k, k + 1, v, v, one))]
+                 for k, v in enumerate(values)]
+    fst._arcs.append([])
+    fst.initial = 0
+    fst.set_final_weight(len(values), one)
     return fst
 
 

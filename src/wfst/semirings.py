@@ -12,11 +12,12 @@ order a <= b  iff  a + b == a used by shortest-path.
 
 The algorithms compute through a semiring's kernel (``_kernel``).  The
 real, min, max and tropical classes each set a float kernel on the class
-itself, so shortest distance, lift and shortest path run on the plain
-float values and box them into weights only for the result.  A subclass
-inherits no float kernel: it may override an operator or ``star``, so it
-runs, like every other semiring, on the generic kernel of weight objects
-and their operators.
+itself, so the algorithms run on the plain float values and box them into
+weights only for the result, each through the kernel's ``checked``: one
+call that builds the weight and raises InvalidWeightError for a NaN.  A
+subclass inherits no float kernel: it may override an operator or
+``star``, so it runs, like every other semiring, on the generic kernel of
+weight objects and their operators, whose ``checked`` tests ``member()``.
 """
 
 import math
@@ -265,24 +266,32 @@ def _not_a_member(semiring, weight):
 
 # The arithmetic of a semiring as the algorithms run it: plus and times on
 # the kernel's values, their zero and one, star (or None), unbox (weight
-# to value) and box (value to weight), and nonmember, true of a value that
-# fails the membership gate.
+# to value), box (value to weight), checked (value to weight through the
+# membership gate, in one call) and score (value to its sampling weight,
+# or None where a value is its own sampling weight).
 _Kernel = namedtuple(
-    "_Kernel", "plus times zero one star unbox box nonmember")
+    "_Kernel", "plus times zero one star unbox box checked score")
 
 
-def _make_float_kernel(semiring, plus, times, zero, one, star=None):
+def _make_float_kernel(semiring, plus, times, zero, one, star=None,
+                       score=None):
     """A kernel on the plain float ``value`` of ``semiring``'s weights."""
+    new = object.__new__
+
+    def checked(value):
+        # The values are floats already, so __init__'s float() is skipped.
+        if value != value:  # NaN, the one float that is no member
+            raise _not_a_member(semiring, semiring(value))
+        weight = new(semiring)
+        weight.value = value
+        return weight
+
     return _Kernel(plus, times, zero, one, star,
-                   operator.attrgetter("value"), semiring, math.isnan)
+                   operator.attrgetter("value"), semiring, checked, score)
 
 
 def _same(value):
     return value
-
-
-def _is_nonmember(weight):
-    return not weight.member()
 
 
 def _kernel(semiring):
@@ -295,9 +304,14 @@ def _kernel(semiring):
     """
     kernel = semiring.__dict__.get("_float_kernel")
     if kernel is None:
+        def checked(weight):
+            if not weight.member():
+                raise _not_a_member(semiring, weight)
+            return weight
+
         kernel = _Kernel(operator.add, operator.mul, semiring.zero,
-                         semiring.one, semiring.star, _same, _same,
-                         _is_nonmember)
+                         semiring.one, semiring.star, _same, _same, checked,
+                         operator.methodcaller("sampling_weight"))
     return kernel
 
 
@@ -436,18 +450,26 @@ def _path_times(zero_value):
     return times
 
 
+def _path_score(sign):
+    """A path semiring value's sampling weight, exp(sign·value): the cap
+    of 700 keeps it finite, and zero's (exp(-inf)) is 0.0."""
+    exp = math.exp
+    return lambda value: exp(min(sign * value, 700.0))
+
+
 def _path_kernel(semiring):
     return _make_float_kernel(semiring, semiring._select, semiring._times,
-                              semiring._zero_value, 0.0)
+                              semiring._zero_value, 0.0,
+                              score=semiring._score)
 
 
 class _PathWeight(_NumericWeight):
     """An idempotent path semiring <select, +, zero, 0> over the extended
     reals, where select is min (zero +inf) or max (zero -inf).
 
-    ``_sign`` turns a value into a sampling score (higher is likelier).
-    ``_times`` (see ``_path_times``) gives zero whenever an operand is
-    infinite.
+    ``_score`` (see ``_path_score``) turns a value into its sampling
+    weight.  ``_times`` (see ``_path_times``) gives zero whenever an
+    operand is infinite.
     """
 
     semiring_properties = frozenset({"base", "path", "idempotent"})
@@ -476,9 +498,7 @@ class _PathWeight(_NumericWeight):
         return type(self)(self.value * n)
 
     def sampling_weight(self):
-        # Capping the score at 700 keeps exp() finite; zero's score is
-        # -inf, which samples as 0.0.
-        return math.exp(min(self._sign * self.value, 700.0))
+        return self._score(self.value)
 
     @classmethod
     def random_member(cls, rng):
@@ -494,7 +514,7 @@ class MinWeight(_PathWeight):
     _select = min
     _zero_value = math.inf
     _times = staticmethod(_path_times(math.inf))
-    _sign = -1.0  # lower cost, likelier arc
+    _score = staticmethod(_path_score(-1.0))  # lower cost, likelier arc
 
 
 MinWeight.zero = MinWeight(math.inf)
@@ -520,7 +540,7 @@ class MaxWeight(_PathWeight):
     _select = max
     _zero_value = -math.inf
     _times = staticmethod(_path_times(-math.inf))
-    _sign = 1.0
+    _score = staticmethod(_path_score(1.0))
 
 
 MaxWeight.zero = MaxWeight(-math.inf)

@@ -1,5 +1,6 @@
 
 import math
+import re
 import random
 
 import numpy as np
@@ -1439,6 +1440,28 @@ class TestRandomPath:
         with pytest.raises(SamplingError):
             random_path(f, seed=0)
 
+    @pytest.mark.parametrize("weights", [
+        (math.inf, 1.0),      # an infinite weight outweighs any share
+        (1e308, 1e308),       # a finite sum that overflows
+    ])
+    def test_total_that_is_not_finite_errors(self, weights):
+        # Drawing r * inf gave inf, which no running sum exceeds, so the
+        # walk used to fall through to the last choice on every seed.
+        f = Fst(RealWeight)
+        for _ in range(4):
+            f.add_state()
+        f.set_initial_state(0)
+        f.add_arc(0, 1, 1.0, "x", "x")
+        f.add_arc(1, 2, weights[0], "a", "a")
+        f.add_arc(1, 3, weights[1], "b", "b")
+        f.set_final_weight(2, 1.0)
+        f.set_final_weight(3, 1.0)
+        for seed in range(10):
+            with pytest.raises(SamplingError, match=(
+                    r"sampling at state 1: its choices' sampling weights "
+                    r"sum to inf")):
+                random_path(f, seed=seed)
+
 
 class TestEquivalence:
     def test_self_equivalence(self, rng):
@@ -1555,3 +1578,100 @@ class TestFloatKernels:
         assert sum_paths(f).value == pytest.approx(total, rel=1e-12)
         assert [w.value for w in shortest_distance(f)] == \
             pytest.approx(list(forward), rel=1e-12)
+
+
+class PlainReal(RealWeight):
+    """RealWeight without a float kernel of its own: the generic kernel."""
+
+
+class PlainMin(MinWeight):
+    """MinWeight without a float kernel of its own: the generic kernel."""
+
+
+PlainReal.zero, PlainReal.one = PlainReal(0.0), PlainReal(1.0)
+PlainMin.zero, PlainMin.one = PlainMin(math.inf), PlainMin(0.0)
+
+
+def path_values(path):
+    arcs, weight = path
+    return [tuple(a[:4]) + (a.weight.value,) for a in arcs], weight.value
+
+
+def outcome(run, *args):
+    """``run(*args)``, or the type and text of the WfstError it raised."""
+    try:
+        return run(*args)
+    except WfstError as exc:
+        return type(exc), str(exc)
+
+
+class TestKernelEquivalence:
+    """The float kernels against the generic kernel as an oracle: a
+    subclass with no float kernel of its own runs every algorithm on its
+    weights' operators, and must get the very same values."""
+
+    @staticmethod
+    def machines(semiring, plain, count=30):
+        rng = random.Random(17)
+        for k in range(count):
+            f = random_epsilon_fst(rng, semiring, reachable_cycles=k % 2 == 1)
+            yield f, lift(f, plain)
+
+    @pytest.mark.parametrize("semiring, plain", [(RealWeight, PlainReal),
+                                                 (MinWeight, PlainMin)])
+    def test_algorithms_agree(self, semiring, plain):
+        assert _kernel(plain).box is not plain  # the generic kernel
+        other = MinWeight if semiring is RealWeight else RealWeight
+        runs = [lambda f: arc_values(compose(f, f)),
+                lambda f: arc_values(remove_epsilon(f)),
+                lambda f: arc_values(determinize(remove_epsilon(f))),
+                lambda f: arc_values(lift(f, other))]
+        runs += [lambda f, seed=seed: path_values(random_path(f, seed))
+                 for seed in range(5)]
+        if semiring is MinWeight:
+            runs.append(lambda f: path_values(
+                shortest_path(remove_epsilon(f)).path))
+        answers = 0
+        for fast, slow in self.machines(semiring, plain):
+            assert arc_values(slow) == arc_values(fast)
+            for run in runs:
+                result = outcome(run, fast)
+                assert outcome(run, slow) == result
+                answers += isinstance(result[0], list)  # not an error
+            # The float lift into the generic kernel's class, and back.
+            assert arc_values(lift(fast, plain)) == \
+                arc_values(lift(slow, semiring))
+        assert answers > 0.8 * 30 * len(runs)
+
+    @pytest.mark.parametrize("semiring",
+                             [RealWeight, MinWeight, MaxWeight, TropicalWeight])
+    def test_checked_builds_the_weight(self, semiring):
+        checked = _kernel(semiring).checked
+        for v in (0.0, -0.0, 0.25, -3.5, 1e300, math.inf, -math.inf):
+            w = checked(v)
+            assert type(w) is semiring and type(w.value) is float
+            assert w == semiring(v) and repr(w) == repr(semiring(v))
+        with pytest.raises(InvalidWeightError, match=re.escape(
+                f"{semiring.__name__}(nan) is not a member of the "
+                f"{semiring.name} semiring")):
+            checked(math.nan)
+
+    @pytest.mark.parametrize("semiring", [RealWeight, PlainReal])
+    def test_nan_products_raise_the_same_text(self, semiring):
+        message = re.escape(f"{semiring.__name__}(nan) is not a member of "
+                            f"the real semiring")
+        a = fst_from_sequence("a", semiring)
+        a.add_arc(0, 1, math.inf, "b", "b")
+        b = fst_from_sequence("b", semiring)
+        b.add_arc(0, 1, 0.0, "b", "b")
+        with pytest.raises(InvalidWeightError, match=message):
+            compose(a, b)
+        f = fst_from_sequence("ab", semiring)
+        f.add_arc(0, 1, math.inf, EPSILON, EPSILON)
+        f._arcs[1][0] = f._arcs[1][0]._replace(weight=semiring(0.0))
+        with pytest.raises(InvalidWeightError, match=message):
+            remove_epsilon(f)
+        # A NaN smuggled past the gate is caught when it is lifted.
+        f._arcs[0][0] = f._arcs[0][0]._replace(weight=semiring(math.nan))
+        with pytest.raises(InvalidWeightError, match=message):
+            lift(f, semiring)

@@ -315,6 +315,16 @@ class TestExitCodes:
         assert result.stdout == ""
         assert "not a member" in result.stderr
 
+    def test_infinite_sampling_total_is_domain_error(self):
+        # r * inf is inf, which no running sum exceeds: the draw once fell
+        # through to the last arc, b, on every seed.
+        doc = ("#semiring real\n#initial 0\n#states 3\n"
+               "0 1 97 97 inf\n0 2 98 98 1\n1 1\n2 1\n")
+        result = run_cli(["randpath", "-", "--seed", "0"], stdin=doc)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "sampling at state 0" in result.stderr
+
     def test_nan_distance_is_domain_error(self):
         doc = ("#semiring real\n#initial 0\n#states 3\n"
                "0 1 120 120 inf\n1 2 121 121 0\n2 1\n")

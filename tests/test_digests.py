@@ -15,6 +15,7 @@ import pytest
 
 from wfst import (
     Fst,
+    MaxWeight,
     MinWeight,
     RealWeight,
     TropicalWeight,
@@ -23,6 +24,7 @@ from wfst import (
     fst_from_sequence,
     lift,
     push,
+    random_path,
     remove_epsilon,
     shortest_distance,
     shortest_path,
@@ -116,10 +118,20 @@ def values(weights):
     return " ".join(repr(w.value) for w in weights)
 
 
-def path_text(result):
+def arcs_text(arcs, weight):
     arcs = " ".join(f"{a.source}>{a.target}:{a.input}:{a.output}"
-                    for a in result.path.arcs)
-    return f"{arcs} = {result.distance.value!r}"
+                    for a in arcs)
+    return f"{arcs} = {weight.value!r}"
+
+
+def path_text(result):
+    return arcs_text(result.path.arcs, result.distance)
+
+
+def samples_text(fst):
+    """Ten ``random_path`` samples on seeds 0-9, one line each."""
+    return "\n".join(arcs_text(*random_path(fst, seed=seed))
+                     for seed in range(10))
 
 
 def epsilon_machines(semiring):
@@ -164,6 +176,15 @@ CASES = {
     "push final real lattice": lambda: render_text(
         push(decode_lattice(1, 60), "final")),
     "train cyclic real": lambda: train_text(9),
+    "random_path real lattice": lambda: samples_text(decode_lattice(1, 60)),
+    "random_path min lattice": lambda: samples_text(
+        lift(decode_lattice(1, 60), MinWeight)),
+    # Negated costs, so the likelier arcs score higher.
+    "random_path cyclic max": lambda: samples_text(
+        lift(cyclic_min_fst(3, 30), MaxWeight, cast=lambda w: -w.value)),
+    # Every state is final, so stopping competes with the arcs.
+    "random_path competing finals": lambda: samples_text(
+        single_scc_real_fst(random.Random(4), 40)),
 }
 
 DIGESTS = {
@@ -215,6 +236,15 @@ DIGESTS = {
     # of the tape's gradient descent (tests/test_autodiff.py).
     "train cyclic real":
         "a226001dae76fdf17bcf41858ee15a8f37a7b8d397d7e31e656c5377a1b2eee2",
+    # Recorded before random_path came to run on kernel values.
+    "random_path real lattice":
+        "0157f05934e7f9e135685d0db6222b8bbec8f7cfb744ffacf8ddf2fe39d13d32",
+    "random_path min lattice":
+        "747937ee881e0bdc74d8995f27841037dcf534e68c63b99ad818625460876dec",
+    "random_path cyclic max":
+        "20b7a0ef517c4cd3cc5ffe2c80bacceb012aab5288ad9b546b76390436008687",
+    "random_path competing finals":
+        "37e5a1c74d07468f15dac12d517fe44f72b36a55ff7d44791a11e5d889482c61",
 }
 
 

@@ -211,6 +211,26 @@ class TestFromSequence:
         with pytest.raises(InvalidLabelError):
             fst_from_sequence([0, 1])
 
+    def test_first_bad_label_in_order_is_reported(self):
+        with pytest.raises(InvalidLabelError, match="reserved for epsilon"):
+            fst_from_sequence(iter(["a", 0, "bc"]))
+        with pytest.raises(InvalidLabelError, match="single character"):
+            fst_from_sequence(["a", "bc", 0])
+
+    @pytest.mark.parametrize("semiring", [BooleanWeight, RealWeight])
+    def test_matches_the_chain_built_arc_by_arc(self, semiring):
+        labels = ["h", 105, "!", 2 ** 64 - 1]
+        f = Fst(semiring)
+        f.set_initial_state(f.add_state())
+        for label in labels:
+            f.add_arc(f.num_states - 1, f.add_state(), None, label, label)
+        f.set_final_weight(f.num_states - 1, semiring.one)
+        chain = fst_from_sequence(iter(labels), semiring)
+        assert chain._arcs == f._arcs
+        assert all(type(a) is Arc for a in chain.all_arcs())
+        assert (chain.initial, chain.finals) == (f.initial, f.finals)
+        assert chain.validate()
+
     def test_accepts_exactly_its_string(self):
         rng = random.Random(7)
         alphabet = "abcxyz"

@@ -304,86 +304,79 @@ def _compose(a, b, provenance=False):
     return out, origins, [key[:2] for key in state_map]
 
 
-def _reachable_order(arcs_by_state, sources):
-    """The states reachable from ``sources`` in topological order, or None
-    when that reachable part has a cycle.
-
-    One iterative depth-first search; the order is reverse postorder, with
-    each state's arcs (and the sources) explored last to first so that
-    siblings keep their arc order.  The search stops at the first arc back
-    into a state still on its stack.
-    """
-    on_stack = {}  # state -> True while on the search stack, then False
-    postorder = []
-    for root in reversed(sources):
-        if root in on_stack:
-            continue
-        on_stack[root] = True
-        stack = [(root, reversed(arcs_by_state[root]))]
-        while stack:
-            state, arcs = stack[-1]
-            for _, target, _ in arcs:
-                seen = on_stack.get(target)
-                if seen is None:
-                    on_stack[target] = True
-                    stack.append((target, reversed(arcs_by_state[target])))
-                    break
-                if seen:
-                    return None
-            else:
-                stack.pop()
-                on_stack[state] = False
-                postorder.append(state)
-    postorder.reverse()
-    return postorder
-
-
 def _components(arcs_by_state, sources):
-    """Tarjan's algorithm: the strongly connected components reachable
-    from ``sources`` in topological order, each a sorted list of states.
+    """Tarjan's algorithm: every state reachable from ``sources``, ordered
+    so that each arc leads forward or stays inside its strongly connected
+    component, and the components that hold a cycle.
 
-    One iterative depth-first search.  Tarjan's algorithm finishes a
-    component only after every component it reaches, so the finishing
-    order, reversed, is topological.
+    Returns ``(order, cyclic)``.  The states of each component are
+    consecutive in ``order`` and sorted; ``cyclic`` maps the first state
+    of each component of more than one state, or with a self-loop, to
+    that component's list of states.
+
+    One iterative depth-first search, with the sources and each state's
+    arcs explored last to first.  Tarjan's algorithm finishes a component
+    only after every component it reaches, so the finishing order,
+    reversed, is topological; on an acyclic part it is the reverse
+    postorder, in which siblings keep their arc order.
     """
-    index = {}     # state -> depth-first number
-    low = {}       # state -> least number reachable through the stack
+    finished = len(arcs_by_state)  # above every depth-first number
+    # state -> the least depth-first number it reaches through states on
+    # the stack (at first its own number), or finished once off the stack.
+    low = {}
     stack = []     # visited states whose component is not finished
-    on_stack = set()
-    components = []
-    for root in sources:
-        if root in index:
+    looped = set()
+    order = []     # the components in finishing order, each reversed
+    cyclic = {}
+    for root in reversed(sources):
+        if root in low:
             continue
-        index[root] = low[root] = len(index)
+        low[root] = len(low)
         stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(arcs_by_state[root]))]
+        work = [(root, reversed(arcs_by_state[root]), low[root])]
         while work:
-            state, arcs = work[-1]
-            for _, target, _ in arcs:
-                if target not in index:
-                    index[target] = low[target] = len(index)
+            state, arcs, number = work[-1]
+            lowest = low[state]
+            for target, _ in arcs:
+                reached = low.get(target)
+                if reached is None:
+                    low[target] = reached = len(low)
                     stack.append(target)
-                    on_stack.add(target)
-                    work.append((target, iter(arcs_by_state[target])))
+                    work.append((target, reversed(arcs_by_state[target]),
+                                 reached))
                     break
-                if target in on_stack and index[target] < low[state]:
-                    low[state] = index[target]
+                if reached <= lowest:
+                    if reached < lowest:
+                        lowest = low[state] = reached
+                    else:
+                        # A self-loop, or an arc inside a component of
+                        # more than one state: either way, a cycle.
+                        looped.add(state)
             else:
                 work.pop()
-                if work and low[state] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[state]
-                if low[state] == index[state]:
-                    component = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component.append(member)
-                        if member == state:
-                            break
-                    components.append(sorted(component))
-    components.reverse()
-    return components
+                if lowest != number:
+                    # Not the root of its component, so it has a parent.
+                    parent = work[-1][0]
+                    if lowest < low[parent]:
+                        low[parent] = lowest
+                    continue
+                member = stack.pop()
+                low[member] = finished
+                if member == state:
+                    order.append(state)
+                    if state in looped:
+                        cyclic[state] = [state]
+                    continue
+                component = [member]
+                while member != state:
+                    member = stack.pop()
+                    low[member] = finished
+                    component.append(member)
+                component.sort()
+                cyclic[component[0]] = component
+                order.extend(reversed(component))
+    order.reverse()
+    return order, cyclic
 
 
 def _describe(component):
@@ -409,7 +402,7 @@ def _eliminate(kernel, component, arcs_by_state, d):
     inflow = [{} for _ in component]        # inflow[t][s]: weight s -> t
     outflow = [set() for _ in component]    # outflow[s]: t with inflow[t][s]
     for k, s in enumerate(component):
-        for _, target, weight in arcs_by_state[s]:
+        for target, weight in arcs_by_state[s]:
             t = position.get(target)
             if t is not None:
                 terms = inflow[t]
@@ -473,7 +466,7 @@ def _label_correcting(kernel, component, members, arcs_by_state, d):
         for s in scan:
             waiting.discard(s)
             ds = d[s]
-            for _, target, weight in arcs_by_state[s]:
+            for target, weight in arcs_by_state[s]:
                 if target in members:
                     old = d[target]
                     new = plus(old, times(ds, weight))
@@ -525,7 +518,7 @@ def _relax(kernel, component, members, arcs_by_state, d):
                 f"did not converge within {RELAXATION_SWEEP_CAP} sweeps; "
                 f"the last residual was {mass!r} at state {s}",
                 scc=component, residual=mass)
-        for _, target, weight in arcs_by_state[s]:
+        for target, weight in arcs_by_state[s]:
             if target in members:
                 add = mass * weight
                 new = d[target] + add
@@ -541,17 +534,18 @@ def _generic_distance(semiring, kernel, arcs_by_state, sources):
     """Single-source (or multi-source) shortest distance over a semiring,
     computed with its kernel (see ``semirings._kernel``).
 
-    ``arcs_by_state[s]`` is a list of (source, target, weight) triples and
+    ``arcs_by_state[s]`` is a list of (target, weight) pairs and
     ``sources`` maps seed states to their initial weights, all as kernel
     values.  Returns a dict from each state reachable from the sources to
     its distance, a kernel value; only those states are visited.
 
-    An acyclic reachable part gets one depth-first search and one exact
-    topological pass.  Otherwise Tarjan's algorithm splits it into
-    strongly connected components, which are passed in topological order,
-    so the pass is exact across components.  A component of one state
-    without a self-loop needs no solver; any other is solved according to
-    what the semiring supplies:
+    One Tarjan search orders the reachable part so that every arc leads
+    forward or stays inside its strongly connected component, and one
+    pass in that order passes each state's mass along the arcs that leave
+    its component, so the pass is exact across components.  An acyclic
+    part is the case where every component is one state without a
+    self-loop, and needs nothing more.  Any other component is solved,
+    when the pass reaches it, according to what the semiring supplies:
 
     - the 'path' or 'idempotent' property (boolean, featurized, min, max,
       tropical): exact label-correcting, DivergenceError on an improving
@@ -563,27 +557,17 @@ def _generic_distance(semiring, kernel, arcs_by_state, sources):
       the sweep cap.
     """
     plus, times, zero = kernel.plus, kernel.times, kernel.zero
-    order = _reachable_order(arcs_by_state, sources)
-    if order is not None:
-        d = dict.fromkeys(order, zero)
-        for s, w in sources.items():
-            d[s] = plus(d[s], w)
-        for s in order:
-            ds = d[s]
-            for _, target, weight in arcs_by_state[s]:
-                d[target] = plus(d[target], times(ds, weight))
-        return d
-    components = _components(arcs_by_state, sources)
-    d = {s: zero for component in components for s in component}
+    order, cyclic = _components(arcs_by_state, sources)
+    d = dict.fromkeys(order, zero)
     for s, w in sources.items():
         d[s] = plus(d[s], w)
     idempotent = {"path", "idempotent"} & semiring.semiring_properties
-    for component in components:
-        first = component[0]
-        if len(component) == 1 and all(
-                target != first for _, target, _ in arcs_by_state[first]):
-            members = ()  # no cycle: every arc leaves the component
-        else:
+    # The states of the last cyclic component.  Past that component it is
+    # stale, which is harmless: no later arc leads back into it.
+    members = ()
+    for s in order:
+        if s in cyclic:
+            component = cyclic[s]
             members = set(component)
             if idempotent:
                 _label_correcting(kernel, component, members,
@@ -592,23 +576,21 @@ def _generic_distance(semiring, kernel, arcs_by_state, sources):
                 _eliminate(kernel, component, arcs_by_state, d)
             else:
                 _relax(kernel, component, members, arcs_by_state, d)
-        for s in component:
-            ds = d[s]
-            for _, target, weight in arcs_by_state[s]:
-                if target not in members:
-                    d[target] = plus(d[target], times(ds, weight))
+        ds = d[s]
+        for target, weight in arcs_by_state[s]:
+            if target not in members:
+                d[target] = plus(d[target], times(ds, weight))
     return d
 
 
 def _forward_arcs(fst, unbox):
-    return [[(a.source, a.target, unbox(a.weight)) for a in arcs]
-            for arcs in fst._arcs]
+    return [[(a.target, unbox(a.weight)) for a in arcs] for arcs in fst._arcs]
 
 
 def _backward_arcs(fst, unbox):
     arcs = [[] for _ in fst.states()]
     for a in fst.all_arcs():
-        arcs[a.target].append((a.target, a.source, unbox(a.weight)))
+        arcs[a.target].append((a.source, unbox(a.weight)))
     return arcs
 
 
@@ -751,7 +733,7 @@ def remove_epsilon(fst):
     eps_arcs = [[] for _ in fst.states()]
     for a in fst.all_arcs():
         if a.input == EPSILON and a.output == EPSILON:
-            eps_arcs[a.source].append((a.source, a.target, unbox(a.weight)))
+            eps_arcs[a.source].append((a.target, unbox(a.weight)))
 
     arcs = {fst.initial: None}  # kept state -> its new arcs, once built
     finals = {}

@@ -35,12 +35,11 @@ def render_text(fst):
         f"#initial {fst.initial if fst.initial is not None else '-'}",
         f"#states {fst.num_states}",
     ]
-    for state in fst.states():
-        for arc in fst.arcs(state):
-            lines.append(
-                f"{arc.source} {arc.target} {arc.input} {arc.output} "
-                f"{arc.weight.text()}"
-            )
+    for arc in fst.all_arcs():
+        lines.append(
+            f"{arc.source} {arc.target} {arc.input} {arc.output} "
+            f"{arc.weight.text()}"
+        )
     for state in sorted(fst.finals):
         lines.append(f"{state} {fst.finals[state].text()}")
     return "\n".join(lines) + "\n"

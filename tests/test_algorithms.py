@@ -1,6 +1,7 @@
 
 import math
 import re
+import sys
 import random
 
 import numpy as np
@@ -1021,9 +1022,8 @@ class TestSumPaths:
                 sum_paths(a) * sum_paths(b), 1e-6)
 
     def test_exact_when_only_an_unreachable_part_is_cyclic(self):
-        # The accepting path weighs less than the 1/1024 cut-off of the
-        # cyclic relaxation; the cycle cannot be reached, so the exact
-        # topological pass applies.
+        # The cycle cannot be reached, so the search never visits it and
+        # the small path weight comes out exactly.
         f = Fst(RealWeight)
         for _ in range(3):
             f.add_state()
@@ -1305,6 +1305,124 @@ class TestExactCyclicDistance:
         # weighs 0.5 of that.
         assert sum_paths(f).value == pytest.approx(
             (0.5 * 4 / 3) * (0.5 * 4 / 3), rel=1e-15)
+
+
+def random_graph(rng, n):
+    """Arcs by state, as (target, weight) pairs to uniform random targets,
+    so self-loops, parallel arcs and cycles of every size occur."""
+    return [[(rng.randrange(n), 1.0) for _ in range(rng.randrange(4))]
+            for _ in range(n)]
+
+
+def components_oracle(arcs_by_state, sources):
+    """The states reachable from ``sources``, each state's strongly
+    connected component as a frozenset (mutual reachability in the
+    transitive closure), and the set of components that hold a cycle."""
+    n = len(arcs_by_state)
+    reach = [{s} | {t for t, _ in arcs}
+             for s, arcs in enumerate(arcs_by_state)]
+    for k in range(n):  # Warshall
+        for row in reach:
+            if k in row:
+                row |= reach[k]
+    reachable = set().union(*(reach[s] for s in sources))
+    component = {s: frozenset(t for t in reach[s] if s in reach[t])
+                 for s in reachable}
+    cyclic = {c for s, c in component.items()
+              if len(c) > 1 or any(t == s for t, _ in arcs_by_state[s])}
+    return reachable, component, cyclic
+
+
+def reverse_postorder(arcs_by_state, sources):
+    """Recursive depth-first search from the sources, and each state's arcs,
+    taken last to first; the postorder, reversed."""
+    postorder, seen = [], set()
+
+    def visit(s):
+        seen.add(s)
+        for t, _ in reversed(arcs_by_state[s]):
+            if t not in seen:
+                visit(t)
+        postorder.append(s)
+
+    for s in reversed(sources):
+        if s not in seen:
+            visit(s)
+    return postorder[::-1]
+
+
+class TestComponents:
+    def test_matches_mutual_reachability(self):
+        rng = random.Random(14)
+        seen_cyclic = seen_unreached = 0
+        for _ in range(300):
+            n = rng.randint(1, 14)
+            graph = random_graph(rng, n)
+            sources = dict.fromkeys(
+                rng.sample(range(n), rng.randint(1, min(n, 3))))
+            order, cyclic = algorithms._components(graph, sources)
+            reachable, component, cyclic_oracle = components_oracle(
+                graph, sources)
+            assert sorted(order) == sorted(reachable)
+            position = {s: i for i, s in enumerate(order)}
+            for s in order:
+                for t, _ in graph[s]:
+                    assert (position[t] > position[s]
+                            or component[t] == component[s])
+            # Each component is one run of consecutive states, sorted.
+            runs = [[order[0]]]
+            for s in order[1:]:
+                if component[s] == component[runs[-1][0]]:
+                    runs[-1].append(s)
+                else:
+                    runs.append([s])
+            assert [frozenset(run) for run in runs] == \
+                [component[run[0]] for run in runs]
+            assert all(run == sorted(run) for run in runs)
+            assert len(runs) == len(set(component.values()))
+            assert {frozenset(c) for c in cyclic.values()} == cyclic_oracle
+            assert all(states == sorted(states) and first == states[0]
+                       for first, states in cyclic.items())
+            seen_cyclic += bool(cyclic)
+            seen_unreached += len(reachable) < n
+        assert seen_cyclic > 100 and seen_unreached > 100
+
+    def test_acyclic_order_is_the_reverse_postorder(self):
+        # Arcs only to higher ids: siblings keep their arc order.
+        rng = random.Random(15)
+        for _ in range(200):
+            n = rng.randint(1, 14)
+            graph = [[(rng.randrange(s + 1, n), 1.0)
+                      for _ in range(rng.randrange(4))] if s < n - 1 else []
+                     for s in range(n)]
+            sources = dict.fromkeys(
+                rng.sample(range(n), rng.randint(1, min(n, 3))))
+            order, cyclic = algorithms._components(graph, sources)
+            assert order == reverse_postorder(graph, sources)
+            assert cyclic == {}
+
+    def test_chain_of_two_state_cycles_deeper_than_the_recursion_limit(self):
+        # Pair k is 2k <-> 2k+1 (0.5 each way), left by 2k+1 -> 2k+2 (1.5):
+        # each pair's paths sum to 0.5 * 1.5 / (1 - 0.25) = 1, and the last
+        # pair, ending at its final state 1999, to 0.5 / (1 - 0.25).
+        pairs = 1000
+        f = Fst(RealWeight)
+        for _ in range(2 * pairs):
+            f.add_state()
+        f.set_initial_state(0)
+        for k in range(0, 2 * pairs, 2):
+            f.add_arc(k, k + 1, 0.5, "a", "a")
+            f.add_arc(k + 1, k, 0.5, "a", "a")
+            if k + 2 < 2 * pairs:
+                f.add_arc(k + 1, k + 2, 1.5, "a", "a")
+        f.set_final_weight(2 * pairs - 1, 1.0)
+        assert f.num_states > sys.getrecursionlimit()
+        graph = [[(t, 1.0) for t in targets] for targets in
+                 ([a.target for a in f.arcs(s)] for s in f.states())]
+        order, cyclic = algorithms._components(graph, {0: None})
+        assert order == list(range(2 * pairs))
+        assert cyclic == {k: [k, k + 1] for k in range(0, 2 * pairs, 2)}
+        assert sum_paths(f).value == pytest.approx(2 / 3, rel=1e-12)
 
 
 def epsilon_machine():

@@ -135,13 +135,16 @@ def union(*fsts):
         raise WfstError("union needs at least one FST")
     fsts = _coerce(*fsts)
     sr = fsts[0].semiring
+    one, new = sr.cast(sr.one), tuple.__new__
     out = Fst(sr)
     offsets = [_copy_into(out, side) for side in fsts]
     start = out.add_state()
-    out.set_initial_state(start)
+    out.initial = start
+    start_arcs = out._arcs[start]
     for side, offset in zip(fsts, offsets):
         if side.initial is not None:
-            out.add_arc(start, offset + side.initial, sr.one, EPSILON, EPSILON)
+            start_arcs.append(new(Arc, (start, offset + side.initial,
+                                        EPSILON, EPSILON, one)))
         for state, weight in side.finals.items():
             out.finals[offset + state] = weight
     return out
@@ -150,16 +153,17 @@ def union(*fsts):
 def concat(a, b):
     """Accepts x+y for x in L(a), y in L(b), with times-combined weights."""
     a, b = _coerce(a, b)
-    sr = a.semiring
-    out = Fst(sr)
+    out = Fst(a.semiring)
     offset_a = _copy_into(out, a)
     offset_b = _copy_into(out, b)
     if a.initial is not None:
-        out.set_initial_state(offset_a + a.initial)
+        out.initial = offset_a + a.initial
     if b.initial is not None:
+        new, target = tuple.__new__, offset_b + b.initial
         for state, weight in a.finals.items():
-            out.add_arc(offset_a + state, offset_b + b.initial,
-                        weight, EPSILON, EPSILON)
+            source = offset_a + state
+            out._arcs[source].append(new(Arc, (source, target, EPSILON,
+                                               EPSILON, weight)))
     for state, weight in b.finals.items():
         out.finals[offset_b + state] = weight
     return out
@@ -168,15 +172,19 @@ def concat(a, b):
 def closure(a):
     """Kleene star: epsilon plus any finite repetition of L(a)."""
     sr = a.semiring
+    one, new = sr.cast(sr.one), tuple.__new__
     out = Fst(sr)
     start = out.add_state()
-    out.set_initial_state(start)
-    out.set_final_weight(start, sr.one)
+    out.initial = start
+    out.finals[start] = one
     offset = _copy_into(out, a)
     if a.initial is not None:
-        out.add_arc(start, offset + a.initial, sr.one, EPSILON, EPSILON)
+        out._arcs[start].append(new(Arc, (start, offset + a.initial,
+                                          EPSILON, EPSILON, one)))
     for state, weight in a.finals.items():
-        out.add_arc(offset + state, start, weight, EPSILON, EPSILON)
+        source = offset + state
+        out._arcs[source].append(new(Arc, (source, start, EPSILON,
+                                           EPSILON, weight)))
     return out
 
 
@@ -583,6 +591,22 @@ def _generic_distance(semiring, kernel, arcs_by_state, sources):
     return d
 
 
+def _gate(kernel, values):
+    """Pass each of ``values`` through the membership gate unboxed, and
+    return them: the generic kernel's ``checked`` returns its weight, and
+    a float kernel's one non-member is NaN (the one value unequal to
+    itself), which ``checked`` turns into InvalidWeightError."""
+    checked = kernel.checked
+    if kernel.box is _same:
+        for value in values:
+            checked(value)
+    else:
+        for value in values:
+            if value != value:
+                checked(value)
+    return values
+
+
 def _forward_arcs(fst, unbox):
     return [[(a.target, unbox(a.weight)) for a in arcs] for arcs in fst._arcs]
 
@@ -778,9 +802,15 @@ def determinize(fst, delta=DEFAULT_DELTA):
     by their (input, output) label pair; for acceptors this yields a
     machine with no two same-input arcs leaving any state.  Residual
     weights need semiring division whenever arc weights are non-trivial.
-    Final weights, arc weights (the per-label totals) and residuals pass
-    the membership gate, so a NaN (inf / inf, say) raises
-    InvalidWeightError.
+
+    The construction runs on kernel values (see ``semirings._kernel``):
+    a subset is a tuple of (state, residual) pairs, and its key in the
+    subset table holds each residual quantized to ``delta``.  Final
+    weights, arc weights (the per-label totals) and residuals pass the
+    membership gate, so a NaN (inf / inf, say) raises InvalidWeightError.
+    A label pair whose weight into every target is zero is left out:
+    every path through it weighs zero, so the weighted language is the
+    same, and there is no total to divide by.
     """
     sr = fst.semiring
     for a in fst.all_arcs():
@@ -795,9 +825,9 @@ def determinize(fst, delta=DEFAULT_DELTA):
     cap = 10 * fst.num_states + 1000
     finals = fst.finals
     kernel = _kernel(sr)
-    plus, times, zero, one, unbox, box, checked = (
-        kernel.plus, kernel.times, kernel.zero, kernel.one, kernel.unbox,
-        kernel.box, kernel.checked)
+    plus, times, divide, quantize, zero, one, unbox, checked = (
+        kernel.plus, kernel.times, kernel.divide, kernel.quantize,
+        kernel.zero, kernel.one, kernel.unbox, kernel.checked)
     new = tuple.__new__
 
     def plus_all(values):
@@ -806,39 +836,26 @@ def determinize(fst, delta=DEFAULT_DELTA):
             total = plus(total, value)
         return total
 
-    def residual(x, y):
-        """x / y as a weight, through the membership gate."""
-        if y != one:
-            if not sr.has_division:
-                raise UnsupportedOperationError(
-                    f"weighted determinization needs division, which the "
-                    f"{sr.name} semiring lacks"
-                )
-            x = unbox(box(x) / box(y))
-        return checked(x)
-
     # Subsets are keyed by quantized residuals so nearly identical subsets
     # merge, but the exact residuals of the first-seen subset are used for
     # expansion to keep arc weights exact along unmerged paths.  States are
     # numbered in queue order and the queue is FIFO, so the state popped
     # next is always the next one to get its arc list.
-    start = ((fst.initial, sr.one),)
-    state_map = {tuple((s, r.quantize(delta)) for s, r in start): 0}
+    state_map = {((fst.initial, quantize(one, delta)),): 0}
     out.initial = 0
-    queue = deque([start])
+    queue = deque([((fst.initial, one),)])
     while queue:
-        key = queue.popleft()
+        subset = queue.popleft()
         src = len(out._arcs)
         src_arcs = []
         out._arcs.append(src_arcs)
-        final = plus_all(times(unbox(r), unbox(finals[state]))
-                         for state, r in key if state in finals)
+        final = plus_all(times(r, unbox(finals[state]))
+                         for state, r in subset if state in finals)
         if final != zero:
             out.finals[src] = checked(final)
         # Group outgoing arcs by label pair.
         grouped = {}
-        for state, r in key:
-            r = unbox(r)
+        for state, r in subset:
             for arc in fst._arcs[state]:
                 grouped.setdefault((arc.input, arc.output), {}) \
                     .setdefault(arc.target, []) \
@@ -846,10 +863,22 @@ def determinize(fst, delta=DEFAULT_DELTA):
         for (ilabel, olabel), targets in sorted(grouped.items()):
             per_target = {t: plus_all(vs) for t, vs in targets.items()}
             total = plus_all(per_target.values())
+            if total == zero and all(v == zero for v in per_target.values()):
+                continue
             weight = checked(total)
-            subset = tuple((t, residual(per_target[t], total))
-                           for t in sorted(per_target))
-            new_key = tuple((t, r.quantize(delta)) for t, r in subset)
+            states = sorted(per_target)
+            if total == one:
+                residuals = [per_target[t] for t in states]
+            elif sr.has_division:
+                residuals = [divide(per_target[t], total) for t in states]
+            else:
+                raise UnsupportedOperationError(
+                    f"weighted determinization needs division, which the "
+                    f"{sr.name} semiring lacks"
+                )
+            _gate(kernel, residuals)
+            new_key = tuple(zip(states, [quantize(r, delta)
+                                         for r in residuals]))
             dst = state_map.get(new_key)
             if dst is None:
                 if len(state_map) >= cap:
@@ -860,7 +889,7 @@ def determinize(fst, delta=DEFAULT_DELTA):
                         f"state {src} needs one more",
                         len(state_map), cap, (ilabel, olabel))
                 dst = state_map[new_key] = len(state_map)
-                queue.append(subset)
+                queue.append(tuple(zip(states, residuals)))
             src_arcs.append(new(Arc, (src, dst, ilabel, olabel, weight)))
     return out
 
@@ -905,16 +934,17 @@ def push(fst, direction="initial"):
     if fst.initial is None:
         return fst.copy()
     kernel = _kernel(sr)
+    times, unbox, box, checked, zero = (
+        kernel.times, kernel.unbox, kernel.box, kernel.checked, kernel.zero)
     toward_initial = direction == "initial"
-    values = (_backward_values if toward_initial else _forward_values)(
-        fst, kernel)
-    pot = list(map(kernel.checked, values))
-    pot[fst.initial] = sr.one
-    zero, cast, new = sr.zero, sr.cast, tuple.__new__
+    pot = _gate(kernel, (_backward_values if toward_initial
+                         else _forward_values)(fst, kernel))
+    pot[fst.initial] = kernel.one
+    new = tuple.__new__
 
     def divide(x, state):
         try:
-            return x / pot[state]
+            return kernel.divide(x, pot[state])
         except InvalidWeightError as exc:
             raise UnsupportedOperationError(
                 f"push toward the {direction} state: {x} / {pot[state]} "
@@ -928,17 +958,18 @@ def push(fst, direction="initial"):
         if ps == zero or pt == zero:
             return a
         if toward_initial:
-            w = divide(w * pt, s)
+            w = divide(times(unbox(w), pt), s)
         else:
-            w = divide(ps * w, t)
-        return new(Arc, (s, t, i, o, cast(w)))
+            w = divide(times(ps, unbox(w)), t)
+        return new(Arc, (s, t, i, o, checked(w)))
 
     out = _map_arcs(fst, sr, lambda arcs: list(map(reweight, arcs)), _same)
     for state, weight in fst.finals.items():
         p = pot[state]
         if p != zero:
-            out.set_final_weight(state, divide(weight, state)
-                                 if toward_initial else p * weight)
+            w = unbox(weight)
+            out.set_final_weight(state, box(divide(w, state) if toward_initial
+                                            else times(p, w)))
     return out
 
 

@@ -18,6 +18,13 @@ call that builds the weight and raises InvalidWeightError for a NaN.  A
 subclass inherits no float kernel: it may override an operator or
 ``star``, so it runs, like every other semiring, on the generic kernel of
 weight objects and their operators, whose ``checked`` tests ``member()``.
+
+Division and quantization are kernel operations as well.  A float
+kernel's ``divide`` and ``quantize`` are the very functions that the
+weight class's ``/`` and ``quantize`` call before they box the result, so
+an algorithm that divides or quantizes values gets the bits the weight
+operators give.  The generic kernel divides with ``/`` and quantizes with
+the weight's own ``quantize``.
 """
 
 import math
@@ -265,15 +272,18 @@ def _not_a_member(semiring, weight):
 
 
 # The arithmetic of a semiring as the algorithms run it: plus and times on
-# the kernel's values, their zero and one, star (or None), unbox (weight
-# to value), box (value to weight), checked (value to weight through the
-# membership gate, in one call) and score (value to its sampling weight,
-# or None where a value is its own sampling weight).
+# the kernel's values, their zero and one, star (or None), divide (x / y,
+# raising DivisionByZeroError for a zero y), quantize (value and delta to
+# the value's nearest multiple of delta), unbox (weight to value), box
+# (value to weight), checked (value to weight through the membership gate,
+# in one call) and score (value to its sampling weight, or None where a
+# value is its own sampling weight).
 _Kernel = namedtuple(
-    "_Kernel", "plus times zero one star unbox box checked score")
+    "_Kernel",
+    "plus times zero one star divide quantize unbox box checked score")
 
 
-def _make_float_kernel(semiring, plus, times, zero, one, star=None,
+def _make_float_kernel(semiring, plus, times, zero, one, divide, star=None,
                        score=None):
     """A kernel on the plain float ``value`` of ``semiring``'s weights."""
     new = object.__new__
@@ -286,7 +296,7 @@ def _make_float_kernel(semiring, plus, times, zero, one, star=None,
         weight.value = value
         return weight
 
-    return _Kernel(plus, times, zero, one, star,
+    return _Kernel(plus, times, zero, one, star, divide, _quantize,
                    operator.attrgetter("value"), semiring, checked, score)
 
 
@@ -310,9 +320,21 @@ def _kernel(semiring):
             return weight
 
         kernel = _Kernel(operator.add, operator.mul, semiring.zero,
-                         semiring.one, semiring.star, _same, _same, checked,
+                         semiring.one, semiring.star, operator.truediv,
+                         semiring.quantize, _same, _same, checked,
                          operator.methodcaller("sampling_weight"))
     return kernel
+
+
+def _quantize(value, delta):
+    """``value`` rounded half-even to its nearest multiple of ``delta``.
+    An infinite value, or a quotient that overflows (a tiny delta), has no
+    nearest step and is returned as it is."""
+    steps = value / delta
+    if not math.isfinite(steps):
+        return value
+    # round() is banker's rounding, so quantization is half-even.
+    return round(steps) * delta
 
 
 def _float_text(v):
@@ -359,13 +381,10 @@ class _NumericWeight(AbstractSemiringWeight):
         return abs(self.value - other.value) < delta
 
     def quantize(self, delta=DEFAULT_DELTA):
-        steps = self.value / delta
-        # An infinite value, or a quotient that overflows (a tiny delta),
-        # has no nearest step.
-        if not math.isfinite(steps):
-            return self
-        # round() is banker's rounding, so quantization is half-even.
-        return self.cast(round(steps) * delta)
+        value = _quantize(self.value, delta)
+        # A value without a nearest step keeps its weight (and a diff
+        # weight its tape node).
+        return self if value is self.value else self.cast(value)
 
     def member(self):
         return not math.isnan(self.value)
@@ -402,6 +421,12 @@ def _real_star(value):
     return 1.0 / (1.0 - value)
 
 
+def _real_divide(a, b):
+    if b == 0.0:
+        raise DivisionByZeroError("real division by zero element")
+    return a / b
+
+
 class RealWeight(_NumericWeight):
     """<+, *, 0, 1> over the reals (the probability semiring)."""
 
@@ -421,9 +446,7 @@ class RealWeight(_NumericWeight):
 
     def __truediv__(self, other):
         other = self._coerce(other)
-        if other.value == 0.0:
-            raise DivisionByZeroError("real division by zero element")
-        return type(self)(self.value / other.value)
+        return type(self)(_real_divide(self.value, other.value))
 
     def __pow__(self, n):
         if n < 0:
@@ -434,7 +457,8 @@ class RealWeight(_NumericWeight):
 RealWeight.zero = RealWeight(0.0)
 RealWeight.one = RealWeight(1.0)
 RealWeight._float_kernel = _make_float_kernel(
-    RealWeight, operator.add, operator.mul, 0.0, 1.0, _real_star)
+    RealWeight, operator.add, operator.mul, 0.0, 1.0, _real_divide,
+    _real_star)
 
 
 def _path_times(zero_value):
@@ -450,6 +474,21 @@ def _path_times(zero_value):
     return times
 
 
+def _path_divide(semiring):
+    """divide of the path semiring ``semiring``: the difference of two
+    values, where an infinite dividend stays as it is and a divisor equal
+    to zero raises, under the semiring's name."""
+    zero_value, isinf = semiring._zero_value, math.isinf
+
+    def divide(a, b):
+        if b == zero_value:
+            raise DivisionByZeroError(
+                f"{semiring.name} division by zero element")
+        return a if isinf(a) else a - b
+
+    return divide
+
+
 def _path_score(sign):
     """A path semiring value's sampling weight, exp(sign·value): the cap
     of 700 keeps it finite, and zero's (exp(-inf)) is 0.0."""
@@ -459,7 +498,7 @@ def _path_score(sign):
 
 def _path_kernel(semiring):
     return _make_float_kernel(semiring, semiring._select, semiring._times,
-                              semiring._zero_value, 0.0,
+                              semiring._zero_value, 0.0, semiring._divide,
                               score=semiring._score)
 
 
@@ -469,10 +508,15 @@ class _PathWeight(_NumericWeight):
 
     ``_score`` (see ``_path_score``) turns a value into its sampling
     weight.  ``_times`` (see ``_path_times``) gives zero whenever an
-    operand is infinite.
+    operand is infinite.  Each subclass gets a ``_divide`` of its own (see
+    ``_path_divide``), whose error names it.
     """
 
     semiring_properties = frozenset({"base", "path", "idempotent"})
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._divide = staticmethod(_path_divide(cls))
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -484,11 +528,7 @@ class _PathWeight(_NumericWeight):
 
     def __truediv__(self, other):
         other = self._coerce(other)
-        if other.value == self._zero_value:
-            raise DivisionByZeroError(f"{self.name} division by zero element")
-        if math.isinf(self.value):
-            return type(self)(self.value)
-        return type(self)(self.value - other.value)
+        return type(self)(self._divide(self.value, other.value))
 
     def __pow__(self, n):
         if n < 0:

@@ -42,6 +42,7 @@ from wfst.errors import (
     ConvergenceError,
     DeterminizationLimitError,
     DivergenceError,
+    DivisionByZeroError,
     InvalidWeightError,
     NoAcceptingPathError,
     SamplingError,
@@ -51,7 +52,7 @@ from wfst.errors import (
 )
 from wfst.fst import EPSILON, Arc
 from wfst.io import parse_text, render_text
-from wfst.semirings import _kernel
+from wfst.semirings import DEFAULT_DELTA, _kernel
 from conftest import (random_acyclic_fst, random_boolean_fst,
                       random_cyclic_fst, single_scc_real_fst)
 
@@ -148,6 +149,18 @@ class TestUnion:
     def test_no_operands_rejected(self):
         with pytest.raises(WfstError):
             union()
+
+    def test_semiring_without_its_own_one_rejected(self):
+        # The inherited one is a RealWeight, no member of the subclass.
+        class NoOneReal(RealWeight):
+            pass
+
+        f = Fst(NoOneReal)
+        f.set_initial_state(f.add_state())
+        for build in (lambda: union(f, f), lambda: closure(f)):
+            with pytest.raises(SemiringMismatchError,
+                               match="cannot cast real weight"):
+                build()
 
 
 class TestConcat:
@@ -742,6 +755,9 @@ class TestDeterminize:
         "0 1 97 97 inf\n0 2 97 97 0.5\n1 1\n2 1\n",   # residual inf / inf
         "0 1 97 97 inf\n0 2 97 97 -inf\n1 1\n2 1\n",  # total inf + -inf
         "0 1 97 97 0\n0 2 97 97 0.5\n1 inf\n2 1\n",   # final 0 * inf
+        # inf / inf at state 1, which has no arcs and is not final, so
+        # only the residual gate sees the NaN.
+        "0 1 97 97 inf\n0 2 97 97 0.5\n2 1\n",
     ])
     def test_nan_weight_is_refused(self, arcs):
         f = parse_text("#semiring real\n#initial 0\n#states 3\n" + arcs)
@@ -1743,6 +1759,10 @@ class TestKernelEquivalence:
         runs = [lambda f: arc_values(compose(f, f)),
                 lambda f: arc_values(remove_epsilon(f)),
                 lambda f: arc_values(determinize(remove_epsilon(f))),
+                # A coarse delta, so that subsets merge.
+                lambda f: arc_values(determinize(remove_epsilon(f), 0.1)),
+                lambda f: arc_values(push(f, "initial")),
+                lambda f: arc_values(push(f, "final")),
                 lambda f: arc_values(lift(f, other))]
         runs += [lambda f, seed=seed: path_values(random_path(f, seed))
                  for seed in range(5)]
@@ -1760,6 +1780,115 @@ class TestKernelEquivalence:
             assert arc_values(lift(fast, plain)) == \
                 arc_values(lift(slow, semiring))
         assert answers > 0.8 * 30 * len(runs)
+
+    def test_coarse_delta_merges_subsets(self):
+        merged = 0
+        for fast, _ in self.machines(RealWeight, PlainReal):
+            f = remove_epsilon(fast)
+            merged += (determinize(f, 0.1).num_states
+                       < determinize(f).num_states)
+        assert merged > 0
+
+    @pytest.mark.parametrize("semiring",
+                             [RealWeight, MinWeight, MaxWeight, TropicalWeight])
+    def test_divide_and_quantize_match_the_operators(self, semiring):
+        kernel = _kernel(semiring)
+        values = [0.0, -0.0, 0.25, -3.5, 2.5, 1e308, 1e-300, math.inf,
+                  -math.inf]
+        for a in values:
+            for b in values:
+                fast = outcome(kernel.divide, a, b)
+                slow = outcome(lambda: semiring(a) / semiring(b))
+                if isinstance(slow, tuple):  # an error: the same one
+                    assert fast == slow
+                else:
+                    assert repr(semiring(fast)) == repr(slow)
+            # Half-even ties (2.5 -> 2, 3.5 -> 4 steps of 1.0), and a
+            # quotient that overflows (1e308 / 1e-320) keeps the value.
+            for delta in (1.0, 0.5, 0.1, DEFAULT_DELTA, 1e-320):
+                fast = kernel.quantize(a, delta)
+                assert type(fast) is float
+                slow = semiring(a).quantize(delta)
+                assert repr(semiring(fast)) == repr(slow)
+        assert kernel.quantize(2.5, 1.0) == 2.0
+        assert kernel.quantize(3.5, 1.0) == 4.0
+        assert kernel.quantize(1e308, 1e-320) == 1e308
+        # -0.0 is zero steps, as the weight operator has it: +0.0.
+        assert math.copysign(1.0, kernel.quantize(-0.0, 1.0)) == 1.0
+        zero = semiring.zero.value
+        with pytest.raises(DivisionByZeroError, match=re.escape(
+                f"{semiring.name} division by zero element")):
+            kernel.divide(1.0, zero)
+        if semiring is RealWeight:
+            # inf / inf is a NaN, which the gate refuses with one text.
+            message = re.escape(
+                "RealWeight(nan) is not a member of the real semiring")
+            with pytest.raises(InvalidWeightError, match=message):
+                kernel.checked(kernel.divide(math.inf, math.inf))
+            with pytest.raises(InvalidWeightError, match=message):
+                RealWeight.cast(RealWeight(math.inf) / RealWeight(math.inf))
+
+    @pytest.mark.parametrize("semiring, arcs, finals", [
+        (RealWeight, ["0 1 97 97 0", "0 2 97 97 0", "0 3 98 98 0.5",
+                      "3 4 97 97 0", "3 4 98 98 2", "0 5 99 99 0.5",
+                      "0 6 99 99 0"], ["1 1", "2 1", "4 0.5", "5 1", "6 1"]),
+        (MinWeight, ["0 1 97 97 inf", "0 2 97 97 inf", "0 3 98 98 0.5",
+                     "3 4 97 97 inf", "3 4 98 98 2", "0 5 99 99 0.5",
+                     "0 6 99 99 inf"], ["1 0", "2 0", "4 0.5", "5 0", "6 0"]),
+    ])
+    @pytest.mark.parametrize("generic", [False, True])
+    def test_determinize_drops_zero_total_label_pairs(self, semiring, arcs,
+                                                      finals, generic):
+        # Both a-arcs out of state 0, and the a-arc out of state 3, weigh
+        # zero, so no path reading a there counts.  The c-arcs total 0.5,
+        # so the zero-weighted one stays as a residual.
+        f = parse_text(f"#semiring {semiring.name}\n#initial 0\n"
+                       f"#states 7\n" + "\n".join(arcs + finals) + "\n")
+        if generic:
+            f = lift(f, PlainReal if semiring is RealWeight else PlainMin)
+        d = determinize(f)
+        assert equivalent_by_enumeration(d, f, delta=1e-12)
+        assert [a.input for a in d.arcs(d.initial)] == [98, 99]
+        assert [a.input for a in d.arcs(d.arcs(d.initial)[0].target)] == [98]
+
+    def test_generic_residuals_pass_member(self):
+        class NoHalves(RealWeight):
+            """Reals whose member() refuses 0.5, which no NaN test finds,
+            and whose quantize keeps its weight without a cast."""
+
+            name = "nohalves"
+
+            def member(self):
+                return self.value != 0.5
+
+            def quantize(self, delta=DEFAULT_DELTA):
+                return self
+
+        NoHalves.zero, NoHalves.one = NoHalves(0.0), NoHalves(1.0)
+        f = Fst(NoHalves)
+        for _ in range(4):
+            f.add_state()
+        f.set_initial_state(0)
+        for middle in (1, 2):
+            f.add_arc(0, middle, 1.0, "a", "a")
+            f.add_arc(middle, 3, 1.0, "b", "b")
+        f.set_final_weight(3, 1.0)
+        # The residuals after a are 1 / 2; every weight after them is 1.
+        with pytest.raises(InvalidWeightError, match=re.escape(
+                "NoHalves(0.5) is not a member of the nohalves semiring")):
+            determinize(f)
+
+    @pytest.mark.parametrize("semiring", [RealWeight, PlainReal])
+    def test_determinize_cancelling_total_still_raises(self, semiring):
+        # The a-arcs total zero, but neither weighs zero: the string a
+        # weighs 0.5 - 1, so the pair cannot be left out, and there is no
+        # total to divide by.
+        f = parse_text("#semiring real\n#initial 0\n#states 3\n"
+                       "0 1 97 97 0.5\n0 2 97 97 -0.5\n1 1\n2 2\n")
+        f = lift(f, semiring)
+        with pytest.raises(DivisionByZeroError,
+                           match="real division by zero element"):
+            determinize(f)
 
     @pytest.mark.parametrize("semiring",
                              [RealWeight, MinWeight, MaxWeight, TropicalWeight])

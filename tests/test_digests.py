@@ -165,6 +165,12 @@ CASES = {
     "remove_epsilon tropical": lambda: epsilon_machines(TropicalWeight),
     "determinize pairwise lexicon": lambda: render_text(
         determinize(remove_epsilon(pairwise_lexicon(8, 80)))),
+    # Pushed first, so the residuals are fractional costs that the coarse
+    # delta rounds into the subset keys.
+    "determinize tropical lexicon, delta 0.1": lambda: render_text(
+        determinize(push(remove_epsilon(lift(pairwise_lexicon(8, 80),
+                                             TropicalWeight)), "initial"),
+                    delta=0.1)),
     "push initial cyclic real": lambda: render_text(
         push(single_scc_real_fst(random.Random(4), 40), "initial")),
     "push final cyclic real": lambda: render_text(
@@ -194,6 +200,10 @@ DIGESTS = {
         "b0194c8944b9aa4f0113408cb09dab65cae083bc7c892663990d812d26f5e737",
     "determinize pairwise lexicon":
         "8e717b129e02b71026d96ac1df8df4b7c09f3f7e209863d56084ca287a708c2f",
+    # Recorded before determinize and push came to divide and quantize on
+    # kernel values.
+    "determinize tropical lexicon, delta 0.1":
+        "5395094242d8f925c1c30afe9254d94a23306785d9baa753c6215324f642f457",
     # Re-pinned when remove_epsilon came to keep only accessible states:
     # each new render is the old one restricted to its accessible states,
     # renumbered by rank.

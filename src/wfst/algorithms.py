@@ -7,6 +7,7 @@ argument is auto-cast into the other side's semiring first.
 
 import math
 from collections import deque, namedtuple
+from itertools import accumulate, count
 
 from .errors import (
     ConvergenceError,
@@ -20,8 +21,15 @@ from .errors import (
     UnsupportedOperationError,
     WfstError,
 )
-from .fst import EPSILON, Arc, Fst, Path, enumerate_paths, label_str
-from .semirings import DEFAULT_DELTA, _kernel, _NumericWeight, _same
+from .fst import EPSILON, Fst, _read_path, enumerate_paths, label_str
+from .semirings import (
+    DEFAULT_DELTA,
+    _box,
+    _kernel,
+    _NumericWeight,
+    _same,
+    _unbox,
+)
 
 RELAXATION_SWEEP_CAP = 1000
 
@@ -46,12 +54,11 @@ def _default_cast(source, target):
     )
 
 
-def _map_arcs(fst, semiring, map_arcs, map_final):
+def _rebuilt(fst, semiring, arcs, map_final):
     """A new FST over ``semiring`` with ``fst``'s states and initial state,
-    each state's arc list replaced by ``map_arcs(arcs)`` (same sources)
-    and each final weight by ``map_final(weight)``."""
+    the arc lists ``arcs`` and each final weight mapped by ``map_final``."""
     out = Fst(semiring)
-    out._arcs = [map_arcs(arcs) for arcs in fst._arcs]
+    out._arcs = arcs
     out.initial = fst.initial
     out.finals = {state: map_final(w) for state, w in fst.finals.items()}
     return out
@@ -64,25 +71,29 @@ def lift(fst, target_semiring, cast=None):
     which rejects a non-member or a weight of another semiring.  Without
     ``cast``, a numeric weight lifted into a semiring with a float kernel
     keeps its value, which passes the same gate (a NaN raises
-    InvalidWeightError) without a call to ``cast``.
+    InvalidWeightError) without a call to ``cast``; between two float
+    kernels the stored arc tuples are shared.
     """
     kernel = _kernel(target_semiring)
-    new = tuple.__new__
-    if (cast is None and kernel.box is target_semiring  # a float kernel
+    if (cast is None and kernel.box is not _same  # a float kernel
             and issubclass(fst.semiring, _NumericWeight)):
-        checked = kernel.checked
-        return _map_arcs(fst, target_semiring, lambda arcs: [
-            new(Arc, (s, t, i, o, checked(w.value))) for s, t, i, o, w in arcs
-        ], lambda w: checked(w.value))
+        if _unbox(fst.semiring) is _same:  # the values are weights
+            arcs = [[(t, i, o, w.value) for t, i, o, w in arcs]
+                    for arcs in fst._arcs]
+        else:
+            arcs = [list(arcs) for arcs in fst._arcs]
+        return _rebuilt(fst, target_semiring, _gate_arcs(kernel, arcs),
+                        lambda w: kernel.checked(w.value))
     if cast is None:
         cast = _default_cast(fst.semiring, target_semiring)
+    box, unbox = _box(fst.semiring), kernel.unbox
 
     def convert(w):
         return target_semiring.cast(cast(w))
 
-    return _map_arcs(fst, target_semiring, lambda arcs: [
-        new(Arc, (s, t, i, o, convert(w))) for s, t, i, o, w in arcs
-    ], convert)
+    return _rebuilt(fst, target_semiring, [
+        [(t, i, o, unbox(convert(box(v)))) for t, i, o, v in arcs]
+        for arcs in fst._arcs], convert)
 
 
 def cast_from_boolean(fst, target_semiring):
@@ -107,19 +118,15 @@ def _coerce(*fsts):
 
 
 def _copy_into(dst, src):
-    """Append src's states and arcs to dst, renumbered by dst's state
-    count; return that offset.  At offset 0 the arc lists are copied and
-    their immutable arcs shared, since no arc changes."""
+    """Append src's states and arcs to dst, targets renumbered by dst's
+    state count; return that offset.  At offset 0 the arc lists are
+    copied and their immutable arcs shared, since no arc changes."""
     offset = dst.num_states
     if offset == 0:
         dst._arcs.extend([list(arcs) for arcs in src._arcs])
     else:
-        new = tuple.__new__
-        dst._arcs.extend(
-            [new(Arc, (offset + s, offset + t, i, o, w))
-             for s, t, i, o, w in arcs]
-            for arcs in src._arcs
-        )
+        dst._arcs.extend([(offset + t, i, o, v) for t, i, o, v in arcs]
+                         for arcs in src._arcs)
     return offset
 
 
@@ -135,7 +142,7 @@ def union(*fsts):
         raise WfstError("union needs at least one FST")
     fsts = _coerce(*fsts)
     sr = fsts[0].semiring
-    one, new = sr.cast(sr.one), tuple.__new__
+    one = _unbox(sr)(sr.cast(sr.one))
     out = Fst(sr)
     offsets = [_copy_into(out, side) for side in fsts]
     start = out.add_state()
@@ -143,8 +150,7 @@ def union(*fsts):
     start_arcs = out._arcs[start]
     for side, offset in zip(fsts, offsets):
         if side.initial is not None:
-            start_arcs.append(new(Arc, (start, offset + side.initial,
-                                        EPSILON, EPSILON, one)))
+            start_arcs.append((offset + side.initial, EPSILON, EPSILON, one))
         for state, weight in side.finals.items():
             out.finals[offset + state] = weight
     return out
@@ -159,11 +165,10 @@ def concat(a, b):
     if a.initial is not None:
         out.initial = offset_a + a.initial
     if b.initial is not None:
-        new, target = tuple.__new__, offset_b + b.initial
+        unbox, target = _unbox(a.semiring), offset_b + b.initial
         for state, weight in a.finals.items():
-            source = offset_a + state
-            out._arcs[source].append(new(Arc, (source, target, EPSILON,
-                                               EPSILON, weight)))
+            out._arcs[offset_a + state].append(
+                (target, EPSILON, EPSILON, unbox(weight)))
     for state, weight in b.finals.items():
         out.finals[offset_b + state] = weight
     return out
@@ -172,19 +177,18 @@ def concat(a, b):
 def closure(a):
     """Kleene star: epsilon plus any finite repetition of L(a)."""
     sr = a.semiring
-    one, new = sr.cast(sr.one), tuple.__new__
+    one, unbox = sr.cast(sr.one), _unbox(sr)
     out = Fst(sr)
     start = out.add_state()
     out.initial = start
     out.finals[start] = one
     offset = _copy_into(out, a)
     if a.initial is not None:
-        out._arcs[start].append(new(Arc, (start, offset + a.initial,
-                                          EPSILON, EPSILON, one)))
+        out._arcs[start].append(
+            (offset + a.initial, EPSILON, EPSILON, unbox(one)))
     for state, weight in a.finals.items():
-        source = offset + state
-        out._arcs[source].append(new(Arc, (source, start, EPSILON,
-                                           EPSILON, weight)))
+        out._arcs[offset + state].append(
+            (start, EPSILON, EPSILON, unbox(weight)))
     return out
 
 
@@ -192,16 +196,15 @@ def project(fst, side):
     """Copy both labels of every arc from the chosen side."""
     if side not in ("input", "output"):
         raise WfstError(f"project side must be 'input' or 'output', got {side!r}")
-    k, new = (2 if side == "input" else 3), tuple.__new__
-    return _map_arcs(fst, fst.semiring, lambda arcs: [
-        new(Arc, (a[0], a[1], a[k], a[k], a[4])) for a in arcs], _same)
+    k = 1 if side == "input" else 2
+    return _rebuilt(fst, fst.semiring, [
+        [(a[0], a[k], a[k], a[3]) for a in arcs] for arcs in fst._arcs], _same)
 
 
 def invert(fst):
     """Swap input and output labels on every arc."""
-    new = tuple.__new__
-    return _map_arcs(fst, fst.semiring, lambda arcs: [
-        new(Arc, (s, t, o, i, w)) for s, t, i, o, w in arcs], _same)
+    return _rebuilt(fst, fst.semiring, [
+        [(t, o, i, v) for t, i, o, v in arcs] for arcs in fst._arcs], _same)
 
 
 def compose(a, b):
@@ -218,12 +221,12 @@ def compose(a, b):
 def _compose(a, b, provenance=False):
     """``compose``'s one body: returns (out, origins, pairs).
 
-    With ``provenance``, ``origins[s][k]`` is the pair (arc of a, arc of
-    b) that out's k-th arc from state s came from, None for a side that
-    stood still; and ``pairs[s]`` is the pair (a-state, b-state) that
-    state s stands for, so that its final weight, if any, is the product
-    of theirs.  The arcs are the operands' own Arc objects, unless the
-    boolean auto-cast made new ones.  Without provenance, both are None.
+    With ``provenance``, ``origins[k]`` is the pair of slots (positions
+    in ``all_arcs()`` order) of the arcs of a and b that out's k-th arc
+    came from, None for a side that stood still; and ``pairs[s]`` is the
+    pair (a-state, b-state) that state s stands for, so that its final
+    weight, if any, is the product of theirs.  Without provenance, both
+    are None.
     """
     a, b = _coerce(a, b)
     sr = a.semiring
@@ -232,15 +235,17 @@ def _compose(a, b, provenance=False):
         return (out, [], []) if provenance else (out, None, None)
     kernel = _kernel(sr)
     checked, times, unbox = kernel.checked, kernel.times, kernel.unbox
-    new = tuple.__new__
     origins = [] if provenance else None
+    first_a = list(accumulate(map(len, a._arcs), initial=0))
 
-    arcs_b = {}  # b-state -> input label -> (arc, its kernel value) pairs
-    for state in b.states():
+    arcs_b = []  # b-state -> input label -> [(slot, target, output, value)]
+    slots = count()
+    for arcs in b._arcs:
         by_label = {}
-        for arc in b._arcs[state]:
-            by_label.setdefault(arc.input, []).append((arc, unbox(arc.weight)))
-        arcs_b[state] = by_label
+        for (target, ilabel, olabel, value), slot in zip(arcs, slots):
+            by_label.setdefault(ilabel, []).append(
+                (slot, target, olabel, value))
+        arcs_b.append(by_label)
 
     # States are numbered in queue order and the queue is FIFO, so the
     # state popped next is always the next one to get its arc list.
@@ -261,52 +266,44 @@ def _compose(a, b, provenance=False):
 
     while queue:
         qa, qb, f = queue.popleft()
-        src = len(out._arcs)
         src_arcs = []
         out._arcs.append(src_arcs)
-        if provenance:
-            src_origins = []
-            origins.append(src_origins)
         by_label = arcs_b[qb]
-        for arc_a in a._arcs[qa]:
-            target_a, input_a, output_a = arc_a[1:4]
+        for slot_a, (target_a, input_a, output_a, wa) in enumerate(
+                a._arcs[qa], first_a[qa]):
             # A matched non-epsilon move is allowed from any filter state;
             # both sides move on epsilon together only from filter 0.
             matches = by_label.get(output_a) if (
                 output_a != EPSILON or f == 0) else None
             if matches:
-                wa = unbox(arc_a.weight)
-                for arc_b, wb in matches:
-                    key = (target_a, arc_b.target, 0)
+                for slot_b, target_b, output_b, wb in matches:
+                    key = (target_a, target_b, 0)
                     dst = state_map.get(key)
                     if dst is None:
                         dst = add_state(key)
-                    src_arcs.append(new(Arc, (
-                        src, dst, input_a, arc_b.output,
-                        checked(times(wa, wb)))))
+                    src_arcs.append((dst, input_a, output_b, times(wa, wb)))
                     if provenance:
-                        src_origins.append((arc_a, arc_b))
+                        origins.append((slot_a, slot_b))
             # a moves alone on output epsilon.
             if output_a == EPSILON and f != 2:
                 key = (target_a, qb, 1)
                 dst = state_map.get(key)
                 if dst is None:
                     dst = add_state(key)
-                src_arcs.append(new(Arc, (
-                    src, dst, input_a, EPSILON, arc_a.weight)))
+                src_arcs.append((dst, input_a, EPSILON, wa))
                 if provenance:
-                    src_origins.append((arc_a, None))
+                    origins.append((slot_a, None))
         # b moves alone on input epsilon.
         if f != 1:
-            for arc_b, _ in by_label.get(EPSILON, ()):
-                key = (qa, arc_b.target, 2)
+            for slot_b, target_b, output_b, wb in by_label.get(EPSILON, ()):
+                key = (qa, target_b, 2)
                 dst = state_map.get(key)
                 if dst is None:
                     dst = add_state(key)
-                src_arcs.append(new(Arc, (
-                    src, dst, EPSILON, arc_b.output, arc_b.weight)))
+                src_arcs.append((dst, EPSILON, output_b, wb))
                 if provenance:
-                    src_origins.append((None, arc_b))
+                    origins.append((None, slot_b))
+    _gate_arcs(kernel, out._arcs)
     if not provenance:
         return out, None, None
     return out, origins, [key[:2] for key in state_map]
@@ -315,7 +312,8 @@ def _compose(a, b, provenance=False):
 def _components(arcs_by_state, sources):
     """Tarjan's algorithm: every state reachable from ``sources``, ordered
     so that each arc leads forward or stays inside its strongly connected
-    component, and the components that hold a cycle.
+    component, and the components that hold a cycle.  An arc's first
+    field is its target, the only field read.
 
     Returns ``(order, cyclic)``.  The states of each component are
     consecutive in ``order`` and sorted; ``cyclic`` maps the first state
@@ -345,7 +343,8 @@ def _components(arcs_by_state, sources):
         while work:
             state, arcs, number = work[-1]
             lowest = low[state]
-            for target, _ in arcs:
+            for arc in arcs:
+                target = arc[0]
                 reached = low.get(target)
                 if reached is None:
                     low[target] = reached = len(low)
@@ -410,7 +409,7 @@ def _eliminate(kernel, component, arcs_by_state, d):
     inflow = [{} for _ in component]        # inflow[t][s]: weight s -> t
     outflow = [set() for _ in component]    # outflow[s]: t with inflow[t][s]
     for k, s in enumerate(component):
-        for target, weight in arcs_by_state[s]:
+        for target, _, _, weight in arcs_by_state[s]:
             t = position.get(target)
             if t is not None:
                 terms = inflow[t]
@@ -474,7 +473,7 @@ def _label_correcting(kernel, component, members, arcs_by_state, d):
         for s in scan:
             waiting.discard(s)
             ds = d[s]
-            for target, weight in arcs_by_state[s]:
+            for target, _, _, weight in arcs_by_state[s]:
                 if target in members:
                     old = d[target]
                     new = plus(old, times(ds, weight))
@@ -526,7 +525,7 @@ def _relax(kernel, component, members, arcs_by_state, d):
                 f"did not converge within {RELAXATION_SWEEP_CAP} sweeps; "
                 f"the last residual was {mass!r} at state {s}",
                 scc=component, residual=mass)
-        for target, weight in arcs_by_state[s]:
+        for target, _, _, weight in arcs_by_state[s]:
             if target in members:
                 add = mass * weight
                 new = d[target] + add
@@ -542,10 +541,11 @@ def _generic_distance(semiring, kernel, arcs_by_state, sources):
     """Single-source (or multi-source) shortest distance over a semiring,
     computed with its kernel (see ``semirings._kernel``).
 
-    ``arcs_by_state[s]`` is a list of (target, weight) pairs and
-    ``sources`` maps seed states to their initial weights, all as kernel
-    values.  Returns a dict from each state reachable from the sources to
-    its distance, a kernel value; only those states are visited.
+    ``arcs_by_state[s]`` holds arcs in the stored form (``Fst._arcs`` or
+    ``_backward_arcs``) and ``sources`` maps seed states to their initial
+    weights, all as kernel values.  Returns a dict from each state
+    reachable from the sources to its distance, a kernel value; only
+    those states are visited.
 
     One Tarjan search orders the reachable part so that every arc leads
     forward or stays inside its strongly connected component, and one
@@ -585,7 +585,7 @@ def _generic_distance(semiring, kernel, arcs_by_state, sources):
             else:
                 _relax(kernel, component, members, arcs_by_state, d)
         ds = d[s]
-        for target, weight in arcs_by_state[s]:
+        for target, _, _, weight in arcs_by_state[s]:
             if target not in members:
                 d[target] = plus(d[target], times(ds, weight))
     return d
@@ -607,14 +607,19 @@ def _gate(kernel, values):
     return values
 
 
-def _forward_arcs(fst, unbox):
-    return [[(a.target, unbox(a.weight)) for a in arcs] for arcs in fst._arcs]
+def _gate_arcs(kernel, arcs):
+    """``_gate`` the values of the arc lists ``arcs``, and return them."""
+    _gate(kernel, [arc[3] for state_arcs in arcs for arc in state_arcs])
+    return arcs
 
 
-def _backward_arcs(fst, unbox):
-    arcs = [[] for _ in fst.states()]
-    for a in fst.all_arcs():
-        arcs[a.target].append((a.source, unbox(a.weight)))
+def _backward_arcs(fst):
+    """``fst``'s arcs reversed, in the stored form: ``arcs[t]`` holds
+    (s, input, output, value) for each arc s -> t."""
+    arcs = [[] for _ in fst._arcs]
+    for source, state_arcs in enumerate(fst._arcs):
+        for target, ilabel, olabel, value in state_arcs:
+            arcs[target].append((source, ilabel, olabel, value))
     return arcs
 
 
@@ -639,8 +644,7 @@ def shortest_distance(fst):
 def _forward_values(fst, kernel):
     """Per-state plus-sum over paths from the initial state, which must
     exist, as kernel values; no membership gate."""
-    d = _generic_distance(fst.semiring, kernel,
-                          _forward_arcs(fst, kernel.unbox),
+    d = _generic_distance(fst.semiring, kernel, fst._arcs,
                           {fst.initial: kernel.one})
     zero = kernel.zero
     return [d.get(s, zero) for s in fst.states()]
@@ -650,7 +654,7 @@ def _backward_values(fst, kernel):
     """Per-state plus-sum over accepting suffixes (final weights
     included), as kernel values; no membership gate."""
     unbox = kernel.unbox
-    d = _generic_distance(fst.semiring, kernel, _backward_arcs(fst, unbox),
+    d = _generic_distance(fst.semiring, kernel, _backward_arcs(fst),
                           {s: unbox(w) for s, w in fst.finals.items()})
     zero = kernel.zero
     return [d.get(s, zero) for s in fst.states()]
@@ -683,34 +687,19 @@ def _renumbered(semiring, initial, arcs, finals, keep):
     list of original ids, numbered by their rank in it, so the survivors
     keep their order.
 
-    ``arcs[s]`` holds state s's arcs as (source, target, input, output,
-    weight) tuples in original ids; an arc into a state not kept is
-    dropped, as are the final weights of such states.  The initial state
-    is None unless it is kept.
+    ``arcs[s]`` holds state s's arcs in the stored form, with original
+    ids; an arc into a state not kept is dropped, as are the final
+    weights of such states.  The initial state is None unless it is kept.
     """
     rank = {s: i for i, s in enumerate(keep)}
-    new = tuple.__new__
     out = Fst(semiring)
-    out._arcs = [[new(Arc, (i, rank[target], ilabel, olabel, weight))
-                  for _, target, ilabel, olabel, weight in arcs[s]
+    out._arcs = [[(rank[target], ilabel, olabel, value)
+                  for target, ilabel, olabel, value in arcs[s]
                   if target in rank]
-                 for i, s in enumerate(keep)]
+                 for s in keep]
     out.initial = rank.get(initial)
     out.finals = {i: finals[s] for i, s in enumerate(keep) if s in finals}
     return out
-
-
-def _reached(next_states, sources):
-    """The set of states reachable from ``sources`` (themselves
-    included) along ``next_states[s]``."""
-    seen = set(sources)
-    todo = list(seen)
-    while todo:
-        for t in next_states[todo.pop()]:
-            if t not in seen:
-                seen.add(t)
-                todo.append(t)
-    return seen
 
 
 def connect(fst):
@@ -719,17 +708,14 @@ def connect(fst):
     arcs between them, numbered by rank in their original order.
 
     OpenFST's ``Connect``.  A machine that accepts nothing gives an FST
-    without states.
+    without states.  Both sets come from ``_components``, over the arcs
+    and over the reversed arcs.
     """
     sources = [] if fst.initial is None else [fst.initial]
-    accessible = _reached(
-        [[arc.target for arc in arcs] for arcs in fst._arcs], sources)
-    predecessors = [[] for _ in fst.states()]
-    for arc in fst.all_arcs():
-        predecessors[arc.target].append(arc.source)
-    coaccessible = _reached(predecessors, fst.finals)
+    accessible = _components(fst._arcs, sources)[0]
+    coaccessible = _components(_backward_arcs(fst), list(fst.finals))[0]
     return _renumbered(fst.semiring, fst.initial, fst._arcs, fst.finals,
-                       sorted(accessible & coaccessible))
+                       sorted(set(accessible).intersection(coaccessible)))
 
 
 def remove_epsilon(fst):
@@ -754,10 +740,8 @@ def remove_epsilon(fst):
     plus, times, zero, one, unbox, checked = (
         kernel.plus, kernel.times, kernel.zero, kernel.one, kernel.unbox,
         kernel.checked)
-    eps_arcs = [[] for _ in fst.states()]
-    for a in fst.all_arcs():
-        if a.input == EPSILON and a.output == EPSILON:
-            eps_arcs[a.source].append((a.target, unbox(a.weight)))
+    eps_arcs = [[arc for arc in arcs if arc[1] == EPSILON == arc[2]]
+                for arcs in fst._arcs]
 
     arcs = {fst.initial: None}  # kept state -> its new arcs, once built
     finals = {}
@@ -777,19 +761,18 @@ def remove_epsilon(fst):
             w = closure_w[t]
             if w == zero and t != s:
                 continue
-            for arc in fst._arcs[t]:
-                if arc.input == EPSILON and arc.output == EPSILON:
+            for target, ilabel, olabel, value in fst._arcs[t]:
+                if ilabel == EPSILON and olabel == EPSILON:
                     continue
-                target = arc.target
                 if target not in arcs:
                     arcs[target] = None
                     todo.append(target)
-                new_arcs.append((s, target, arc.input, arc.output,
-                                 checked(times(w, unbox(arc.weight)))))
+                new_arcs.append((target, ilabel, olabel, times(w, value)))
             fw = fst.finals.get(t)
             if fw is not None:
                 final = plus(final, times(w, unbox(fw)))
         arcs[s] = new_arcs
+        _gate(kernel, [arc[3] for arc in new_arcs])
         if final != zero:
             finals[s] = checked(final)
     return _renumbered(sr, fst.initial, arcs, finals, sorted(arcs))
@@ -813,12 +796,11 @@ def determinize(fst, delta=DEFAULT_DELTA):
     same, and there is no total to divide by.
     """
     sr = fst.semiring
-    for a in fst.all_arcs():
-        if a.input == EPSILON and a.output == EPSILON:
-            raise UnsupportedOperationError(
-                "determinize requires an epsilon-free input; "
-                "call remove_epsilon first"
-            )
+    if any(arc[1] == EPSILON == arc[2] for arcs in fst._arcs for arc in arcs):
+        raise UnsupportedOperationError(
+            "determinize requires an epsilon-free input; "
+            "call remove_epsilon first"
+        )
     out = Fst(sr)
     if fst.initial is None:
         return out
@@ -828,7 +810,6 @@ def determinize(fst, delta=DEFAULT_DELTA):
     plus, times, divide, quantize, zero, one, unbox, checked = (
         kernel.plus, kernel.times, kernel.divide, kernel.quantize,
         kernel.zero, kernel.one, kernel.unbox, kernel.checked)
-    new = tuple.__new__
 
     def plus_all(values):
         total = zero
@@ -856,16 +837,15 @@ def determinize(fst, delta=DEFAULT_DELTA):
         # Group outgoing arcs by label pair.
         grouped = {}
         for state, r in subset:
-            for arc in fst._arcs[state]:
-                grouped.setdefault((arc.input, arc.output), {}) \
-                    .setdefault(arc.target, []) \
-                    .append(times(r, unbox(arc.weight)))
+            for target, ilabel, olabel, value in fst._arcs[state]:
+                grouped.setdefault((ilabel, olabel), {}) \
+                    .setdefault(target, []).append(times(r, value))
         for (ilabel, olabel), targets in sorted(grouped.items()):
             per_target = {t: plus_all(vs) for t, vs in targets.items()}
             total = plus_all(per_target.values())
             if total == zero and all(v == zero for v in per_target.values()):
                 continue
-            weight = checked(total)
+            _gate(kernel, (total,))
             states = sorted(per_target)
             if total == one:
                 residuals = [per_target[t] for t in states]
@@ -890,19 +870,18 @@ def determinize(fst, delta=DEFAULT_DELTA):
                         len(state_map), cap, (ilabel, olabel))
                 dst = state_map[new_key] = len(state_map)
                 queue.append(tuple(zip(states, residuals)))
-            src_arcs.append(new(Arc, (src, dst, ilabel, olabel, weight)))
+            src_arcs.append((dst, ilabel, olabel, total))
     return out
 
 
 def reverse(fst):
     """Accepts the reversal of every string, with reversed arc weights."""
     sr = fst.semiring
+    box, unbox = _box(sr), _unbox(sr)
     out = Fst(sr)
-    out._arcs = [[] for _ in range(fst.num_states + 1)]
-    new = tuple.__new__
-    for s, t, i, o, w in fst.all_arcs():
-        out._arcs[t].append(new(Arc, (t, s, i, o, w.reverse())))
-    start = fst.num_states
+    out._arcs = [[(s, i, o, unbox(box(v).reverse())) for s, i, o, v in arcs]
+                 for arcs in _backward_arcs(fst)]
+    start = out.add_state()
     out.set_initial_state(start)
     for state, weight in fst.finals.items():
         out.add_arc(start, state, weight.reverse(), EPSILON, EPSILON)
@@ -934,13 +913,12 @@ def push(fst, direction="initial"):
     if fst.initial is None:
         return fst.copy()
     kernel = _kernel(sr)
-    times, unbox, box, checked, zero = (
-        kernel.times, kernel.unbox, kernel.box, kernel.checked, kernel.zero)
+    times, unbox, box, zero = (
+        kernel.times, kernel.unbox, kernel.box, kernel.zero)
     toward_initial = direction == "initial"
     pot = _gate(kernel, (_backward_values if toward_initial
                          else _forward_values)(fst, kernel))
     pot[fst.initial] = kernel.one
-    new = tuple.__new__
 
     def divide(x, state):
         try:
@@ -952,18 +930,18 @@ def push(fst, direction="initial"):
                 f"be divided out; {sr.name} division is partial ({exc})"
             ) from exc
 
-    def reweight(a):
-        s, t, i, o, w = a
+    def reweight(s, arc):
+        t, i, o, w = arc
         ps, pt = pot[s], pot[t]
         if ps == zero or pt == zero:
-            return a
+            return arc
         if toward_initial:
-            w = divide(times(unbox(w), pt), s)
-        else:
-            w = divide(times(ps, unbox(w)), t)
-        return new(Arc, (s, t, i, o, checked(w)))
+            return (t, i, o, divide(times(w, pt), s))
+        return (t, i, o, divide(times(ps, w), t))
 
-    out = _map_arcs(fst, sr, lambda arcs: list(map(reweight, arcs)), _same)
+    out = _rebuilt(fst, sr, _gate_arcs(kernel, [
+        [reweight(s, arc) for arc in arcs] for s, arcs in enumerate(fst._arcs)
+    ]), _same)
     for state, weight in fst.finals.items():
         p = pot[state]
         if p != zero:
@@ -1001,14 +979,14 @@ def shortest_path(fst):
     state = fst.initial
     entered = {state}
     arcs = iter(fst._arcs[state])
-    path = []  # (arc taken, the arcs of its source still to try)
+    path = []  # (source, arc taken, the arcs of its source still to try)
     while not (state in finals and unbox(finals[state]) == beta[state]):
         for arc in arcs:
-            if (arc.target not in entered
-                    and times(beta[arc.target], unbox(arc.weight))
-                    == beta[state]):
-                path.append((arc, arcs))
-                state = arc.target
+            target = arc[0]
+            if (target not in entered
+                    and times(beta[target], arc[3]) == beta[state]):
+                path.append((state, arc, arcs))
+                state = target
                 entered.add(state)
                 arcs = iter(fst._arcs[state])
                 break
@@ -1016,14 +994,13 @@ def shortest_path(fst):
             if not path:
                 raise NoAcceptingPathError(
                     "no tight path reaches a final state")
-            arc, arcs = path.pop()
-            state = arc.source
-    taken = tuple(arc for arc, _ in path)
+            state, _, arcs = path.pop()
     value = kernel.one
-    for arc in taken:
-        value = times(value, unbox(arc.weight))
+    for _, arc, _ in path:
+        value = times(value, arc[3])
     weight = kernel.box(times(value, unbox(finals[state])))
-    return ShortestPathResult(Path(taken, weight), weight)
+    taken = [(source, arc) for source, arc, _ in path]
+    return ShortestPathResult(_read_path(fst, taken, weight), weight)
 
 
 def random_path(fst, seed=None, max_steps=10_000):
@@ -1044,12 +1021,12 @@ def random_path(fst, seed=None, max_steps=10_000):
     times, unbox, score = kernel.times, kernel.unbox, kernel.score
     finals, arcs_of = fst.finals, fst._arcs
     state = fst.initial
-    taken = []
+    taken = []  # (source, arc) pairs
     value = kernel.one
     for _ in range(max_steps):
         # The choices: stopping (None) at a final state, then the arcs.
         choices = arcs_of[state]
-        values = [unbox(arc.weight) for arc in choices]
+        values = [arc[3] for arc in choices]
         fw = finals.get(state)
         if fw is not None:
             choices = [None, *choices]
@@ -1081,10 +1058,11 @@ def random_path(fst, seed=None, max_steps=10_000):
             k -= 1
         arc = choices[k]
         if arc is None:
-            return Path(tuple(taken), kernel.checked(times(value, values[0])))
-        taken.append(arc)
+            return _read_path(fst, taken,
+                              kernel.checked(times(value, values[0])))
+        taken.append((state, arc))
         value = times(value, values[k])
-        state = arc.target
+        state = arc[0]
     raise CycleLimitError(f"random path exceeded {max_steps} steps")
 
 

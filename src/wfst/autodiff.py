@@ -37,7 +37,7 @@ from .errors import (
     UnsupportedOperationError,
     WfstError,
 )
-from .fst import Arc, Fst
+from .fst import Fst
 from .semirings import RealWeight, _kernel, _NumericWeight, _real_star
 
 
@@ -160,7 +160,9 @@ class _DiffWeightBase(_NumericWeight):
     def total_weight(cls, fst):
         """The total weight of ``fst`` as one tape node (forward-backward):
         the distances run on the weights' values, with the real kernel."""
-        total, partials = _forward_backward(fst)
+        from .algorithms import lift
+
+        total, partials = _forward_backward(lift(fst, RealWeight))
         return cls(cls.tape.record(total, _weight_nodes(fst), partials))
 
     def log(self):
@@ -255,38 +257,27 @@ def loglikelihood_loss(full_fst, observed_fst):
 
 
 def _weight_nodes(fst):
-    """The tape nodes of a diff machine's weights, in parameter order:
-    arcs in ``all_arcs()`` order, then final weights in ``finals`` order."""
-    return ([arc.weight.node for arc in fst.all_arcs()]
+    """The tape nodes of a diff machine's weights, which it stores as they
+    are: arcs in ``all_arcs()`` order, then finals in ``finals`` order."""
+    return ([arc[3].node for arcs in fst._arcs for arc in arcs]
             + [weight.node for weight in fst.finals.values()])
-
-
-def _slots(fst, first):
-    """Parameter numbers from ``first`` on for ``fst``'s arcs, by identity
-    in ``all_arcs()`` order, and then for its final states: (arc slots,
-    final slots, the next free number)."""
-    arcs = {id(arc): first + k for k, arc in enumerate(fst.all_arcs())}
-    first += len(arcs)
-    finals = {state: first + k for k, state in enumerate(fst.finals)}
-    return arcs, finals, first + len(finals)
 
 
 def _project_observed(model, observed):
     """The input and output projections of each real machine in
-    ``observed``, with its parameter numbers after ``model``'s, which the
-    two projections share: ([(machine, input projection, output
-    projection, input arc slots, final slots, output arc slots), ...],
-    the total parameter count).  ``train`` builds them once for all its
-    steps, which keep the model's parameter count."""
+    ``observed``, and the parameter number of its first arc: ([(machine,
+    input projection, output projection, first), ...], the total
+    parameter count).  Parameters are numbered as ``_losses`` lays out
+    its partials.  ``train`` builds them once for all its steps, which
+    keep the model's parameter count."""
     from .algorithms import project
 
-    first = _slots(model, 0)[2]
+    first = model.num_arcs + len(model.finals)
     projected = []
     for obs in observed:
-        p_in, p_out = project(obs, "input"), project(obs, "output")
-        in_arcs, obs_finals, _ = _slots(p_in, first)
-        out_arcs, _, first = _slots(p_out, first)
-        projected.append((obs, p_in, p_out, in_arcs, obs_finals, out_arcs))
+        projected.append((obs, project(obs, "input"), project(obs, "output"),
+                          first))
+        first += obs.num_arcs + len(obs.finals)
     return projected, first
 
 
@@ -309,12 +300,13 @@ def _losses(model, projected, size):
     each observed machine's the same way.  Log Z contributes
     alpha(s)·beta(t)/Z to the model arc s -> t and alpha(f)/Z to the final
     weight at f.  Each arc of R is the product of up to three factors, one
-    arc weight from each machine (the composition's provenance), and
-    -log Z_obs contributes to each factor -alpha_R(source)·beta_R(target)
-    times the product of the other factors, over Z_obs; R's final weights
-    work the same way.  This is the expected-count gradient (Eisner,
-    "Parameter Estimation for Probabilistic Finite-State Transducers",
-    2002): the chain rule of the diff tape, summed without recording it.
+    arc weight from each machine, whose positions the composition reports
+    (its provenance), and -log Z_obs contributes to each factor
+    -alpha_R(source)·beta_R(target) times the product of the other
+    factors, over Z_obs; R's final weights work the same way.  This is
+    the expected-count gradient (Eisner, "Parameter Estimation for
+    Probabilistic Finite-State Transducers", 2002): the chain rule of the
+    diff tape, summed without recording it.
 
     A non-positive Z_obs or Z raises WfstError, and a divergent total
     DivergenceError.
@@ -324,10 +316,12 @@ def _losses(model, projected, size):
     if model.initial is None:  # every restricted machine is empty
         raise WfstError("observed pair has non-positive total weight 0.0")
     total, total_partials = _forward_backward(model)
-    model_arcs, model_finals, _ = _slots(model, 0)
+    model_values = [arc[3] for arcs in model._arcs for arc in arcs]
+    model_finals = {state: len(model_values) + k
+                    for k, state in enumerate(model.finals)}
     partials = [0.0] * size
     losses = []
-    for obs, p_in, p_out, in_arcs, obs_finals, out_arcs in projected:
+    for obs, p_in, p_out, first in projected:
         middle, middle_origins, middle_pairs = _compose(p_in, model, True)
         restricted, origins, pairs = _compose(middle, p_out, True)
         observed_total = 0.0
@@ -344,31 +338,29 @@ def _losses(model, projected, size):
             partials[k] += scale * partial
         # Back through the two products that made each weight of R: its
         # partial, times the output side's factor, then the input side's.
+        # Both projections have the observed machine's arc values.
         scale = -1.0 / observed_total
-        middle_origin = {
-            id(arc): origin
-            for arcs, arc_origins in zip(middle._arcs, middle_origins)
-            for arc, origin in zip(arcs, arc_origins)}
+        obs_values = [arc[3] for arcs in obs._arcs for arc in arcs]
         restricted_partials = iter(restricted_partials)
-        for arc_origins in origins:
-            for (middle_arc, out_arc), partial in zip(arc_origins,
-                                                      restricted_partials):
-                adjoint = scale * partial
-                if adjoint == 0.0:
-                    continue
-                in_arc = model_arc = None
-                if middle_arc is not None:
-                    in_arc, model_arc = middle_origin[id(middle_arc)]
-                w_in = 1.0 if in_arc is None else in_arc.weight.value
-                w_model = 1.0 if model_arc is None else model_arc.weight.value
-                if out_arc is not None:
-                    partials[out_arcs[id(out_arc)]] += (
-                        adjoint * (w_in * w_model))
-                    adjoint *= out_arc.weight.value
-                if in_arc is not None:
-                    partials[in_arcs[id(in_arc)]] += adjoint * w_model
-                if model_arc is not None:
-                    partials[model_arcs[id(model_arc)]] += adjoint * w_in
+        for (middle_slot, out_slot), partial in zip(origins,
+                                                    restricted_partials):
+            adjoint = scale * partial
+            if adjoint == 0.0:
+                continue
+            in_slot = model_slot = None
+            if middle_slot is not None:
+                in_slot, model_slot = middle_origins[middle_slot]
+            w_in = 1.0 if in_slot is None else obs_values[in_slot]
+            w_model = 1.0 if model_slot is None else model_values[model_slot]
+            if out_slot is not None:
+                partials[first + out_slot] += adjoint * (w_in * w_model)
+                adjoint *= obs_values[out_slot]
+            if in_slot is not None:
+                partials[first + in_slot] += adjoint * w_model
+            if model_slot is not None:
+                partials[model_slot] += adjoint * w_in
+        obs_finals = {state: first + len(obs_values) + k
+                      for k, state in enumerate(obs.finals)}
         for state, partial in zip(restricted.finals, restricted_partials):
             adjoint = scale * partial
             middle_state, out_state = pairs[state]
@@ -383,10 +375,10 @@ def _losses(model, projected, size):
 
 
 def _forward_backward(fst):
-    """The total weight of a real or diff ``fst``, which has an initial
-    state, and its partials, all on float values: alpha(s)·beta(t) for
-    each arc s -> t in ``all_arcs()`` order, then alpha(f) for each final
-    state f in ``finals`` order, from the exact real-semiring solver."""
+    """The total weight of a real ``fst``, which has an initial state, and
+    its partials, all on float values: alpha(s)·beta(t) for each arc
+    s -> t in ``all_arcs()`` order, then alpha(f) for each final state f
+    in ``finals`` order, from the exact real-semiring solver."""
     from .algorithms import _backward_values, _forward_values
 
     kernel = _kernel(RealWeight)
@@ -395,8 +387,8 @@ def _forward_backward(fst):
     total = 0.0
     for state, weight in fst.finals.items():
         total += alpha[state] * weight.value
-    return total, ([alpha[arc.source] * beta[arc.target]
-                    for arc in fst.all_arcs()]
+    return total, ([alpha[source] * beta[arc[0]]
+                    for source, arcs in enumerate(fst._arcs) for arc in arcs]
                    + [alpha[state] for state in fst.finals])
 
 
@@ -438,28 +430,29 @@ def train(real_fst, pairs, steps=200, rate=0.05, min_weight=1e-6):
     the probability model stays well defined.  Returns (trained real FST,
     per-step losses).  An empty ``pairs`` raises WfstError.
     """
-    from .algorithms import _map_arcs, lift
+    from .algorithms import _gate_arcs, _rebuilt, lift
 
     if not pairs:
         raise WfstError("train needs at least one observed pair")
     model = lift(real_fst, RealWeight)
     projected, size = _project_observed(
         model, [lift(pair_acceptor(i, o), RealWeight) for i, o in pairs])
-    checked, new = _kernel(RealWeight).checked, tuple.__new__
-    # Floats, so that every descended value is one, as checked needs.
+    kernel = _kernel(RealWeight)
+    # Floats, so that every descended value is one, as the kernel needs.
     floor, rate = float(min_weight), float(rate)
     losses = []
     for _ in range(steps):
         step_losses, partials = _losses(model, projected, size)
         losses.append(sum(step_losses))
-        # _map_arcs visits the arcs in all_arcs() order, then the finals
-        # in finals order: the order of the partials.
+        # The arcs in all_arcs() order, then the finals in finals order:
+        # the order of the partials.
         descent = iter(partials)
 
-        def descend(w):
-            return checked(max(floor, w.value - rate * next(descent)))
+        def descend(value):
+            return max(floor, value - rate * next(descent))
 
-        model = _map_arcs(model, RealWeight, lambda arcs: [
-            new(Arc, (s, t, i, o, descend(w))) for s, t, i, o, w in arcs
-        ], descend)
+        arcs = [[(t, i, o, descend(v)) for t, i, o, v in arcs]
+                for arcs in model._arcs]
+        model = _rebuilt(model, RealWeight, _gate_arcs(kernel, arcs),
+                         lambda w: kernel.checked(descend(w.value)))
     return model, losses

@@ -4,18 +4,17 @@ States are dense integers labeled from 0.  Arc labels are nonnegative
 integers with 0 reserved for epsilon; single characters are converted via
 their code point.  Construction methods mutate in place; everything in
 the algorithms module treats a finished FST as immutable.
+
+Each state's arcs are stored as plain ``(target, input, output, value)``
+tuples, value being the weight's kernel value (see ``semirings``), and
+``Arc`` records are built from them on read.  Final weights are weights.
 """
 
 from collections import namedtuple
 from itertools import chain
 
-from .errors import (
-    InvalidLabelError,
-    InvalidStateError,
-    InvalidWeightError,
-    WfstError,
-)
-from .semirings import BooleanWeight
+from .errors import InvalidLabelError, InvalidStateError, InvalidWeightError
+from .semirings import BooleanWeight, _box, _unbox
 
 EPSILON = 0
 MAX_LABEL = 2 ** 64 - 1
@@ -50,8 +49,9 @@ def label_str(label):
 
 
 class Arc(namedtuple("Arc", "source target input output weight")):
-    """An immutable arc record; ``arc._replace(weight=w)`` makes a changed
-    copy.  Being a tuple, it also equals a plain tuple of its fields."""
+    """An immutable arc record, built anew on each read (compare with
+    ``==``, not ``is``); ``arc._replace(weight=w)`` makes a changed copy.
+    Being a tuple, it also equals a plain tuple of its fields."""
 
     __slots__ = ()
 
@@ -110,12 +110,18 @@ class Fst:
         return range(len(self._arcs))
 
     def arcs(self, state):
+        """The arcs leaving ``state``, as new ``Arc`` records."""
         self._check_state(state)
-        return tuple(self._arcs[state])
+        box, new = _box(self.semiring), tuple.__new__
+        return tuple([new(Arc, (state, target, ilabel, olabel, box(value)))
+                      for target, ilabel, olabel, value in self._arcs[state]])
 
     def all_arcs(self):
-        for arcs in self._arcs:
-            yield from arcs
+        """Every arc, by state then insertion order, as new ``Arc``s."""
+        box, new = _box(self.semiring), tuple.__new__
+        for state, arcs in enumerate(self._arcs):
+            for target, ilabel, olabel, value in arcs:
+                yield new(Arc, (state, target, ilabel, olabel, box(value)))
 
     def _check_state(self, state):
         if not isinstance(state, int) or not 0 <= state < len(self._arcs):
@@ -129,16 +135,16 @@ class Fst:
     def add_arc(self, from_state, to_state, weight=None,
                 input_label=EPSILON, output_label=None):
         """Append an arc.  Omitted weight defaults to the semiring's one;
-        an omitted output label mirrors the input label."""
+        an omitted output label mirrors the input label.  Either way the
+        weight passes ``cast``, as in ``set_final_weight``."""
         self._check_state(from_state)
         self._check_state(to_state)
         ilabel = as_label(input_label)
         olabel = ilabel if output_label is None else as_label(output_label)
-        weight = (self.semiring.one if weight is None
-                  else self.semiring.cast(weight))
+        sr = self.semiring
+        weight = sr.cast(sr.one if weight is None else weight)
         self._arcs[from_state].append(
-            Arc(from_state, to_state, ilabel, olabel, weight)
-        )
+            (to_state, ilabel, olabel, _unbox(sr)(weight)))
 
     def set_initial_state(self, state):
         """Set the (single) initial state, replacing any previous one."""
@@ -173,25 +179,26 @@ class Fst:
         """Check structural invariants; raises WfstError on violation.
 
         A weight is valid when the semiring's ``cast`` keeps it as is,
-        which rules out non-members and elements of other semirings.
+        which rules out non-members and elements of other semirings; a
+        stored float is boxed for the test.
         """
+        sr = self.semiring
         n = len(self._arcs)
         if self.initial is not None and not 0 <= self.initial < n:
             raise InvalidStateError(f"initial state {self.initial} unknown")
-        for state, arcs in enumerate(self._arcs):
-            for arc in arcs:
-                if arc.source != state:
-                    raise WfstError(f"arc {arc} filed under state {state}")
-                if not 0 <= arc.target < n:
-                    raise InvalidStateError(f"arc target {arc.target} unknown")
+        box, weights = _box(sr), []
+        for arcs in self._arcs:
+            for target, _, _, value in arcs:
+                if not 0 <= target < n:
+                    raise InvalidStateError(f"arc target {target} unknown")
+                weights.append(box(value) if value.__class__ is float
+                               else value)
         for state in self.finals:
             if not 0 <= state < n:
                 raise InvalidStateError(f"final state {state} unknown")
-        arc_weights = (arc.weight for arc in self.all_arcs())
-        for weight in chain(arc_weights, self.finals.values()):
-            if self.semiring.cast(weight) is not weight:
-                raise InvalidWeightError(
-                    f"weight {weight!r} not in {self.semiring.name}")
+        for weight in chain(weights, self.finals.values()):
+            if sr.cast(weight) is not weight:
+                raise InvalidWeightError(f"weight {weight!r} not in {sr.name}")
         return True
 
     def __repr__(self):
@@ -210,15 +217,22 @@ def fst_from_sequence(labels, semiring=BooleanWeight):
         if value == EPSILON:
             raise InvalidLabelError("label 0 is reserved for epsilon")
         values.append(value)
-    one = semiring.one
-    new = tuple.__new__
+    weight = semiring.cast(semiring.one)
+    one = _unbox(semiring)(weight)
     fst = Fst(semiring)
-    fst._arcs = [[new(Arc, (k, k + 1, v, v, one))]
-                 for k, v in enumerate(values)]
+    fst._arcs = [[(k + 1, v, v, one)] for k, v in enumerate(values)]
     fst._arcs.append([])
     fst.initial = 0
-    fst.set_final_weight(len(values), one)
+    fst.set_final_weight(len(values), weight)
     return fst
+
+
+def _read_path(fst, steps, weight):
+    """The ``Path`` of ``weight`` through ``steps``, (source, stored arc)
+    pairs of ``fst``, its arcs built as ``all_arcs()`` builds them."""
+    box, new = _box(fst.semiring), tuple.__new__
+    return Path(tuple([new(Arc, (s, t, i, o, box(v)))
+                       for s, (t, i, o, v) in steps]), weight)
 
 
 class PathEnumeration:
@@ -266,6 +280,7 @@ def enumerate_paths(fst, max_paths=1000, max_length=None, max_steps=200_000):
         return True
 
     taken = []
+    arcs_of = {}  # state -> its Arcs, read on the first visit
     # Each frame: [state, next arc index]; weights holds the running product.
     frames = [[fst.initial, 0]]
     weights = [sr.one]
@@ -274,7 +289,9 @@ def enumerate_paths(fst, max_paths=1000, max_length=None, max_steps=200_000):
         truncated = True
     while frames and not truncated:
         state, idx = frames[-1]
-        arcs = fst._arcs[state]
+        arcs = arcs_of.get(state)
+        if arcs is None:
+            arcs = arcs_of[state] = fst.arcs(state)
         if idx >= len(arcs) or len(taken) >= max_length:
             if idx < len(arcs):
                 truncated = True  # depth cap cut off unexplored arcs

@@ -10,14 +10,16 @@ Semirings that declare the 'idempotent' property have a + a == a; those
 that declare 'path' also pick one operand of plus, which induces the total
 order a <= b  iff  a + b == a used by shortest-path.
 
-The algorithms compute through a semiring's kernel (``_kernel``).  The
-real, min, max and tropical classes each set a float kernel on the class
-itself, so the algorithms run on the plain float values and box them into
-weights only for the result, each through the kernel's ``checked``: one
-call that builds the weight and raises InvalidWeightError for a NaN.  A
-subclass inherits no float kernel: it may override an operator or
-``star``, so it runs, like every other semiring, on the generic kernel of
-weight objects and their operators, whose ``checked`` tests ``member()``.
+A machine stores its arc weights as the values of its semiring's kernel
+(``_kernel``), on which the algorithms compute.  The real, min, max and
+tropical classes each set a float kernel on the class itself, whose
+values are the weights' plain floats.  A subclass inherits no float
+kernel: it may override an operator or ``star``, so it runs, like every
+other semiring, on the generic kernel, whose values are the weights
+themselves.  ``Fst.add_arc`` and ``parse_text`` unbox a weight once,
+after ``cast`` has checked it; ``Fst.arcs``, ``Fst.all_arcs`` and every
+``Path`` box it on read, unchecked.  A computed value passes the gate
+unboxed (``_gate``) or on its way into a weight (``checked``).
 
 Division and quantization are kernel operations as well.  A float
 kernel's ``divide`` and ``quantize`` are the very functions that the
@@ -275,9 +277,9 @@ def _not_a_member(semiring, weight):
 # the kernel's values, their zero and one, star (or None), divide (x / y,
 # raising DivisionByZeroError for a zero y), quantize (value and delta to
 # the value's nearest multiple of delta), unbox (weight to value), box
-# (value to weight), checked (value to weight through the membership gate,
-# in one call) and score (value to its sampling weight, or None where a
-# value is its own sampling weight).
+# (value to weight, unchecked), checked (value to weight through the
+# membership gate, in one call) and score (value to its sampling weight, or
+# None where a value is its own sampling weight).
 _Kernel = namedtuple(
     "_Kernel",
     "plus times zero one star divide quantize unbox box checked score")
@@ -324,6 +326,18 @@ def _kernel(semiring):
                          semiring.quantize, _same, _same, checked,
                          operator.methodcaller("sampling_weight"))
     return kernel
+
+
+def _box(semiring):
+    """``_kernel(semiring).box``, without building a generic kernel."""
+    kernel = semiring.__dict__.get("_float_kernel")
+    return _same if kernel is None else kernel.box
+
+
+def _unbox(semiring):
+    """``_kernel(semiring).unbox``, without building a generic kernel."""
+    kernel = semiring.__dict__.get("_float_kernel")
+    return _same if kernel is None else kernel.unbox
 
 
 def _quantize(value, delta):

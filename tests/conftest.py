@@ -3,6 +3,23 @@ import random
 import pytest
 
 from wfst import BooleanWeight, Fst, RealWeight
+from wfst.semirings import _unbox
+
+
+def plant_arc(fst, arc, index=None):
+    """Write ``arc``, an ``Arc``, into ``fst`` past ``add_arc``'s gate, in
+    the stored form: as the ``index``-th arc of its source, or appended
+    when ``index`` is None.  A weight of the machine's own semiring is
+    stored as its kernel value; anything else is stored as it is, a fault
+    for ``validate`` to find."""
+    source, target, ilabel, olabel, weight = arc
+    if weight.__class__ is fst.semiring:
+        weight = _unbox(fst.semiring)(weight)
+    stored = (target, ilabel, olabel, weight)
+    if index is None:
+        fst._arcs[source].append(stored)
+    else:
+        fst._arcs[source][index] = stored
 
 
 def build_hello_world_troll():

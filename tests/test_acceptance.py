@@ -48,6 +48,7 @@ from wfst import (
 from conftest import (
     build_double_a_machine,
     build_hello_world_troll,
+    plant_arc,
     random_acyclic_fst,
 )
 from test_autodiff import diff_copy, numeric_gradient
@@ -193,16 +194,12 @@ def test_criterion_8_gradients(report):
         values = [params[k].value for k in keys]
 
         def build_loss(vals, base=base, keys=keys):
-            from wfst.fst import Arc
-
             f = base.copy()
             table = dict(zip(keys, vals))
             for s in f.states():
-                f._arcs[s] = [
-                    Arc(a.source, a.target, a.input, a.output,
-                        RealWeight(table[("arc", s, i)]))
-                    for i, a in enumerate(f._arcs[s])
-                ]
+                for i, a in enumerate(f.arcs(s)):
+                    plant_arc(f, a._replace(
+                        weight=RealWeight(table[("arc", s, i)])), i)
             for s in list(f.finals):
                 f.finals[s] = RealWeight(table[("final", s)])
             return sum_paths(f).value

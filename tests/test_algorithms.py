@@ -53,7 +53,7 @@ from wfst.errors import (
 from wfst.fst import EPSILON, Arc
 from wfst.io import parse_text, render_text
 from wfst.semirings import DEFAULT_DELTA, _kernel
-from conftest import (random_acyclic_fst, random_boolean_fst,
+from conftest import (plant_arc, random_acyclic_fst, random_boolean_fst,
                       random_cyclic_fst, single_scc_real_fst)
 
 
@@ -201,7 +201,7 @@ class TestClosure:
     def test_repetition_weights_multiply(self):
         a = fst_from_sequence("a", RealWeight)
         weight_half = RealWeight(0.5)
-        a._arcs[0][0] = a._arcs[0][0].__class__(0, 1, 97, 97, weight_half)
+        plant_arc(a, Arc(0, 1, 97, 97, weight_half), 0)
         c = closure(a)
         by_string = {p.input_str: p.weight.value
                      for p in enumerate_paths(c, max_paths=40, max_length=12)}
@@ -252,29 +252,30 @@ class TestCompose:
             b = random_epsilon_fst(rng, RealWeight, reachable_cycles=False)
             out, origins, pairs = algorithms._compose(a, b, True)
             assert render_text(out) == render_text(compose(a, b))
-            assert [len(arcs) for arcs in origins] == \
-                [len(arcs) for arcs in out._arcs]
-            a_arcs = {id(arc) for arc in a.all_arcs()}
-            b_arcs = {id(arc) for arc in b.all_arcs()}
-            for arcs, arc_origins in zip(out._arcs, origins):
-                for arc, (arc_a, arc_b) in zip(arcs, arc_origins):
-                    qa, qb = pairs[arc.source]
-                    ta, tb = pairs[arc.target]
-                    if arc_a is None:
-                        assert (qa, arc.input) == (ta, EPSILON)
-                    else:
-                        assert id(arc_a) in a_arcs
-                        assert (arc_a.source, arc_a.target, arc_a.input) \
-                            == (qa, ta, arc.input)
-                    if arc_b is None:
-                        assert (qb, arc.output) == (tb, EPSILON)
-                    else:
-                        assert id(arc_b) in b_arcs
-                        assert (arc_b.source, arc_b.target, arc_b.output) \
-                            == (qb, tb, arc.output)
-                    factors = [x.weight.value for x in (arc_a, arc_b)
-                               if x is not None]
-                    assert arc.weight.value == math.prod(factors)
+            assert len(origins) == out.num_arcs
+            # A slot is a position in the operand's all_arcs() order.
+            a_arcs, b_arcs = list(a.all_arcs()), list(b.all_arcs())
+            for arc, (slot_a, slot_b) in zip(out.all_arcs(), origins):
+                qa, qb = pairs[arc.source]
+                ta, tb = pairs[arc.target]
+                arc_a = arc_b = None
+                if slot_a is None:
+                    assert (qa, arc.input) == (ta, EPSILON)
+                else:
+                    assert 0 <= slot_a < len(a_arcs)
+                    arc_a = a_arcs[slot_a]
+                    assert (arc_a.source, arc_a.target, arc_a.input) \
+                        == (qa, ta, arc.input)
+                if slot_b is None:
+                    assert (qb, arc.output) == (tb, EPSILON)
+                else:
+                    assert 0 <= slot_b < len(b_arcs)
+                    arc_b = b_arcs[slot_b]
+                    assert (arc_b.source, arc_b.target, arc_b.output) \
+                        == (qb, tb, arc.output)
+                factors = [x.weight.value for x in (arc_a, arc_b)
+                           if x is not None]
+                assert arc.weight.value == math.prod(factors)
             for state, weight in out.finals.items():
                 qa, qb = pairs[state]
                 assert weight.value == \
@@ -794,10 +795,8 @@ class TestPush:
 
     def test_single_path_concentrates_weight_initially(self):
         f = fst_from_sequence("ab", RealWeight)
-        from wfst.fst import Arc
-
-        f._arcs[0][0] = Arc(0, 1, 97, 97, RealWeight(2.0))
-        f._arcs[1][0] = Arc(1, 2, 98, 98, RealWeight(3.0))
+        plant_arc(f, Arc(0, 1, 97, 97, RealWeight(2.0)), 0)
+        plant_arc(f, Arc(1, 2, 98, 98, RealWeight(3.0)), 0)
         p = push(f, "initial")
         arcs = [a for s in p.states() for a in p.arcs(s)]
         assert arcs[0].weight.value == pytest.approx(6.0)
@@ -866,7 +865,7 @@ class TestLiftCast:
     @pytest.mark.parametrize("target", [RealWeight, MinWeight])
     def test_default_lift_rejects_nan(self, target):
         f = fst_from_sequence("a", RealWeight)
-        f._arcs[0][0] = Arc(0, 1, 97, 97, RealWeight(float("nan")))
+        plant_arc(f, Arc(0, 1, 97, 97, RealWeight(float("nan"))), 0)
         with pytest.raises(InvalidWeightError):
             lift(f, target)
 
@@ -1194,8 +1193,10 @@ class TestExactCyclicDistance:
         raised = 0
         for _ in range(150):
             f = small_cyclic_path_fst(rng, MinWeight, 1.0)
-            f._arcs = [[a._replace(weight=MinWeight(float(rng.randint(-2, 4))))
-                        for a in arcs] for arcs in f._arcs]
+            for s in f.states():
+                for k, a in enumerate(f.arcs(s)):
+                    plant_arc(f, a._replace(
+                        weight=MinWeight(float(rng.randint(-2, 4)))), k)
             reachable = {s for s, w in enumerate(shortest_distance(
                 lift(f, BooleanWeight, cast=lambda w: True))) if w.value}
             on_negative = {s for s in reachable
@@ -1915,10 +1916,10 @@ class TestKernelEquivalence:
             compose(a, b)
         f = fst_from_sequence("ab", semiring)
         f.add_arc(0, 1, math.inf, EPSILON, EPSILON)
-        f._arcs[1][0] = f._arcs[1][0]._replace(weight=semiring(0.0))
+        plant_arc(f, f.arcs(1)[0]._replace(weight=semiring(0.0)), 0)
         with pytest.raises(InvalidWeightError, match=message):
             remove_epsilon(f)
         # A NaN smuggled past the gate is caught when it is lifted.
-        f._arcs[0][0] = f._arcs[0][0]._replace(weight=semiring(math.nan))
+        plant_arc(f, f.arcs(0)[0]._replace(weight=semiring(math.nan)), 0)
         with pytest.raises(InvalidWeightError, match=message):
             lift(f, semiring)

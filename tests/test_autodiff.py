@@ -22,7 +22,7 @@ from wfst import (
 )
 from wfst.errors import (DivergenceError, InvalidWeightError,
                          SemiringMismatchError, WfstError)
-from conftest import build_hello_world_troll, random_cyclic_fst
+from conftest import build_hello_world_troll, plant_arc, random_cyclic_fst
 
 
 def diff_copy(fst, semiring):
@@ -169,14 +169,10 @@ class TestDiffSemiring:
             def build_loss(vals, base=base, keys=keys):
                 f = base.copy()
                 table = dict(zip(keys, vals))
-                from wfst.fst import Arc
-
                 for s in f.states():
-                    f._arcs[s] = [
-                        Arc(a.source, a.target, a.input, a.output,
-                            RealWeight(table[("arc", s, i)]))
-                        for i, a in enumerate(f._arcs[s])
-                    ]
+                    for i, a in enumerate(f.arcs(s)):
+                        plant_arc(f, a._replace(
+                            weight=RealWeight(table[("arc", s, i)])), i)
                 for s in list(f.finals):
                     f.finals[s] = RealWeight(table[("final", s)])
                 return sum_paths(f).value
@@ -196,8 +192,9 @@ def with_values(base, keys, values):
     table = dict(zip(keys, values))
     f = base.copy()
     for s in f.states():
-        f._arcs[s] = [a._replace(weight=RealWeight(table[("arc", s, i)]))
-                      for i, a in enumerate(f._arcs[s])]
+        for i, a in enumerate(f.arcs(s)):
+            plant_arc(f, a._replace(weight=RealWeight(table[("arc", s, i)])),
+                      i)
     for s in list(f.finals):
         f.finals[s] = RealWeight(table[("final", s)])
     return f
@@ -465,8 +462,8 @@ class TestExpectedCountLoss:
             [params[k].value for k in keys])
         for k, num in zip(keys, numeric):
             if k[0] == "arc":
-                before = base._arcs[k[1]][k[2]].weight.value
-                after = trained._arcs[k[1]][k[2]].weight.value
+                before = base.arcs(k[1])[k[2]].weight.value
+                after = trained.arcs(k[1])[k[2]].weight.value
             else:
                 before = base.finals[k[1]].value
                 after = trained.finals[k[1]].value
@@ -608,3 +605,10 @@ class TestTrain:
                            [("hello", "troll")], steps=100, rate=0.2)
         assert all(a.weight.value > 0 for a in trained.all_arcs())
         assert all(w.value > 0 for w in trained.finals.values())
+
+    def test_descended_weights_pass_the_membership_gate(self):
+        # max(nan, w) is nan, so a NaN floor makes every descended weight
+        # NaN; the step refuses it instead of storing it.
+        with pytest.raises(InvalidWeightError, match="nan"):
+            train(build_hello_world_troll(), [("hello", "troll")], steps=1,
+                  min_weight=math.nan)

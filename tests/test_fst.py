@@ -1,15 +1,20 @@
+import math
 import random
 
 import pytest
 
 from wfst import (
     BooleanWeight,
+    FeaturizedWeight,
     Fst,
+    MaxWeight,
     MinWeight,
     RealWeight,
     TropicalWeight,
     enumerate_paths,
     fst_from_sequence,
+    lift,
+    make_diff_semiring,
 )
 from wfst.errors import (
     InvalidLabelError,
@@ -19,7 +24,7 @@ from wfst.errors import (
     WfstError,
 )
 from wfst.fst import EPSILON, Arc, as_label
-from conftest import random_acyclic_fst
+from conftest import plant_arc, random_acyclic_fst
 
 
 class TestLabels:
@@ -118,6 +123,21 @@ class TestConstruction:
         f.add_state()
         f.add_arc(0, 1, input_label="a")
         assert f.arcs(0)[0].weight == RealWeight.one
+
+    def test_default_weight_passes_the_same_gate_as_a_final_weight(self):
+        # A subclass that sets no one of its own inherits RealWeight.one,
+        # which its cast refuses wherever that weight enters.
+        class NoOneReal(RealWeight):
+            pass
+
+        f = Fst(NoOneReal)
+        f.add_state()
+        f.add_state()
+        with pytest.raises(SemiringMismatchError):
+            f.set_final_weight(1, NoOneReal.one)
+        with pytest.raises(SemiringMismatchError):
+            f.add_arc(0, 1, input_label="a")
+        assert f.num_arcs == 0 and not f.finals
 
     def test_self_loop(self):
         f = Fst(RealWeight)
@@ -291,6 +311,68 @@ class TestEnumeratePaths:
             assert a == b
 
 
+class HalfReal(RealWeight):
+    """A real subclass, so it runs on the generic kernel."""
+
+
+HalfReal.zero = HalfReal(0.0)
+HalfReal.one = HalfReal(1.0)
+
+# name -> (semiring factory, two weights, whether the generic kernel runs it)
+EDGE_SEMIRINGS = {
+    "real": (lambda: RealWeight, 0.5, 2.0, False),
+    "min": (lambda: MinWeight, 1.5, math.inf, False),
+    "max": (lambda: MaxWeight, -0.25, 3.0, False),
+    "tropical": (lambda: TropicalWeight, 0.0, 7.0, False),
+    "boolean": (lambda: BooleanWeight, True, False, True),
+    "featurized": (lambda: FeaturizedWeight, {"f": 1}, {"g": 2}, True),
+    "diff": (make_diff_semiring, 0.5, 2.0, True),
+    "subclass": (lambda: HalfReal, 0.5, 2.0, True),
+}
+
+
+class TestPublicEdge:
+    """Arcs are stored as kernel values and read back as Arc records."""
+
+    @pytest.mark.parametrize("name", list(EDGE_SEMIRINGS))
+    def test_arcs_read_back_as_added(self, name):
+        make, first, second, generic = EDGE_SEMIRINGS[name]
+        semiring = make()
+        first, second = semiring.cast(first), semiring.cast(second)
+        f = Fst(semiring)
+        for _ in range(3):
+            f.add_state()
+        f.add_arc(0, 1, first, "a", "b")
+        f.add_arc(0, 2, second, "c")
+        f.add_arc(1, 2)
+        expected = [Arc(0, 1, 97, 98, first), Arc(0, 2, 99, 99, second),
+                    Arc(1, 2, EPSILON, EPSILON, semiring.one)]
+        read = list(f.all_arcs())
+        assert read == expected
+        assert [f.arcs(s) for s in f.states()] == \
+            [tuple(expected[:2]), (expected[2],), ()]
+        assert all(type(a) is Arc and type(a.weight) is semiring
+                   for a in read)
+        # The generic kernel stores the very weights that were added,
+        # which the diff semiring's tape nodes rely on; a float kernel
+        # boxes its value anew on each read.
+        assert [a.weight is b.weight for a, b in zip(read, expected)] == \
+            [generic] * 3
+
+    def test_lift_from_real_to_min_and_back_keeps_every_bit(self):
+        values = [0.1, 1e-300, 5e-324, -0.0, 1 / 3, math.inf, 2.0 ** 60]
+        f = Fst(RealWeight)
+        f.set_initial_state(f.add_state())
+        for value in values:
+            f.add_arc(0, f.add_state(), value, "a")
+        f.set_final_weight(1, 0.5)
+        back = lift(lift(f, MinWeight), RealWeight)
+        assert [a.weight.value.hex() for a in back.all_arcs()] == \
+            [v.hex() for v in values]
+        assert back.final_weight(1).value.hex() == (0.5).hex()
+        assert list(back.all_arcs()) == list(f.all_arcs())
+
+
 class TestInvariants:
     def test_validate_after_random_mutations(self, rng):
         for _ in range(100):
@@ -298,12 +380,14 @@ class TestInvariants:
             assert f.validate()
             assert f.num_states == max(f.states()) + 1
 
-    @pytest.mark.parametrize("weight", [BooleanWeight.one, 1.0,
+    # A min machine stores its weights as floats, so the raw value
+    # planted is an int: a raw float would be a min weight's stored form.
+    @pytest.mark.parametrize("weight", [BooleanWeight.one, 1,
                                         TropicalWeight(0.0)],
                              ids=["boolean", "raw", "subclass"])
     def test_validate_catches_weight_of_another_class(self, weight):
         f = fst_from_sequence("a", MinWeight)
-        f._arcs[0].append(Arc(0, 1, 97, 97, weight))
+        plant_arc(f, Arc(0, 1, 97, 97, weight))
         with pytest.raises(WfstError):
             f.validate()
 
@@ -315,8 +399,6 @@ class TestInvariants:
 
     def test_validate_catches_bad_target(self):
         f = fst_from_sequence("ab")
-        from wfst.fst import Arc
-
-        f._arcs[0].append(Arc(0, 99, 97, 97, BooleanWeight.one))
+        plant_arc(f, Arc(0, 99, 97, 97, BooleanWeight.one))
         with pytest.raises(InvalidStateError):
             f.validate()

@@ -537,7 +537,7 @@ def _relax(kernel, component, members, arcs_by_state, d):
                         queued.add(target)
 
 
-def _generic_distance(semiring, kernel, arcs_by_state, sources):
+def _generic_distance(semiring, kernel, arcs_by_state, sources, search):
     """Single-source (or multi-source) shortest distance over a semiring,
     computed with its kernel (see ``semirings._kernel``).
 
@@ -547,13 +547,16 @@ def _generic_distance(semiring, kernel, arcs_by_state, sources):
     reachable from the sources to its distance, a kernel value; only
     those states are visited.
 
-    One Tarjan search orders the reachable part so that every arc leads
-    forward or stays inside its strongly connected component, and one
-    pass in that order passes each state's mass along the arcs that leave
-    its component, so the pass is exact across components.  An acyclic
-    part is the case where every component is one state without a
-    self-loop, and needs nothing more.  Any other component is solved,
-    when the pass reaches it, according to what the semiring supplies:
+    ``search`` is ``_components(arcs_by_state, sources)``, the Tarjan
+    search that orders the reachable part so that every arc leads forward
+    or stays inside its strongly connected component.  It reads only the
+    arcs' targets and the sources' keys, so a caller that solves the same
+    arcs with new values may keep it.  One pass in that order passes each
+    state's mass along the arcs that leave its component, so the pass is
+    exact across components.  An acyclic part is the case where every
+    component is one state without a self-loop, and needs nothing more.
+    Any other component is solved, when the pass reaches it, according to
+    what the semiring supplies:
 
     - the 'path' or 'idempotent' property (boolean, featurized, min, max,
       tropical): exact label-correcting, DivergenceError on an improving
@@ -565,7 +568,7 @@ def _generic_distance(semiring, kernel, arcs_by_state, sources):
       the sweep cap.
     """
     plus, times, zero = kernel.plus, kernel.times, kernel.zero
-    order, cyclic = _components(arcs_by_state, sources)
+    order, cyclic = search
     d = dict.fromkeys(order, zero)
     for s, w in sources.items():
         d[s] = plus(d[s], w)
@@ -641,21 +644,30 @@ def shortest_distance(fst):
     return list(map(kernel.checked, _forward_values(fst, kernel)))
 
 
-def _forward_values(fst, kernel):
+def _forward_values(fst, kernel, search=None):
     """Per-state plus-sum over paths from the initial state, which must
-    exist, as kernel values; no membership gate."""
+    exist, as kernel values; no membership gate.  ``search`` is
+    ``_components(fst._arcs, [fst.initial])``, run here if not given."""
+    if search is None:
+        search = _components(fst._arcs, [fst.initial])
     d = _generic_distance(fst.semiring, kernel, fst._arcs,
-                          {fst.initial: kernel.one})
+                          {fst.initial: kernel.one}, search)
     zero = kernel.zero
     return [d.get(s, zero) for s in fst.states()]
 
 
-def _backward_values(fst, kernel):
+def _backward_values(fst, kernel, search=None):
     """Per-state plus-sum over accepting suffixes (final weights
-    included), as kernel values; no membership gate."""
+    included), as kernel values; no membership gate.  ``search`` is
+    ``_components(_backward_arcs(fst), list(fst.finals))``, run here if
+    not given."""
     unbox = kernel.unbox
-    d = _generic_distance(fst.semiring, kernel, _backward_arcs(fst),
-                          {s: unbox(w) for s, w in fst.finals.items()})
+    arcs = _backward_arcs(fst)
+    if search is None:
+        search = _components(arcs, list(fst.finals))
+    d = _generic_distance(fst.semiring, kernel, arcs,
+                          {s: unbox(w) for s, w in fst.finals.items()},
+                          search)
     zero = kernel.zero
     return [d.get(s, zero) for s in fst.states()]
 
@@ -752,7 +764,8 @@ def remove_epsilon(fst):
         # chains, plus-combined across alternative epsilon routes); a state
         # without epsilon arcs reaches only itself.
         if eps_arcs[s]:
-            closure_w = _generic_distance(sr, kernel, eps_arcs, {s: one})
+            closure_w = _generic_distance(sr, kernel, eps_arcs, {s: one},
+                                          _components(eps_arcs, [s]))
         else:
             closure_w = {s: one}
         new_arcs = []
@@ -886,7 +899,7 @@ def reverse(fst):
     for state, weight in fst.finals.items():
         out.add_arc(start, state, weight.reverse(), EPSILON, EPSILON)
     if fst.initial is not None:
-        out.finals[fst.initial] = sr.one
+        out.finals[fst.initial] = sr.cast(sr.one)
     return out
 
 

@@ -19,16 +19,18 @@ included.
 
 The log-likelihood loss of an observed pair, log Z - log Z_obs, is
 computed with all its partials on float values (``_losses``).  The
-machine restricted to the pair is composed on the real float kernel,
-and the composition reports which model arc made each of its arcs, so
-the partial of a model arc is its expected count under the model minus
-its expected count on the paths that agree with the pair (Eisner,
-"Parameter Estimation for Probabilistic Finite-State Transducers",
-2002).  loglikelihood_loss records the loss as one tape node; train
-keeps no tape and solves the model's total once per step.
+machine restricted to the pair is composed once per call
+(``_restrict``), and the composition reports which model arc made each
+of its arcs, so the partial of a model arc is its expected count under
+the model minus its expected count on the paths that agree with the pair
+(Eisner, "Parameter Estimation for Probabilistic Finite-State
+Transducers", 2002).  loglikelihood_loss records the loss as one tape
+node; train keeps no tape, and each of its steps re-weights the
+restricted machines and solves them and the model's total once.
 """
 
 import math
+from itertools import chain
 
 from .errors import (
     DivisionByZeroError,
@@ -234,7 +236,8 @@ def loglikelihood_loss(full_fst, observed_fst):
     as one tape node, whose parents are the machine's arc and final
     weights, and the observed machine's too when it is diff-weighted.
     The loss and its partials, the expected-count gradient, are computed
-    on the weights' float values (see ``_losses``).
+    on the weights' float values: ``_restrict`` builds the restricted
+    machine once and ``_losses`` solves it (one step of ``train``).
     """
     from .algorithms import lift
 
@@ -247,7 +250,7 @@ def loglikelihood_loss(full_fst, observed_fst):
             f"incompatible semirings: {observed_fst.semiring.name} vs "
             f"{semiring.name}")
     model = lift(full_fst, RealWeight)
-    (loss,), partials = _losses(model, *_project_observed(
+    (loss,), partials = _losses(model, *_restrict(
         model, [lift(observed_fst, RealWeight)]))
     parents = _weight_nodes(full_fst)
     if observed_fst.semiring is semiring:
@@ -263,70 +266,129 @@ def _weight_nodes(fst):
             + [weight.node for weight in fst.finals.values()])
 
 
-def _project_observed(model, observed):
-    """The input and output projections of each real machine in
-    ``observed``, and the parameter number of its first arc: ([(machine,
-    input projection, output projection, first), ...], the total
-    parameter count).  Parameters are numbered as ``_losses`` lays out
-    its partials.  ``train`` builds them once for all its steps, which
-    keep the model's parameter count."""
-    from .algorithms import project
+def _restrict(model, observed):
+    """Build, once per call, what the losses of the real machines
+    ``observed`` under the real ``model`` keep from step to step: (the
+    model's searches, the restricted machines, the constants).  Nothing
+    of it outlives the call that built it.
+
+    Parameters are numbered as ``_losses`` lays out its partials: the
+    model's arc weights in ``all_arcs()`` order, then its final weights
+    in ``finals`` order, then each observed machine's the same way.  The
+    constants are the observed machines' values in that order, then 1.0,
+    whose slot stands for a factor that is not there.
+
+    Each observed machine's restricted machine R (its input projection,
+    composed with the model, composed with its output projection) is
+    composed here, once.  Composition matches labels and never drops an
+    arc for its value, so R's states and arcs depend on the labels alone.
+    Each arc of R is kept as (target, input, output, in slot, model slot,
+    out slot): its weight is the product of up to three factors, one arc
+    weight from each machine, whose slots the composition reports (its
+    provenance), with the slot of 1.0 for a side that stood still.  R's
+    finals map each final state to the slots of its three final weights.
+    A restricted machine is (arcs, initial state, finals, searches), with
+    no searches if it has no initial state.
+
+    The searches are ``_searches`` of the model and of each R: the Tarjan
+    searches of the forward and backward distance passes, which read only
+    the arcs' targets and the final states, so they hold for every set of
+    values.
+    """
+    from .algorithms import _compose, project
 
     first = model.num_arcs + len(model.finals)
-    projected = []
+    model_finals = {state: model.num_arcs + k
+                    for k, state in enumerate(model.finals)}
+    one = first + sum(obs.num_arcs + len(obs.finals) for obs in observed)
+    constants = []
+    restricted = []
     for obs in observed:
-        projected.append((obs, project(obs, "input"), project(obs, "output"),
-                          first))
+        constants += [arc[3] for arcs in obs._arcs for arc in arcs]
+        constants += [weight.value for weight in obs.finals.values()]
+        middle, middle_origins, middle_pairs = _compose(
+            project(obs, "input"), model, True)
+        machine, origins, pairs = _compose(
+            middle, project(obs, "output"), True)
+        factors = []
+        for middle_slot, out_slot in origins:
+            in_slot = model_slot = None
+            if middle_slot is not None:
+                in_slot, model_slot = middle_origins[middle_slot]
+            factors.append((one if in_slot is None else first + in_slot,
+                            one if model_slot is None else model_slot,
+                            one if out_slot is None else first + out_slot))
+        factors = iter(factors)
+        arcs = [[(target, ilabel, olabel, *next(factors))
+                 for target, ilabel, olabel, _ in state_arcs]
+                for state_arcs in machine._arcs]
+        obs_finals = {state: first + obs.num_arcs + k
+                      for k, state in enumerate(obs.finals)}
+        finals = {}
+        for state in machine.finals:
+            middle_state, out_state = pairs[state]
+            in_state, model_state = middle_pairs[middle_state]
+            finals[state] = (obs_finals[in_state], model_finals[model_state],
+                             obs_finals[out_state])
+        restricted.append((arcs, machine.initial, finals, _searches(machine)))
         first += obs.num_arcs + len(obs.finals)
-    return projected, first
+    constants.append(1.0)
+    return _searches(model), restricted, constants
 
 
-def _losses(model, projected, size):
+def _losses(model, searches, restricted, constants):
     """Each observed machine's loss log Z - log Z_obs under ``model``, and
-    the partials of their sum, all on float values.
+    the partials of their sum, all on float values: one step.
 
-    ``model`` is a real FST; ``projected`` and ``size`` are
-    ``_project_observed(model, observed)`` for the observed real machines.
-    The model's forward and backward values alpha and beta, and its total
-    weight Z, are computed once for all the observed machines.  For each,
-    the restricted machine R (the observed input projection, composed
-    with the model, composed with the observed output projection) is
-    built on the real float kernel, with every product through the
-    membership gate, and its own alpha_R, beta_R and total Z_obs are
-    computed.
+    ``model`` is a real FST, with the arcs and final states it had when
+    ``_restrict(model, observed)`` gave ``searches``, ``restricted`` and
+    ``constants``; only its values may have changed.  The model's forward
+    and backward values alpha and beta, and its total weight Z, are
+    computed once for all the observed machines.  Each restricted machine
+    R is then weighted with the model's current values: an arc's weight
+    is its factors multiplied in composition's association, (w_in·w_model)
+    ·w_out, and passes the membership gate, as does each final weight,
+    made the same way.  Its alpha_R, beta_R and total Z_obs follow.  The
+    searches are reused, so a step neither composes nor searches.
 
-    The partials come as one flat list: the model's arc weights in
-    ``all_arcs()`` order, then its final weights in ``finals`` order, then
-    each observed machine's the same way.  Log Z contributes
-    alpha(s)·beta(t)/Z to the model arc s -> t and alpha(f)/Z to the final
-    weight at f.  Each arc of R is the product of up to three factors, one
-    arc weight from each machine, whose positions the composition reports
-    (its provenance), and -log Z_obs contributes to each factor
-    -alpha_R(source)·beta_R(target) times the product of the other
-    factors, over Z_obs; R's final weights work the same way.  This is
-    the expected-count gradient (Eisner, "Parameter Estimation for
+    The partials come as one flat list in ``_restrict``'s parameter order,
+    with one more, meaningless, entry at the end (the slot of 1.0).  Log Z
+    contributes alpha(s)·beta(t)/Z to the model arc s -> t and alpha(f)/Z
+    to the final weight at f.  -Log Z_obs contributes to each factor of an
+    arc of R -alpha_R(source)·beta_R(target) times the product of the
+    other factors, over Z_obs; R's final weights work the same way.  This
+    is the expected-count gradient (Eisner, "Parameter Estimation for
     Probabilistic Finite-State Transducers", 2002): the chain rule of the
     diff tape, summed without recording it.
 
     A non-positive Z_obs or Z raises WfstError, and a divergent total
     DivergenceError.
     """
-    from .algorithms import _compose
+    from .algorithms import _gate_arcs
 
     if model.initial is None:  # every restricted machine is empty
         raise WfstError("observed pair has non-positive total weight 0.0")
-    total, total_partials = _forward_backward(model)
-    model_values = [arc[3] for arcs in model._arcs for arc in arcs]
-    model_finals = {state: len(model_values) + k
-                    for k, state in enumerate(model.finals)}
-    partials = [0.0] * size
+    kernel = _kernel(RealWeight)
+    checked = kernel.checked
+    total, total_partials = _forward_backward(model, searches)
+    values = ([arc[3] for arcs in model._arcs for arc in arcs]
+              + [weight.value for weight in model.finals.values()]
+              + constants)
+    partials = [0.0] * len(values)
     losses = []
-    for obs, p_in, p_out, first in projected:
-        middle, middle_origins, middle_pairs = _compose(p_in, model, True)
-        restricted, origins, pairs = _compose(middle, p_out, True)
+    for arcs, initial, finals, r_searches in restricted:
         observed_total = 0.0
-        if restricted.initial is not None:
-            observed_total, restricted_partials = _forward_backward(restricted)
+        if initial is not None:
+            machine = Fst(RealWeight)
+            machine._arcs = _gate_arcs(kernel, [
+                [(t, i, o, (values[a] * values[b]) * values[c])
+                 for t, i, o, a, b, c in state_arcs] for state_arcs in arcs])
+            machine.initial = initial
+            machine.finals = {
+                state: checked((values[a] * values[b]) * values[c])
+                for state, (a, b, c) in finals.items()}
+            observed_total, r_partials = _forward_backward(machine,
+                                                           r_searches)
         if observed_total <= 0.0:
             raise WfstError("observed pair has non-positive total weight "
                             f"{observed_total}")
@@ -338,52 +400,51 @@ def _losses(model, projected, size):
             partials[k] += scale * partial
         # Back through the two products that made each weight of R: its
         # partial, times the output side's factor, then the input side's.
-        # Both projections have the observed machine's arc values.
+        # A zero arc adjoint is skipped, so an infinite factor adds no NaN.
         scale = -1.0 / observed_total
-        obs_values = [arc[3] for arcs in obs._arcs for arc in arcs]
-        restricted_partials = iter(restricted_partials)
-        for (middle_slot, out_slot), partial in zip(origins,
-                                                    restricted_partials):
+        r_partials = iter(r_partials)
+        for (_, _, _, a, b, c), partial in zip(chain.from_iterable(arcs),
+                                               r_partials):
             adjoint = scale * partial
             if adjoint == 0.0:
                 continue
-            in_slot = model_slot = None
-            if middle_slot is not None:
-                in_slot, model_slot = middle_origins[middle_slot]
-            w_in = 1.0 if in_slot is None else obs_values[in_slot]
-            w_model = 1.0 if model_slot is None else model_values[model_slot]
-            if out_slot is not None:
-                partials[first + out_slot] += adjoint * (w_in * w_model)
-                adjoint *= obs_values[out_slot]
-            if in_slot is not None:
-                partials[first + in_slot] += adjoint * w_model
-            if model_slot is not None:
-                partials[model_slot] += adjoint * w_in
-        obs_finals = {state: first + len(obs_values) + k
-                      for k, state in enumerate(obs.finals)}
-        for state, partial in zip(restricted.finals, restricted_partials):
+            partials[c] += adjoint * (values[a] * values[b])
+            adjoint *= values[c]
+            partials[a] += adjoint * values[b]
+            partials[b] += adjoint * values[a]
+        for (a, b, c), partial in zip(finals.values(), r_partials):
             adjoint = scale * partial
-            middle_state, out_state = pairs[state]
-            in_state, model_state = middle_pairs[middle_state]
-            w_in = obs.finals[in_state].value
-            w_model = model.finals[model_state].value
-            partials[obs_finals[out_state]] += adjoint * (w_in * w_model)
-            adjoint *= obs.finals[out_state].value
-            partials[obs_finals[in_state]] += adjoint * w_model
-            partials[model_finals[model_state]] += adjoint * w_in
+            partials[c] += adjoint * (values[a] * values[b])
+            adjoint *= values[c]
+            partials[a] += adjoint * values[b]
+            partials[b] += adjoint * values[a]
     return losses, partials
 
 
-def _forward_backward(fst):
+def _searches(fst):
+    """The Tarjan searches that ``fst``'s forward and backward distance
+    passes run, (forward, backward), or None without an initial state.
+    They read only the arcs' targets and the final states."""
+    from .algorithms import _backward_arcs, _components
+
+    if fst.initial is None:
+        return None
+    return (_components(fst._arcs, [fst.initial]),
+            _components(_backward_arcs(fst), list(fst.finals)))
+
+
+def _forward_backward(fst, searches=None):
     """The total weight of a real ``fst``, which has an initial state, and
     its partials, all on float values: alpha(s)·beta(t) for each arc
     s -> t in ``all_arcs()`` order, then alpha(f) for each final state f
-    in ``finals`` order, from the exact real-semiring solver."""
+    in ``finals`` order, from the exact real-semiring solver.
+    ``searches`` is ``_searches(fst)``, run by the passes if not given."""
     from .algorithms import _backward_values, _forward_values
 
+    forward, backward = searches or (None, None)
     kernel = _kernel(RealWeight)
-    alpha = _forward_values(fst, kernel)
-    beta = _backward_values(fst, kernel)
+    alpha = _forward_values(fst, kernel, forward)
+    beta = _backward_values(fst, kernel, backward)
     total = 0.0
     for state, weight in fst.finals.items():
         total += alpha[state] * weight.value
@@ -417,13 +478,18 @@ def train(real_fst, pairs, steps=200, rate=0.05, min_weight=1e-6):
     """Gradient descent on the summed pair log-likelihood loss.
 
     ``real_fst`` supplies the initial arc and final weights (real or diff
-    semiring); every arc and final weight is a parameter.  The pairs'
-    input and output projections are built once, before the first step.
-    Each step
+    semiring); every arc and final weight is a parameter.  Before the
+    first step, each pair's restricted machine (its input projection, the
+    model and its output projection, composed) is built once, with where
+    each of its weights comes from and the graph searches of its distance
+    passes, and the model's searches too (see ``_restrict``); a descent
+    changes values, never arcs, so they hold for every step.  Each step
     computes the model's total weight Z, with its forward and backward
-    values, once, then each pair's loss and the expected-count gradient
-    on float values (see ``_losses``), and updates with plain gradient
-    descent.  No tape is kept: a step neither records nor backpropagates.
+    values, once, then re-weights each restricted machine with the
+    model's current values and solves it for the pair's loss and the
+    expected-count gradient on float values (see ``_losses``), and
+    updates with plain gradient descent.  No step composes, and no tape
+    is kept: a step neither records nor backpropagates.
     Z and every pair's total are exact, cycles included.  A model whose
     total weight diverges (a cycle of weight 1 or more) raises
     DivergenceError.  Weights are clamped to at least ``min_weight`` so
@@ -435,14 +501,14 @@ def train(real_fst, pairs, steps=200, rate=0.05, min_weight=1e-6):
     if not pairs:
         raise WfstError("train needs at least one observed pair")
     model = lift(real_fst, RealWeight)
-    projected, size = _project_observed(
+    restricted = _restrict(
         model, [lift(pair_acceptor(i, o), RealWeight) for i, o in pairs])
     kernel = _kernel(RealWeight)
     # Floats, so that every descended value is one, as the kernel needs.
     floor, rate = float(min_weight), float(rate)
     losses = []
     for _ in range(steps):
-        step_losses, partials = _losses(model, projected, size)
+        step_losses, partials = _losses(model, *restricted)
         losses.append(sum(step_losses))
         # The arcs in all_arcs() order, then the finals in finals order:
         # the order of the partials.

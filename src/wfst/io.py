@@ -69,6 +69,9 @@ def parse_text(document, semirings=None):
         if line[0] == "#":
             value = (line.split(maxsplit=1)[1:] or [""])[0].strip()
             if line.startswith("#semiring"):
+                if semiring is not None:
+                    raise FstParseError("repeated #semiring header",
+                                        line=lineno)
                 if value not in registry:
                     supported = ", ".join(sorted(registry))
                     raise FstParseError(

@@ -312,7 +312,9 @@ def _kernel(semiring):
 
     A float kernel is looked up in the class's own namespace, never
     inherited: a subclass may override an operator or ``star``, and its
-    weights then run through those overrides.
+    weights then run through those overrides.  The generic kernel's zero
+    and one pass ``cast``, so a subclass that inherits either from its
+    base is refused here, with the text ``add_arc`` gives it.
     """
     kernel = semiring.__dict__.get("_float_kernel")
     if kernel is None:
@@ -321,8 +323,10 @@ def _kernel(semiring):
                 raise _not_a_member(semiring, weight)
             return weight
 
-        kernel = _Kernel(operator.add, operator.mul, semiring.zero,
-                         semiring.one, semiring.star, operator.truediv,
+        kernel = _Kernel(operator.add, operator.mul,
+                         semiring.cast(semiring.zero),
+                         semiring.cast(semiring.one), semiring.star,
+                         operator.truediv,
                          semiring.quantize, _same, _same, checked,
                          operator.methodcaller("sampling_weight"))
     return kernel

@@ -163,6 +163,38 @@ class TestUnion:
                 build()
 
 
+class TestInheritedOne:
+    """A subclass with a zero of its own but RealWeight's one: each
+    operation that needs one refuses it with ``add_arc``'s text."""
+
+    class NoOneReal(RealWeight):
+        name = "noone"
+
+    NoOneReal.zero = NoOneReal(0.0)
+    TEXT = "cannot cast real weight to the noone semiring"
+
+    def machine(self):
+        sr = self.NoOneReal
+        f = Fst(sr)
+        f.add_state()
+        f.add_state()
+        f.set_initial_state(0)
+        f.add_arc(0, 1, sr(0.5), "a", "a")
+        f.set_final_weight(1, sr(0.5))
+        with pytest.raises(SemiringMismatchError) as exc:
+            f.add_arc(0, 1, input_label="a")
+        assert str(exc.value) == self.TEXT
+        return f
+
+    @pytest.mark.parametrize("operation", [shortest_distance, sum_paths,
+                                           reverse])
+    def test_refused_with_the_text_of_add_arc(self, operation):
+        f = self.machine()
+        with pytest.raises(SemiringMismatchError) as exc:
+            operation(f)
+        assert str(exc.value) == self.TEXT
+
+
 class TestConcat:
     def test_string_concatenation(self):
         c = concat(fst_from_sequence("he"), fst_from_sequence("llo"))

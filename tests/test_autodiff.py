@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+import wfst.algorithms as algorithms
 from wfst import (
+    FeaturizedWeight,
     Fst,
     GradientTape,
     RealWeight,
@@ -16,10 +18,13 @@ from wfst import (
     make_diff_semiring,
     pair_acceptor,
     project,
+    render_text,
     shortest_distance,
     sum_paths,
     train,
+    union,
 )
+from wfst.autodiff import _forward_backward, _losses, _restrict
 from wfst.errors import (DivergenceError, InvalidWeightError,
                          SemiringMismatchError, WfstError)
 from conftest import build_hello_world_troll, plant_arc, random_cyclic_fst
@@ -537,6 +542,264 @@ class TestExpectedCountLoss:
                                     want + weights_of(want_model)):
                         worst = max(worst, abs(x - y) / abs(y))
         assert worst <= 1e-15
+
+
+def epsilon_loop_model():
+    """``epsilon_model`` with an epsilon:epsilon self-loop on state 1, so
+    that the machine restricted to a pair is cyclic."""
+    f = epsilon_model()
+    f.add_arc(1, 1, 0.1, 0, 0)
+    return f
+
+
+def featurized_copy(fst, tag):
+    """``fst`` on featurized weights that name where each weight comes
+    from: an arc's is the one feature (tag, its slot in ``all_arcs()``
+    order), a final weight's (tag + "f", its state)."""
+    out = Fst(FeaturizedWeight)
+    for _ in fst.states():
+        out.add_state()
+    out.set_initial_state(fst.initial)
+    for slot, (s, arc) in enumerate(
+            (s, arc) for s in fst.states() for arc in fst.arcs(s)):
+        out.add_arc(s, arc.target, FeaturizedWeight({(tag, slot): 1}),
+                    arc.input, arc.output)
+    for s in fst.finals:
+        out.set_final_weight(s, FeaturizedWeight({(tag + "f", s): 1}))
+    return out
+
+
+def shape(fst):
+    return (fst.initial, list(fst.finals),
+            [(s, a.target, a.input, a.output)
+             for s in fst.states() for a in fst.arcs(s)])
+
+
+def oracle_losses(model, observed):
+    """Each observed machine's loss and the partials of their sum, laid
+    out as ``_losses`` lays them out, with the restricted machine composed
+    afresh by the public ``compose``: on real weights for its values, and
+    on featurized weights for the factors of each of its weights.  A
+    factor that is not there is skipped."""
+    total, total_partials = _forward_backward(model)
+    model_values = weights_of(model)
+    model_finals = {s: model.num_arcs + k for k, s in enumerate(model.finals)}
+    partials = [0.0] * (len(model_values) + sum(len(weights_of(obs))
+                                                 for obs in observed))
+    first = len(model_values)
+    losses = []
+    for obs in observed:
+        sides = (project(obs, "input"), model, project(obs, "output"))
+        restricted = compose(compose(sides[0], sides[1]), sides[2])
+        provenance = compose(
+            compose(*(featurized_copy(side, tag)
+                      for side, tag in zip(sides[:2], "im"))),
+            featurized_copy(sides[2], "o"))
+        assert shape(provenance) == shape(restricted)
+        observed_total, r_partials = 0.0, []
+        if restricted.initial is not None:
+            observed_total, r_partials = _forward_backward(restricted)
+        if observed_total <= 0.0:
+            raise WfstError("observed pair has non-positive total weight "
+                            f"{observed_total}")
+        if total <= 0.0:
+            raise WfstError(f"machine has non-positive total weight {total}")
+        losses.append(math.log(total) - math.log(observed_total))
+        for k, partial in enumerate(total_partials):
+            partials[k] += (1.0 / total) * partial
+        obs_values = weights_of(obs)
+        obs_finals = {s: first + obs.num_arcs + k
+                      for k, s in enumerate(obs.finals)}
+        scale = -1.0 / observed_total
+        r_partials = iter(r_partials)
+        for arc, partial in zip(provenance.all_arcs(), r_partials):
+            slots = dict(arc.weight.features)  # (tag, slot) -> 1
+            slot_in, slot_model, slot_out = (
+                next((k for t, k in slots if t == tag), None)
+                for tag in "imo")
+            adjoint = scale * partial
+            if adjoint == 0.0:
+                continue
+            w_in = 1.0 if slot_in is None else obs_values[slot_in]
+            w_model = 1.0 if slot_model is None else model_values[slot_model]
+            if slot_out is not None:
+                partials[first + slot_out] += adjoint * (w_in * w_model)
+                adjoint *= obs_values[slot_out]
+            if slot_in is not None:
+                partials[first + slot_in] += adjoint * w_model
+            if slot_model is not None:
+                partials[slot_model] += adjoint * w_in
+        for weight, partial in zip(provenance.finals.values(), r_partials):
+            states = dict(weight.features)  # (tag, state) -> 1
+            s_in, s_model, s_out = (next(k for t, k in states if t == tag)
+                                    for tag in ("if", "mf", "of"))
+            adjoint = scale * partial
+            w_in = obs.finals[s_in].value
+            w_model = model.finals[s_model].value
+            partials[obs_finals[s_out]] += adjoint * (w_in * w_model)
+            adjoint *= obs.finals[s_out].value
+            partials[obs_finals[s_in]] += adjoint * w_model
+            partials[model_finals[s_model]] += adjoint * w_in
+        first += len(obs_values)
+    return losses, partials
+
+
+def oracle_train(real_fst, pairs, steps, rate, min_weight):
+    """``train`` with ``oracle_losses`` for each step's gradient."""
+    model = lift(real_fst, RealWeight)
+    observed = [lift(pair_acceptor(i, o), RealWeight) for i, o in pairs]
+    losses = []
+    for _ in range(steps):
+        step_losses, partials = oracle_losses(model, observed)
+        losses.append(sum(step_losses))
+        descended = iter([max(min_weight, v - rate * p)
+                          for v, p in zip(weights_of(model), partials)])
+        model = lift(model, RealWeight, cast=lambda w: next(descended))
+    return model, losses
+
+
+def bits(values):
+    """Floats as their exact hex spellings, -0.0 and NaN included."""
+    return [float(v).hex() for v in values]
+
+
+class TestRestrictionOnce:
+    """The restricted machines are composed once per call, and every step
+    gives, bit for bit, what composing them afresh gives."""
+
+    def assert_trains_like_the_oracle(self, model, pairs, steps, rate,
+                                      min_weight):
+        got_model, got = train(model, pairs, steps=steps, rate=rate,
+                               min_weight=min_weight)
+        want_model, want = oracle_train(model, pairs, steps, rate,
+                                        min_weight)
+        assert bits(got) == bits(want)
+        assert bits(weights_of(got_model)) == bits(weights_of(want_model))
+        assert shape(got_model) == shape(want_model)
+        return got_model
+
+    def assert_step_is_the_oracle(self, model, observed):
+        losses, partials = _losses(model, *_restrict(model, observed))
+        want_losses, want_partials = oracle_losses(model, observed)
+        assert bits(losses) == bits(want_losses)
+        assert bits(partials[:len(want_partials)]) == bits(want_partials)
+
+    def test_unequal_lengths(self):
+        model = epsilon_model()
+        observed = [lift(pair_acceptor(i, o), RealWeight)
+                    for i, o in EPSILON_PAIRS]
+        self.assert_step_is_the_oracle(model, observed)
+        self.assert_trains_like_the_oracle(model, EPSILON_PAIRS, 4, 0.005,
+                                           1e-6)
+
+    def test_epsilon_loop_makes_a_cyclic_restriction(self):
+        model = epsilon_loop_model()
+        pair = pair_acceptor("ab", "b")
+        restricted = compose(compose(project(pair, "input"), model),
+                             project(pair, "output"))
+        assert algorithms._components(restricted._arcs,
+                                      [restricted.initial])[1]
+        observed = [lift(pair_acceptor(i, o), RealWeight)
+                    for i, o in EPSILON_PAIRS]
+        self.assert_step_is_the_oracle(model, observed)
+        self.assert_trains_like_the_oracle(model, EPSILON_PAIRS, 4, 0.005,
+                                           1e-6)
+
+    def test_zero_floor_with_a_weight_descended_to_zero(self):
+        trained = self.assert_trains_like_the_oracle(
+            epsilon_loop_model(), EPSILON_PAIRS, 4, 0.02, 0.0)
+        assert 0.0 in weights_of(trained)
+        # Here the weights that descend to zero leave a pair no path on
+        # a later step, which fails as the oracle does.
+        with pytest.raises(WfstError) as want:
+            oracle_train(epsilon_model(), EPSILON_PAIRS[:3], 4, 0.05, 0.0)
+        with pytest.raises(WfstError) as got:
+            train(epsilon_model(), EPSILON_PAIRS[:3], steps=4, rate=0.05,
+                  min_weight=0.0)
+        assert str(got.value) == str(want.value)
+        assert "non-positive total weight 0.0" in str(got.value)
+
+    def test_pair_without_a_path_fails_on_the_first_step(self):
+        model = workload_model(0, 0)  # no epsilon: unequal lengths fail
+        pairs = [("ab", "ba"), ("ab", "a")]
+        observed = [lift(pair_acceptor(i, o), RealWeight) for i, o in pairs]
+        with pytest.raises(WfstError) as want:
+            oracle_losses(model, observed)
+        with pytest.raises(WfstError) as got:
+            _losses(model, *_restrict(model, observed))
+        assert str(got.value) == str(want.value)
+        for steps in (1, 3):
+            with pytest.raises(WfstError) as got:
+                train(model, pairs, steps=steps)
+            assert str(got.value) == str(want.value)
+
+    def assert_diff_loss_is_the_oracle(self, base, observed):
+        rng = random.Random(5)
+        observed = lift(observed, RealWeight,
+                        cast=lambda w: rng.uniform(0.5, 1.5))
+        sr = make_diff_semiring()
+        machine, _ = diff_copy(base, sr)
+        diff_observed, _ = diff_copy(observed, sr)
+        loss = loglikelihood_loss(machine, diff_observed)
+        (want,), partials = oracle_losses(base, [observed])
+        assert bits([loss.value]) == bits([want])
+        assert bits(loss.node.partials) == bits(partials)
+        return partials
+
+    def test_diff_loss_is_the_oracle(self):
+        # The union of two pair acceptors has two final states, so a
+        # final state of the restriction may pair different ones.
+        for i, o in EPSILON_PAIRS:
+            for observed in (pair_acceptor(i, o),
+                             union(pair_acceptor(i, o), pair_acceptor(o, i))):
+                self.assert_diff_loss_is_the_oracle(epsilon_loop_model(),
+                                                    observed)
+
+    def test_infinite_arc_into_a_dead_end_adds_no_nan(self):
+        # The restricted arcs into the dead end have adjoint zero, and are
+        # skipped rather than multiplied by the infinite factor.
+        base = epsilon_loop_model()
+        base.add_arc(0, base.add_state(), math.inf, "a", "b")
+        for i, o in [("ab", "ba"), ("ab", "bb"), ("ba", "ab")]:
+            partials = self.assert_diff_loss_is_the_oracle(
+                base, pair_acceptor(i, o))
+            assert all(map(math.isfinite, partials))
+
+    def test_train_leaves_its_model_unchanged(self):
+        for model, pairs in ((epsilon_loop_model(), EPSILON_PAIRS),
+                             (workload_model(1, 0), [("ab", "ba")])):
+            before = render_text(model)
+            train(model, pairs, steps=3, rate=0.005)
+            assert render_text(model) == before
+
+    @pytest.mark.parametrize("steps", [0, 1, 3, 7])
+    def test_two_compositions_per_pair_per_call(self, monkeypatch, steps):
+        calls = []
+        compose_once = algorithms._compose
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return compose_once(*args, **kwargs)
+
+        monkeypatch.setattr(algorithms, "_compose", counted)
+        train(workload_model(2, 0), [("ab", "ba"), ("ba", "ab"),
+                                     ("aab", "bba")], steps=steps)
+        assert len(calls) == 2 * 3
+
+    @pytest.mark.parametrize("steps", [1, 3, 7])
+    def test_two_searches_per_machine_per_call(self, monkeypatch, steps):
+        # A forward and a backward search of the model and of each
+        # restricted machine, whatever the number of steps.
+        calls = []
+        search_once = algorithms._components
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return search_once(*args, **kwargs)
+
+        monkeypatch.setattr(algorithms, "_components", counted)
+        train(epsilon_loop_model(), EPSILON_PAIRS, steps=steps, rate=0.005)
+        assert len(calls) == 2 * (1 + len(EPSILON_PAIRS))
 
 
 class TestPairAcceptor:

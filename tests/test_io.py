@@ -147,6 +147,19 @@ class TestParseErrors:
             parse_text("#semiring real\n#initial 0\n0 1 97 97 spam\n")
         assert exc.value.line == 3
 
+    @pytest.mark.parametrize("doc, line", [
+        # After an arc record, which the first header's semiring read.
+        ("#semiring real\n#initial 0\n0 1 97 97 0.5\n#semiring min\n1 0.25\n",
+         4),
+        # Before any record, even naming the same semiring.
+        ("#semiring real\n#semiring real\n", 2),
+    ])
+    def test_repeated_semiring_header_reports_line(self, doc, line):
+        with pytest.raises(FstParseError) as exc:
+            parse_text(doc)
+        assert exc.value.line == line
+        assert str(exc.value) == f"line {line}: repeated #semiring header"
+
     def test_unknown_header_rejected(self):
         with pytest.raises(FstParseError):
             parse_text("#semiring real\n#wibble 3\n")

@@ -7,6 +7,7 @@ argument is auto-cast into the other side's semiring first.
 
 import math
 from collections import deque, namedtuple
+from functools import reduce
 from itertools import accumulate, count
 
 from .errors import (
@@ -54,13 +55,13 @@ def _default_cast(source, target):
     )
 
 
-def _rebuilt(fst, semiring, arcs, map_final):
+def _rebuilt(fst, semiring, arcs, finals):
     """A new FST over ``semiring`` with ``fst``'s states and initial state,
-    the arc lists ``arcs`` and each final weight mapped by ``map_final``."""
+    the arc lists ``arcs`` as given and a copy of the final values dict."""
     out = Fst(semiring)
     out._arcs = arcs
     out.initial = fst.initial
-    out.finals = {state: map_final(w) for state, w in fst.finals.items()}
+    out._finals = dict(finals)
     return out
 
 
@@ -72,7 +73,8 @@ def lift(fst, target_semiring, cast=None):
     ``cast``, a numeric weight lifted into a semiring with a float kernel
     keeps its value, which passes the same gate (a NaN raises
     InvalidWeightError) without a call to ``cast``; between two float
-    kernels the stored arc tuples are shared.
+    kernels the stored arc tuples are shared.  A final weight that lifts
+    to zero (a cost of 0 lifted to a real, say) is left out.
     """
     kernel = _kernel(target_semiring)
     if (cast is None and kernel.box is not _same  # a float kernel
@@ -80,20 +82,23 @@ def lift(fst, target_semiring, cast=None):
         if _unbox(fst.semiring) is _same:  # the values are weights
             arcs = [[(t, i, o, w.value) for t, i, o, w in arcs]
                     for arcs in fst._arcs]
+            finals = {s: w.value for s, w in fst._finals.items()}
         else:
             arcs = [list(arcs) for arcs in fst._arcs]
-        return _rebuilt(fst, target_semiring, _gate_arcs(kernel, arcs),
-                        lambda w: kernel.checked(w.value))
-    if cast is None:
-        cast = _default_cast(fst.semiring, target_semiring)
-    box, unbox = _box(fst.semiring), kernel.unbox
+            finals = fst._finals
+        _gate_arcs(kernel, arcs)
+    else:
+        if cast is None:
+            cast = _default_cast(fst.semiring, target_semiring)
+        box, unbox = _box(fst.semiring), kernel.unbox
 
-    def convert(w):
-        return target_semiring.cast(cast(w))
+        def convert(v):
+            return unbox(target_semiring.cast(cast(box(v))))
 
-    return _rebuilt(fst, target_semiring, [
-        [(t, i, o, unbox(convert(box(v)))) for t, i, o, v in arcs]
-        for arcs in fst._arcs], convert)
+        arcs = [[(t, i, o, convert(v)) for t, i, o, v in arcs]
+                for arcs in fst._arcs]
+        finals = {s: convert(v) for s, v in fst._finals.items()}
+    return _rebuilt(fst, target_semiring, arcs, _kept_finals(kernel, finals))
 
 
 def cast_from_boolean(fst, target_semiring):
@@ -151,8 +156,8 @@ def union(*fsts):
     for side, offset in zip(fsts, offsets):
         if side.initial is not None:
             start_arcs.append((offset + side.initial, EPSILON, EPSILON, one))
-        for state, weight in side.finals.items():
-            out.finals[offset + state] = weight
+        for state, value in side._finals.items():
+            out._finals[offset + state] = value
     return out
 
 
@@ -165,30 +170,28 @@ def concat(a, b):
     if a.initial is not None:
         out.initial = offset_a + a.initial
     if b.initial is not None:
-        unbox, target = _unbox(a.semiring), offset_b + b.initial
-        for state, weight in a.finals.items():
+        target = offset_b + b.initial
+        for state, value in a._finals.items():
             out._arcs[offset_a + state].append(
-                (target, EPSILON, EPSILON, unbox(weight)))
-    for state, weight in b.finals.items():
-        out.finals[offset_b + state] = weight
+                (target, EPSILON, EPSILON, value))
+    for state, value in b._finals.items():
+        out._finals[offset_b + state] = value
     return out
 
 
 def closure(a):
     """Kleene star: epsilon plus any finite repetition of L(a)."""
     sr = a.semiring
-    one, unbox = sr.cast(sr.one), _unbox(sr)
+    one = _unbox(sr)(sr.cast(sr.one))
     out = Fst(sr)
     start = out.add_state()
     out.initial = start
-    out.finals[start] = one
+    out._finals[start] = one
     offset = _copy_into(out, a)
     if a.initial is not None:
-        out._arcs[start].append(
-            (offset + a.initial, EPSILON, EPSILON, unbox(one)))
-    for state, weight in a.finals.items():
-        out._arcs[offset + state].append(
-            (start, EPSILON, EPSILON, unbox(weight)))
+        out._arcs[start].append((offset + a.initial, EPSILON, EPSILON, one))
+    for state, value in a._finals.items():
+        out._arcs[offset + state].append((start, EPSILON, EPSILON, value))
     return out
 
 
@@ -197,14 +200,14 @@ def project(fst, side):
     if side not in ("input", "output"):
         raise WfstError(f"project side must be 'input' or 'output', got {side!r}")
     k = 1 if side == "input" else 2
-    return _rebuilt(fst, fst.semiring, [
-        [(a[0], a[k], a[k], a[3]) for a in arcs] for arcs in fst._arcs], _same)
+    arcs = [[(a[0], a[k], a[k], a[3]) for a in arcs] for arcs in fst._arcs]
+    return _rebuilt(fst, fst.semiring, arcs, fst._finals)
 
 
 def invert(fst):
     """Swap input and output labels on every arc."""
-    return _rebuilt(fst, fst.semiring, [
-        [(t, o, i, v) for t, i, o, v in arcs] for arcs in fst._arcs], _same)
+    arcs = [[(t, o, i, v) for t, i, o, v in arcs] for arcs in fst._arcs]
+    return _rebuilt(fst, fst.semiring, arcs, fst._finals)
 
 
 def compose(a, b):
@@ -213,7 +216,8 @@ def compose(a, b):
     Epsilon moves go through the standard three-state epsilon filter so
     that interleaved epsilon paths are counted exactly once.  Products of
     two weights pass the membership gate, so a NaN (inf * 0, say) raises
-    InvalidWeightError.
+    InvalidWeightError.  A final weight that is zero (a product that
+    underflows, say) is left out.
     """
     return _compose(a, b)[0]
 
@@ -226,7 +230,8 @@ def _compose(a, b, provenance=False):
     came from, None for a side that stood still; and ``pairs[s]`` is the
     pair (a-state, b-state) that state s stands for, so that its final
     weight, if any, is the product of theirs.  Without provenance, both
-    are None.
+    are None.  With it, a zero final weight is kept, so that the finals
+    that ``_restrict`` lays out do not depend on the values.
     """
     a, b = _coerce(a, b)
     sr = a.semiring
@@ -234,7 +239,7 @@ def _compose(a, b, provenance=False):
     if a.initial is None or b.initial is None:
         return (out, [], []) if provenance else (out, None, None)
     kernel = _kernel(sr)
-    checked, times, unbox = kernel.checked, kernel.times, kernel.unbox
+    times = kernel.times
     origins = [] if provenance else None
     first_a = list(accumulate(map(len, a._arcs), initial=0))
 
@@ -256,10 +261,8 @@ def _compose(a, b, provenance=False):
         state = state_map[key] = len(state_map)
         queue.append(key)
         qa, qb, _ = key
-        fa = a.finals.get(qa)
-        fb = b.finals.get(qb)
-        if fa is not None and fb is not None:
-            out.finals[state] = checked(times(unbox(fa), unbox(fb)))
+        if qa in a._finals and qb in b._finals:
+            out._finals[state] = times(a._finals[qa], b._finals[qb])
         return state
 
     out.initial = add_state((a.initial, b.initial, 0))
@@ -303,8 +306,10 @@ def _compose(a, b, provenance=False):
                 src_arcs.append((dst, EPSILON, output_b, wb))
                 if provenance:
                     origins.append((None, slot_b))
+    kept = _kept_finals(kernel, out._finals)
     _gate_arcs(kernel, out._arcs)
     if not provenance:
+        out._finals = kept
         return out, None, None
     return out, origins, [key[:2] for key in state_map]
 
@@ -616,6 +621,13 @@ def _gate_arcs(kernel, arcs):
     return arcs
 
 
+def _kept_finals(kernel, finals):
+    """``_gate`` the values of the dict ``finals``, and return a new one
+    without the zero values: a zero final weight is never stored."""
+    _gate(kernel, list(finals.values()))
+    return {s: v for s, v in finals.items() if v != kernel.zero}
+
+
 def _backward_arcs(fst):
     """``fst``'s arcs reversed, in the stored form: ``arcs[t]`` holds
     (s, input, output, value) for each arc s -> t."""
@@ -659,15 +671,12 @@ def _forward_values(fst, kernel, search=None):
 def _backward_values(fst, kernel, search=None):
     """Per-state plus-sum over accepting suffixes (final weights
     included), as kernel values; no membership gate.  ``search`` is
-    ``_components(_backward_arcs(fst), list(fst.finals))``, run here if
+    ``_components(_backward_arcs(fst), list(fst._finals))``, run here if
     not given."""
-    unbox = kernel.unbox
     arcs = _backward_arcs(fst)
     if search is None:
-        search = _components(arcs, list(fst.finals))
-    d = _generic_distance(fst.semiring, kernel, arcs,
-                          {s: unbox(w) for s, w in fst.finals.items()},
-                          search)
+        search = _components(arcs, list(fst._finals))
+    d = _generic_distance(fst.semiring, kernel, arcs, fst._finals, search)
     zero = kernel.zero
     return [d.get(s, zero) for s in fst.states()]
 
@@ -686,11 +695,11 @@ def sum_paths(fst):
     if sr.total_weight is not None:
         return sr.cast(sr.total_weight(fst))
     kernel = _kernel(sr)
-    plus, times, unbox = kernel.plus, kernel.times, kernel.unbox
+    plus, times = kernel.plus, kernel.times
     d = _forward_values(fst, kernel)
     total = kernel.zero
-    for state, weight in fst.finals.items():
-        total = plus(total, times(d[state], unbox(weight)))
+    for state, value in fst._finals.items():
+        total = plus(total, times(d[state], value))
     return kernel.checked(total)
 
 
@@ -699,9 +708,9 @@ def _renumbered(semiring, initial, arcs, finals, keep):
     list of original ids, numbered by their rank in it, so the survivors
     keep their order.
 
-    ``arcs[s]`` holds state s's arcs in the stored form, with original
-    ids; an arc into a state not kept is dropped, as are the final
-    weights of such states.  The initial state is None unless it is kept.
+    ``arcs`` and ``finals`` are in the stored form, with original ids; an
+    arc into a state not kept is dropped, as are the final weights of
+    such states.  The initial state is None unless it is kept.
     """
     rank = {s: i for i, s in enumerate(keep)}
     out = Fst(semiring)
@@ -710,7 +719,7 @@ def _renumbered(semiring, initial, arcs, finals, keep):
                   if target in rank]
                  for s in keep]
     out.initial = rank.get(initial)
-    out.finals = {i: finals[s] for i, s in enumerate(keep) if s in finals}
+    out._finals = {i: finals[s] for i, s in enumerate(keep) if s in finals}
     return out
 
 
@@ -725,8 +734,8 @@ def connect(fst):
     """
     sources = [] if fst.initial is None else [fst.initial]
     accessible = _components(fst._arcs, sources)[0]
-    coaccessible = _components(_backward_arcs(fst), list(fst.finals))[0]
-    return _renumbered(fst.semiring, fst.initial, fst._arcs, fst.finals,
+    coaccessible = _components(_backward_arcs(fst), list(fst._finals))[0]
+    return _renumbered(fst.semiring, fst.initial, fst._arcs, fst._finals,
                        sorted(set(accessible).intersection(coaccessible)))
 
 
@@ -749,9 +758,7 @@ def remove_epsilon(fst):
     if fst.initial is None:
         return Fst(sr)
     kernel = _kernel(sr)
-    plus, times, zero, one, unbox, checked = (
-        kernel.plus, kernel.times, kernel.zero, kernel.one, kernel.unbox,
-        kernel.checked)
+    plus, times, zero, one = kernel.plus, kernel.times, kernel.zero, kernel.one
     eps_arcs = [[arc for arc in arcs if arc[1] == EPSILON == arc[2]]
                 for arcs in fst._arcs]
 
@@ -781,13 +788,12 @@ def remove_epsilon(fst):
                     arcs[target] = None
                     todo.append(target)
                 new_arcs.append((target, ilabel, olabel, times(w, value)))
-            fw = fst.finals.get(t)
-            if fw is not None:
-                final = plus(final, times(w, unbox(fw)))
+            if t in fst._finals:
+                final = plus(final, times(w, fst._finals[t]))
         arcs[s] = new_arcs
-        _gate(kernel, [arc[3] for arc in new_arcs])
+        _gate(kernel, [arc[3] for arc in new_arcs] + [final])
         if final != zero:
-            finals[s] = checked(final)
+            finals[s] = final
     return _renumbered(sr, fst.initial, arcs, finals, sorted(arcs))
 
 
@@ -818,17 +824,11 @@ def determinize(fst, delta=DEFAULT_DELTA):
     if fst.initial is None:
         return out
     cap = 10 * fst.num_states + 1000
-    finals = fst.finals
+    finals = fst._finals
     kernel = _kernel(sr)
-    plus, times, divide, quantize, zero, one, unbox, checked = (
+    plus, times, divide, quantize, zero, one = (
         kernel.plus, kernel.times, kernel.divide, kernel.quantize,
-        kernel.zero, kernel.one, kernel.unbox, kernel.checked)
-
-    def plus_all(values):
-        total = zero
-        for value in values:
-            total = plus(total, value)
-        return total
+        kernel.zero, kernel.one)
 
     # Subsets are keyed by quantized residuals so nearly identical subsets
     # merge, but the exact residuals of the first-seen subset are used for
@@ -843,10 +843,11 @@ def determinize(fst, delta=DEFAULT_DELTA):
         src = len(out._arcs)
         src_arcs = []
         out._arcs.append(src_arcs)
-        final = plus_all(times(r, unbox(finals[state]))
-                         for state, r in subset if state in finals)
+        final = reduce(plus, [times(r, finals[state])
+                              for state, r in subset if state in finals], zero)
+        _gate(kernel, (final,))
         if final != zero:
-            out.finals[src] = checked(final)
+            out._finals[src] = final
         # Group outgoing arcs by label pair.
         grouped = {}
         for state, r in subset:
@@ -854,8 +855,9 @@ def determinize(fst, delta=DEFAULT_DELTA):
                 grouped.setdefault((ilabel, olabel), {}) \
                     .setdefault(target, []).append(times(r, value))
         for (ilabel, olabel), targets in sorted(grouped.items()):
-            per_target = {t: plus_all(vs) for t, vs in targets.items()}
-            total = plus_all(per_target.values())
+            per_target = {t: reduce(plus, vs, zero)
+                          for t, vs in targets.items()}
+            total = reduce(plus, per_target.values(), zero)
             if total == zero and all(v == zero for v in per_target.values()):
                 continue
             _gate(kernel, (total,))
@@ -896,10 +898,10 @@ def reverse(fst):
                  for arcs in _backward_arcs(fst)]
     start = out.add_state()
     out.set_initial_state(start)
-    for state, weight in fst.finals.items():
-        out.add_arc(start, state, weight.reverse(), EPSILON, EPSILON)
+    for state, value in fst._finals.items():
+        out.add_arc(start, state, box(value).reverse(), EPSILON, EPSILON)
     if fst.initial is not None:
-        out.finals[fst.initial] = sr.cast(sr.one)
+        out.set_final_weight(fst.initial, sr.one)
     return out
 
 
@@ -926,8 +928,7 @@ def push(fst, direction="initial"):
     if fst.initial is None:
         return fst.copy()
     kernel = _kernel(sr)
-    times, unbox, box, zero = (
-        kernel.times, kernel.unbox, kernel.box, kernel.zero)
+    times, zero = kernel.times, kernel.zero
     toward_initial = direction == "initial"
     pot = _gate(kernel, (_backward_values if toward_initial
                          else _forward_values)(fst, kernel))
@@ -952,16 +953,15 @@ def push(fst, direction="initial"):
             return (t, i, o, divide(times(w, pt), s))
         return (t, i, o, divide(times(ps, w), t))
 
-    out = _rebuilt(fst, sr, _gate_arcs(kernel, [
-        [reweight(s, arc) for arc in arcs] for s, arcs in enumerate(fst._arcs)
-    ]), _same)
-    for state, weight in fst.finals.items():
+    arcs = _gate_arcs(kernel, [[reweight(s, arc) for arc in arcs]
+                               for s, arcs in enumerate(fst._arcs)])
+    finals = {}
+    for state, value in fst._finals.items():
         p = pot[state]
         if p != zero:
-            w = unbox(weight)
-            out.set_final_weight(state, box(divide(w, state) if toward_initial
-                                            else times(p, w)))
-    return out
+            value = divide(value, state) if toward_initial else times(p, value)
+        finals[state] = value
+    return _rebuilt(fst, sr, arcs, _kept_finals(kernel, finals))
 
 
 def shortest_path(fst):
@@ -983,17 +983,17 @@ def shortest_path(fst):
     if fst.initial is None:
         raise NoAcceptingPathError("FST has no initial state")
     kernel = _kernel(sr)
-    times, unbox = kernel.times, kernel.unbox
+    times = kernel.times
     beta = _backward_values(fst, kernel)
     if beta[fst.initial] == kernel.zero:
         raise NoAcceptingPathError("FST accepts no string")
 
-    finals = fst.finals
+    finals = fst._finals
     state = fst.initial
     entered = {state}
     arcs = iter(fst._arcs[state])
     path = []  # (source, arc taken, the arcs of its source still to try)
-    while not (state in finals and unbox(finals[state]) == beta[state]):
+    while not (state in finals and finals[state] == beta[state]):
         for arc in arcs:
             target = arc[0]
             if (target not in entered
@@ -1011,7 +1011,7 @@ def shortest_path(fst):
     value = kernel.one
     for _, arc, _ in path:
         value = times(value, arc[3])
-    weight = kernel.box(times(value, unbox(finals[state])))
+    weight = kernel.box(times(value, finals[state]))
     taken = [(source, arc) for source, arc, _ in path]
     return ShortestPathResult(_read_path(fst, taken, weight), weight)
 
@@ -1031,8 +1031,8 @@ def random_path(fst, seed=None, max_steps=10_000):
         raise NoAcceptingPathError("FST has no initial state")
     rng = random.Random(seed)
     kernel = _kernel(fst.semiring)
-    times, unbox, score = kernel.times, kernel.unbox, kernel.score
-    finals, arcs_of = fst.finals, fst._arcs
+    times, score = kernel.times, kernel.score
+    finals, arcs_of = fst._finals, fst._arcs
     state = fst.initial
     taken = []  # (source, arc) pairs
     value = kernel.one
@@ -1043,7 +1043,7 @@ def random_path(fst, seed=None, max_steps=10_000):
         fw = finals.get(state)
         if fw is not None:
             choices = [None, *choices]
-            values.insert(0, unbox(fw))
+            values.insert(0, fw)
         weights = values if score is None else list(map(score, values))
         if weights and min(weights) < 0:
             v = next(v for v, w in zip(values, weights) if w < 0)

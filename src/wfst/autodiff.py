@@ -30,7 +30,6 @@ restricted machines and solves them and the model's total once.
 """
 
 import math
-from itertools import chain
 
 from .errors import (
     DivisionByZeroError,
@@ -263,7 +262,7 @@ def _weight_nodes(fst):
     """The tape nodes of a diff machine's weights, which it stores as they
     are: arcs in ``all_arcs()`` order, then finals in ``finals`` order."""
     return ([arc[3].node for arcs in fst._arcs for arc in arcs]
-            + [weight.node for weight in fst.finals.values()])
+            + [weight.node for weight in fst._finals.values()])
 
 
 def _restrict(model, observed):
@@ -287,8 +286,10 @@ def _restrict(model, observed):
     weight from each machine, whose slots the composition reports (its
     provenance), with the slot of 1.0 for a side that stood still.  R's
     finals map each final state to the slots of its three final weights.
-    A restricted machine is (arcs, initial state, finals, searches), with
-    no searches if it has no initial state.
+    A restricted machine is (arcs, initial state, finals, factors,
+    searches): factors lists the slot triples of R's arcs, then of its
+    finals, in the order of R's partials; no searches without an initial
+    state.
 
     The searches are ``_searches`` of the model and of each R: the Tarjan
     searches of the forward and backward distance passes, which read only
@@ -297,15 +298,15 @@ def _restrict(model, observed):
     """
     from .algorithms import _compose, project
 
-    first = model.num_arcs + len(model.finals)
+    first = model.num_arcs + len(model._finals)
     model_finals = {state: model.num_arcs + k
-                    for k, state in enumerate(model.finals)}
-    one = first + sum(obs.num_arcs + len(obs.finals) for obs in observed)
+                    for k, state in enumerate(model._finals)}
+    one = first + sum(obs.num_arcs + len(obs._finals) for obs in observed)
     constants = []
     restricted = []
     for obs in observed:
         constants += [arc[3] for arcs in obs._arcs for arc in arcs]
-        constants += [weight.value for weight in obs.finals.values()]
+        constants += obs._finals.values()
         middle, middle_origins, middle_pairs = _compose(
             project(obs, "input"), model, True)
         machine, origins, pairs = _compose(
@@ -318,20 +319,21 @@ def _restrict(model, observed):
             factors.append((one if in_slot is None else first + in_slot,
                             one if model_slot is None else model_slot,
                             one if out_slot is None else first + out_slot))
-        factors = iter(factors)
-        arcs = [[(target, ilabel, olabel, *next(factors))
+        slots = iter(factors)
+        arcs = [[(target, ilabel, olabel, *next(slots))
                  for target, ilabel, olabel, _ in state_arcs]
                 for state_arcs in machine._arcs]
         obs_finals = {state: first + obs.num_arcs + k
-                      for k, state in enumerate(obs.finals)}
+                      for k, state in enumerate(obs._finals)}
         finals = {}
-        for state in machine.finals:
+        for state in machine._finals:
             middle_state, out_state = pairs[state]
             in_state, model_state = middle_pairs[middle_state]
             finals[state] = (obs_finals[in_state], model_finals[model_state],
                              obs_finals[out_state])
-        restricted.append((arcs, machine.initial, finals, _searches(machine)))
-        first += obs.num_arcs + len(obs.finals)
+        restricted.append((arcs, machine.initial, finals,
+                           factors + list(finals.values()), _searches(machine)))
+        first += obs.num_arcs + len(obs._finals)
     constants.append(1.0)
     return _searches(model), restricted, constants
 
@@ -364,19 +366,17 @@ def _losses(model, searches, restricted, constants):
     A non-positive Z_obs or Z raises WfstError, and a divergent total
     DivergenceError.
     """
-    from .algorithms import _gate_arcs
+    from .algorithms import _gate, _gate_arcs
 
     if model.initial is None:  # every restricted machine is empty
         raise WfstError("observed pair has non-positive total weight 0.0")
     kernel = _kernel(RealWeight)
-    checked = kernel.checked
     total, total_partials = _forward_backward(model, searches)
     values = ([arc[3] for arcs in model._arcs for arc in arcs]
-              + [weight.value for weight in model.finals.values()]
-              + constants)
+              + list(model._finals.values()) + constants)
     partials = [0.0] * len(values)
     losses = []
-    for arcs, initial, finals, r_searches in restricted:
+    for arcs, initial, finals, factors, r_searches in restricted:
         observed_total = 0.0
         if initial is not None:
             machine = Fst(RealWeight)
@@ -384,9 +384,10 @@ def _losses(model, searches, restricted, constants):
                 [(t, i, o, (values[a] * values[b]) * values[c])
                  for t, i, o, a, b, c in state_arcs] for state_arcs in arcs])
             machine.initial = initial
-            machine.finals = {
-                state: checked((values[a] * values[b]) * values[c])
+            machine._finals = {
+                state: (values[a] * values[b]) * values[c]
                 for state, (a, b, c) in finals.items()}
+            _gate(kernel, list(machine._finals.values()))
             observed_total, r_partials = _forward_backward(machine,
                                                            r_searches)
         if observed_total <= 0.0:
@@ -398,22 +399,14 @@ def _losses(model, searches, restricted, constants):
         scale = 1.0 / total
         for k, partial in enumerate(total_partials):
             partials[k] += scale * partial
-        # Back through the two products that made each weight of R: its
-        # partial, times the output side's factor, then the input side's.
-        # A zero arc adjoint is skipped, so an infinite factor adds no NaN.
+        # Back through the two products that made each weight of R, arcs
+        # then finals: its partial, times the output side's factor, then
+        # the input side's.  A zero adjoint is skipped: no NaN from inf.
         scale = -1.0 / observed_total
-        r_partials = iter(r_partials)
-        for (_, _, _, a, b, c), partial in zip(chain.from_iterable(arcs),
-                                               r_partials):
+        for (a, b, c), partial in zip(factors, r_partials):
             adjoint = scale * partial
             if adjoint == 0.0:
                 continue
-            partials[c] += adjoint * (values[a] * values[b])
-            adjoint *= values[c]
-            partials[a] += adjoint * values[b]
-            partials[b] += adjoint * values[a]
-        for (a, b, c), partial in zip(finals.values(), r_partials):
-            adjoint = scale * partial
             partials[c] += adjoint * (values[a] * values[b])
             adjoint *= values[c]
             partials[a] += adjoint * values[b]
@@ -430,14 +423,15 @@ def _searches(fst):
     if fst.initial is None:
         return None
     return (_components(fst._arcs, [fst.initial]),
-            _components(_backward_arcs(fst), list(fst.finals)))
+            _components(_backward_arcs(fst), list(fst._finals)))
 
 
 def _forward_backward(fst, searches=None):
     """The total weight of a real ``fst``, which has an initial state, and
     its partials, all on float values: alpha(s)·beta(t) for each arc
     s -> t in ``all_arcs()`` order, then alpha(f) for each final state f
-    in ``finals`` order, from the exact real-semiring solver.
+    in ``finals`` order, from the exact real-semiring solver.  An arc on
+    no accepting path, its alpha or beta zero, gets 0.0, never inf·0.
     ``searches`` is ``_searches(fst)``, run by the passes if not given."""
     from .algorithms import _backward_values, _forward_values
 
@@ -446,11 +440,11 @@ def _forward_backward(fst, searches=None):
     alpha = _forward_values(fst, kernel, forward)
     beta = _backward_values(fst, kernel, backward)
     total = 0.0
-    for state, weight in fst.finals.items():
-        total += alpha[state] * weight.value
-    return total, ([alpha[source] * beta[arc[0]]
-                    for source, arcs in enumerate(fst._arcs) for arc in arcs]
-                   + [alpha[state] for state in fst.finals])
+    for state, value in fst._finals.items():
+        total += alpha[state] * value
+    return total, ([a * beta[arc[0]] if a and beta[arc[0]] else 0.0
+                    for a, arcs in zip(alpha, fst._arcs) for arc in arcs]
+                   + [alpha[state] for state in fst._finals])
 
 
 def pair_acceptor(input_str, output_str):
@@ -496,7 +490,7 @@ def train(real_fst, pairs, steps=200, rate=0.05, min_weight=1e-6):
     the probability model stays well defined.  Returns (trained real FST,
     per-step losses).  An empty ``pairs`` raises WfstError.
     """
-    from .algorithms import _gate_arcs, _rebuilt, lift
+    from .algorithms import _gate, _gate_arcs, _rebuilt, lift
 
     if not pairs:
         raise WfstError("train needs at least one observed pair")
@@ -519,6 +513,7 @@ def train(real_fst, pairs, steps=200, rate=0.05, min_weight=1e-6):
 
         arcs = [[(t, i, o, descend(v)) for t, i, o, v in arcs]
                 for arcs in model._arcs]
-        model = _rebuilt(model, RealWeight, _gate_arcs(kernel, arcs),
-                         lambda w: kernel.checked(descend(w.value)))
+        finals = {s: descend(v) for s, v in model._finals.items()}
+        _gate(kernel, list(finals.values()))
+        model = _rebuilt(model, RealWeight, _gate_arcs(kernel, arcs), finals)
     return model, losses

@@ -7,14 +7,16 @@ the algorithms module treats a finished FST as immutable.
 
 Each state's arcs are stored as plain ``(target, input, output, value)``
 tuples, value being the weight's kernel value (see ``semirings``), and
-``Arc`` records are built from them on read.  Final weights are weights.
+``Arc`` records are built from them on read; final weights are stored as
+values too, and the read-only ``finals`` mapping boxes them on read.
 """
 
 from collections import namedtuple
 from itertools import chain
+from types import MappingProxyType
 
 from .errors import InvalidLabelError, InvalidStateError, InvalidWeightError
-from .semirings import BooleanWeight, _box, _unbox
+from .semirings import BooleanWeight, _box, _same, _unbox
 
 EPSILON = 0
 MAX_LABEL = 2 ** 64 - 1
@@ -88,15 +90,22 @@ class Fst:
 
     ``semiring`` is a weight class; all arc and final weights are
     instances of it.  There is at most one initial state.  Final weights
-    are stored sparsely; a state without an entry is non-final
-    (equivalently, final weight zero).
+    are stored sparsely: a state without an entry is non-final
+    (equivalently, final weight zero), as is one set to zero.
     """
 
     def __init__(self, semiring=BooleanWeight):
         self.semiring = semiring
         self._arcs = []
         self.initial = None
-        self.finals = {}
+        self._finals = {}  # final state -> kernel value
+
+    @property
+    def finals(self):
+        """A read-only mapping from each final state to its weight, built
+        on each read; ``set_final_weight`` changes the weights."""
+        box = _box(self.semiring)
+        return MappingProxyType({s: box(v) for s, v in self._finals.items()})
 
     @property
     def num_states(self):
@@ -156,48 +165,51 @@ class Fst:
         self._check_state(state)
         weight = self.semiring.cast(weight)
         if weight == self.semiring.zero:
-            self.finals.pop(state, None)
+            self._finals.pop(state, None)
         else:
-            self.finals[state] = weight
+            self._finals[state] = _unbox(self.semiring)(weight)
 
     def final_weight(self, state):
         self._check_state(state)
-        return self.finals.get(state, self.semiring.zero)
+        if state in self._finals:
+            return _box(self.semiring)(self._finals[state])
+        return self.semiring.zero
 
     def is_final(self, state):
         self._check_state(state)
-        return state in self.finals
+        return state in self._finals
 
     def copy(self):
         out = Fst(self.semiring)
         out._arcs = [list(arcs) for arcs in self._arcs]
         out.initial = self.initial
-        out.finals = dict(self.finals)
+        out._finals = dict(self._finals)
         return out
 
     def validate(self):
         """Check structural invariants; raises WfstError on violation.
 
-        A weight is valid when the semiring's ``cast`` keeps it as is,
-        which rules out non-members and elements of other semirings; a
-        stored float is boxed for the test.
+        A stored value, of an arc or a final weight, is valid when it is
+        a float on a float kernel, or any weight on the generic kernel,
+        and the semiring's ``cast`` keeps its weight as is, which rules
+        out non-members and elements of other semirings.
         """
         sr = self.semiring
         n = len(self._arcs)
         if self.initial is not None and not 0 <= self.initial < n:
             raise InvalidStateError(f"initial state {self.initial} unknown")
-        box, weights = _box(sr), []
-        for arcs in self._arcs:
-            for target, _, _, value in arcs:
-                if not 0 <= target < n:
-                    raise InvalidStateError(f"arc target {target} unknown")
-                weights.append(box(value) if value.__class__ is float
-                               else value)
-        for state in self.finals:
+        for target in [arc[0] for arcs in self._arcs for arc in arcs]:
+            if not 0 <= target < n:
+                raise InvalidStateError(f"arc target {target} unknown")
+        for state in self._finals:
             if not 0 <= state < n:
                 raise InvalidStateError(f"final state {state} unknown")
-        for weight in chain(weights, self.finals.values()):
-            if sr.cast(weight) is not weight:
+        box = _box(sr)
+        for value in chain([arc[3] for arcs in self._arcs for arc in arcs],
+                           self._finals.values()):
+            weight = box(value) if value.__class__ is float else value
+            if (sr.cast(weight) is not weight
+                    or weight is value and box is not _same):
                 raise InvalidWeightError(f"weight {weight!r} not in {sr.name}")
         return True
 
@@ -205,7 +217,7 @@ class Fst:
         return (
             f"<Fst semiring={self.semiring.name} states={self.num_states} "
             f"arcs={self.num_arcs} initial={self.initial} "
-            f"finals={sorted(self.finals)}>"
+            f"finals={sorted(self._finals)}>"
         )
 
 
@@ -217,13 +229,12 @@ def fst_from_sequence(labels, semiring=BooleanWeight):
         if value == EPSILON:
             raise InvalidLabelError("label 0 is reserved for epsilon")
         values.append(value)
-    weight = semiring.cast(semiring.one)
-    one = _unbox(semiring)(weight)
+    one = _unbox(semiring)(semiring.cast(semiring.one))
     fst = Fst(semiring)
     fst._arcs = [[(k + 1, v, v, one)] for k, v in enumerate(values)]
     fst._arcs.append([])
     fst.initial = 0
-    fst.set_final_weight(len(values), weight)
+    fst._finals[len(values)] = one
     return fst
 
 
@@ -268,10 +279,10 @@ def enumerate_paths(fst, max_paths=1000, max_length=None, max_steps=200_000):
     if fst.initial is None:
         return PathEnumeration(paths, truncated)
 
-    sr = fst.semiring
+    sr, finals = fst.semiring, fst.finals
 
     def emit(state, acc):
-        fw = fst.finals.get(state)
+        fw = finals.get(state)
         if fw is None:
             return True
         if len(paths) >= max_paths:

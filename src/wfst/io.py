@@ -21,13 +21,6 @@ from .fst import MAX_LABEL, Fst, label_str
 from .semirings import BUILTIN_SEMIRINGS, _box, _unbox
 
 
-def _semiring_registry(extra=None):
-    registry = dict(BUILTIN_SEMIRINGS)
-    if extra:
-        registry.update(extra)
-    return registry
-
-
 def render_text(fst):
     """Serialize to the text format; inverse of parse_text."""
     lines = [
@@ -40,8 +33,8 @@ def render_text(fst):
         for target, ilabel, olabel, value in arcs:
             lines.append(
                 f"{source} {target} {ilabel} {olabel} {box(value).text()}")
-    for state in sorted(fst.finals):
-        lines.append(f"{state} {fst.finals[state].text()}")
+    for state in sorted(fst._finals):
+        lines.append(f"{state} {box(fst._finals[state]).text()}")
     return "\n".join(lines) + "\n"
 
 
@@ -53,7 +46,7 @@ def parse_text(document, semirings=None):
     here (labels, states, weight membership) and a fault is reported as
     an FstParseError naming its line.
     """
-    registry = _semiring_registry(semirings)
+    registry = {**BUILTIN_SEMIRINGS, **(semirings or {})}
     semiring = None
     initial = initial_line = None
     declared_states = None
@@ -144,10 +137,7 @@ def parse_text(document, semirings=None):
     for state, weight, lineno in finals:
         if not 0 <= state < num_states:
             raise FstParseError(f"final state {state} out of range", line=lineno)
-        if weight == semiring.zero:
-            fst.finals.pop(state, None)
-        else:
-            fst.finals[state] = weight
+        fst.set_final_weight(state, weight)
     return fst
 
 
@@ -183,7 +173,7 @@ def render_dot(fst, rankdir="LR"):
     for state in fst.states():
         attrs = [f'label="{state}"']
         is_initial = state == fst.initial
-        is_final = state in fst.finals
+        is_final = state in fst._finals
         if is_initial and is_final:
             attrs += ['style=filled', 'fillcolor=red', 'color=green',
                       'penwidth=3']
@@ -275,11 +265,11 @@ def render_html(fst, title="FST"):
         x, y = positions[state]
         if state == fst.initial:
             fill = "#7ddc7d"  # green: initial
-        elif state in fst.finals:
+        elif state in fst._finals:
             fill = "#e06666"  # red: final
         else:
             fill = "white"
-        stroke = "green" if state == fst.initial and state in fst.finals \
+        stroke = "green" if state == fst.initial and state in fst._finals \
             else "black"
         parts.append(
             f'<circle cx="{x}" cy="{y}" r="18" fill="{fill}" '

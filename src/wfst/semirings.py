@@ -10,16 +10,17 @@ Semirings that declare the 'idempotent' property have a + a == a; those
 that declare 'path' also pick one operand of plus, which induces the total
 order a <= b  iff  a + b == a used by shortest-path.
 
-A machine stores its arc weights as the values of its semiring's kernel
-(``_kernel``), on which the algorithms compute.  The real, min, max and
-tropical classes each set a float kernel on the class itself, whose
-values are the weights' plain floats.  A subclass inherits no float
-kernel: it may override an operator or ``star``, so it runs, like every
-other semiring, on the generic kernel, whose values are the weights
-themselves.  ``Fst.add_arc`` and ``parse_text`` unbox a weight once,
-after ``cast`` has checked it; ``Fst.arcs``, ``Fst.all_arcs`` and every
-``Path`` box it on read, unchecked.  A computed value passes the gate
-unboxed (``_gate``) or on its way into a weight (``checked``).
+A machine stores its arc and final weights as the values of its
+semiring's kernel (``_kernel``), on which the algorithms compute.  The
+real, min, max and tropical classes each set a float kernel on the class
+itself, whose values are the weights' plain floats.  A subclass inherits
+no float kernel: it may override an operator or ``star``, so it runs,
+like every other semiring, on the generic kernel, whose values are the
+weights themselves.  ``Fst.add_arc``, ``Fst.set_final_weight`` and
+``parse_text`` unbox a weight once, after ``cast`` has checked it;
+``Fst.arcs``, ``Fst.all_arcs``, ``Fst.finals``, ``Fst.final_weight`` and
+every ``Path`` box it on read, unchecked.  A computed value passes the
+gate unboxed (``_gate``) or on its way into a weight (``checked``).
 
 Division and quantization are kernel operations as well.  A float
 kernel's ``divide`` and ``quantize`` are the very functions that the

@@ -22,6 +22,15 @@ def plant_arc(fst, arc, index=None):
         fst._arcs[source][index] = stored
 
 
+def plant_final(fst, state, weight):
+    """Write ``weight`` as ``state``'s final weight in ``fst``, past
+    ``set_final_weight``'s gate, in the stored form, as ``plant_arc``
+    writes an arc."""
+    if weight.__class__ is fst.semiring:
+        weight = _unbox(fst.semiring)(weight)
+    fst._finals[state] = weight
+
+
 def build_hello_world_troll():
     """Weighted transducer sending "hello" to "world" (weight 6) and
     "troll" (weight 12), with the 1*1*1*2*1*3 / 1*1*1*2*2*3 arc weights."""

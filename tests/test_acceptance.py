@@ -201,7 +201,7 @@ def test_criterion_8_gradients(report):
                     plant_arc(f, a._replace(
                         weight=RealWeight(table[("arc", s, i)])), i)
             for s in list(f.finals):
-                f.finals[s] = RealWeight(table[("final", s)])
+                f.set_final_weight(s, RealWeight(table[("final", s)]))
             return sum_paths(f).value
 
         for k, num in zip(keys, numeric_gradient(build_loss, values)):

@@ -598,7 +598,7 @@ class TestConnect:
 
     def test_empty_language_gives_no_states(self):
         f = fst_from_sequence("ab", RealWeight)
-        f.finals.clear()
+        f.set_final_weight(2, 0.0)
         c = connect(f)
         assert (c.num_states, c.initial, c.finals) == (0, None, {})
 
@@ -1955,3 +1955,55 @@ class TestKernelEquivalence:
         plant_arc(f, f.arcs(0)[0]._replace(weight=semiring(math.nan)), 0)
         with pytest.raises(InvalidWeightError, match=message):
             lift(f, semiring)
+
+
+class TestFinalValues:
+    """Final weights are stored as kernel values, as arc weights are, and
+    a final weight equal to zero is never stored."""
+
+    def assert_no_final(self, f, state):
+        assert not f.is_final(state) and state not in f.finals
+        assert f.final_weight(state) == f.semiring.zero
+        text = render_text(f)
+        back = parse_text(text)
+        assert render_text(back) == text
+        assert dict(back.finals) == dict(f.finals) == {}
+        assert connect(f).num_states == 0
+
+    def test_lift_leaves_out_a_final_weight_that_lifts_to_zero(self):
+        # A cost of 0 is the real 0: the lifted final weight is zero.
+        r = lift(fst_from_sequence("ab", MinWeight), RealWeight)
+        self.assert_no_final(r, 2)
+        assert render_text(r).splitlines()[-1] == "1 2 98 98 0"
+
+    def test_compose_leaves_out_a_final_product_that_underflows(self):
+        a = fst_from_sequence("ab", RealWeight)
+        a.set_final_weight(2, 1e-200)
+        c = compose(a, a)
+        assert c.num_states == 3
+        self.assert_no_final(c, 2)
+        # The composition that restricts a pair for training keeps every
+        # pair of final states final, a zero product included.
+        restricted = algorithms._compose(a, a, True)[0]
+        assert restricted._finals == {2: 0.0}
+
+    @pytest.mark.parametrize("semiring", [RealWeight, MinWeight])
+    def test_every_algorithm_stores_float_final_values(self, semiring):
+        f = Fst(semiring)
+        for _ in range(4):
+            f.add_state()
+        f.set_initial_state(0)
+        for s, t, i, o, w in [(0, 1, "a", "b", 0.5), (0, 2, "a", "a", 0.25),
+                              (1, 3, "b", "b", 0.5), (2, 3, "b", "a", 1.0)]:
+            f.add_arc(s, t, w, i, o)
+        f.set_final_weight(1, 0.5)
+        f.set_final_weight(3, 2.0)
+        eps_free = remove_epsilon(project(f, "input"))
+        for out in [union(f, f), concat(f, f), closure(f),
+                    project(f, "input"), invert(f), compose(f, invert(f)),
+                    lift(f, RealWeight), remove_epsilon(closure(f)),
+                    determinize(eps_free), reverse(f), push(f),
+                    push(f, "final"), connect(f)]:
+            assert out.validate()
+            assert out._finals
+            assert all(v.__class__ is float for v in out._finals.values())

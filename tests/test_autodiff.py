@@ -11,6 +11,7 @@ from wfst import (
     RealWeight,
     backward,
     compose,
+    connect,
     enumerate_paths,
     fst_from_sequence,
     lift,
@@ -179,7 +180,7 @@ class TestDiffSemiring:
                         plant_arc(f, a._replace(
                             weight=RealWeight(table[("arc", s, i)])), i)
                 for s in list(f.finals):
-                    f.finals[s] = RealWeight(table[("final", s)])
+                    f.set_final_weight(s, RealWeight(table[("final", s)]))
                 return sum_paths(f).value
 
             numeric = numeric_gradient(build_loss, values)
@@ -201,7 +202,7 @@ def with_values(base, keys, values):
             plant_arc(f, a._replace(weight=RealWeight(table[("arc", s, i)])),
                       i)
     for s in list(f.finals):
-        f.finals[s] = RealWeight(table[("final", s)])
+        f.set_final_weight(s, RealWeight(table[("final", s)]))
     return f
 
 
@@ -757,13 +758,22 @@ class TestRestrictionOnce:
 
     def test_infinite_arc_into_a_dead_end_adds_no_nan(self):
         # The restricted arcs into the dead end have adjoint zero, and are
-        # skipped rather than multiplied by the infinite factor.
+        # skipped rather than multiplied by the infinite factor.  With
+        # ("ab", "b") the dead end of R still has epsilon moves: its alpha
+        # is infinite and its beta zero, and those arcs get partial 0.
         base = epsilon_loop_model()
         base.add_arc(0, base.add_state(), math.inf, "a", "b")
-        for i, o in [("ab", "ba"), ("ab", "bb"), ("ba", "ab")]:
+        dead = len(base.arcs(0)) - 1  # the dead arc's slot
+        trimmed = connect(base)
+        assert trimmed.num_arcs == base.num_arcs - 1
+        for i, o in [("ab", "ba"), ("ab", "bb"), ("ba", "ab"), ("ab", "b")]:
             partials = self.assert_diff_loss_is_the_oracle(
                 base, pair_acceptor(i, o))
             assert all(map(math.isfinite, partials))
+            assert partials[dead] == 0.0
+            want = self.assert_diff_loss_is_the_oracle(
+                trimmed, pair_acceptor(i, o))
+            assert bits(partials[:dead] + partials[dead + 1:]) == bits(want)
 
     def test_train_leaves_its_model_unchanged(self):
         for model, pairs in ((epsilon_loop_model(), EPSILON_PAIRS),

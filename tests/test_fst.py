@@ -24,7 +24,7 @@ from wfst.errors import (
     WfstError,
 )
 from wfst.fst import EPSILON, Arc, as_label
-from conftest import plant_arc, random_acyclic_fst
+from conftest import plant_arc, plant_final, random_acyclic_fst
 
 
 class TestLabels:
@@ -393,7 +393,7 @@ class TestInvariants:
 
     def test_validate_catches_nan_weights(self):
         f = fst_from_sequence("a", RealWeight)
-        f.finals[1] = RealWeight(float("nan"))
+        plant_final(f, 1, RealWeight(float("nan")))
         with pytest.raises(InvalidWeightError):
             f.validate()
 
@@ -402,3 +402,75 @@ class TestInvariants:
         plant_arc(f, Arc(0, 99, 97, 97, BooleanWeight.one))
         with pytest.raises(InvalidStateError):
             f.validate()
+
+
+def every_builtin_semiring():
+    return [BooleanWeight, RealWeight, MinWeight, MaxWeight, TropicalWeight,
+            FeaturizedWeight, make_diff_semiring()]
+
+
+class TestFinals:
+    """Final weights are stored as kernel values, like arc weights, and
+    read through the read-only ``finals`` mapping."""
+
+    def test_writing_through_finals_raises_type_error(self):
+        f = fst_from_sequence("ab", RealWeight)
+        with pytest.raises(TypeError):
+            f.finals[1] = RealWeight(0.5)
+        with pytest.raises(TypeError):
+            f.finals[2] = 0.5
+        with pytest.raises(TypeError):
+            del f.finals[2]
+        assert dict(f.finals) == {2: RealWeight.one}
+
+    @pytest.mark.parametrize("semiring", every_builtin_semiring(),
+                             ids=lambda sr: sr.name)
+    def test_finals_final_weight_and_is_final_agree(self, semiring):
+        rng = random.Random(11)
+        f = Fst(semiring)
+        for _ in range(6):
+            f.add_state()
+        weights = {s: semiring.random_member(rng) for s in (1, 3, 4)}
+        for s, w in weights.items():
+            f.set_final_weight(s, w)
+        f.set_final_weight(4, semiring.zero)  # non-final again
+        del weights[4]
+        weights = {s: w for s, w in weights.items() if w != semiring.zero}
+        assert dict(f.finals) == weights
+        for s in f.states():
+            assert f.is_final(s) == (s in f.finals) == (s in weights)
+            assert f.final_weight(s) == f.finals.get(s, semiring.zero)
+            assert f.final_weight(s).__class__ is semiring
+
+    def test_copy_does_not_share_finals(self):
+        f = fst_from_sequence("ab", RealWeight)
+        g = f.copy()
+        assert g._finals == f._finals and g._finals is not f._finals
+        g.set_final_weight(1, 0.5)
+        g.set_final_weight(2, 0.0)
+        assert dict(f.finals) == {2: RealWeight.one}
+        assert dict(g.finals) == {1: RealWeight(0.5)}
+
+    @pytest.mark.parametrize("value", [RealWeight(0.5), 1, BooleanWeight.one],
+                             ids=["weight", "raw", "boolean"])
+    def test_validate_refuses_a_non_float_final_value(self, value):
+        f = fst_from_sequence("a", RealWeight)
+        assert f.validate()
+        f._finals[1] = value  # a float kernel stores floats only
+        with pytest.raises(InvalidWeightError):
+            f.validate()
+
+    def test_validate_refuses_a_nan_final_value(self):
+        f = fst_from_sequence("a", MinWeight)
+        f._finals[1] = math.nan
+        with pytest.raises(InvalidWeightError):
+            f.validate()
+
+    @pytest.mark.parametrize("weight", [MinWeight(0.5), TropicalWeight(0.5),
+                                        make_diff_semiring().constant(0.5)],
+                             ids=["min", "tropical", "diff"])
+    def test_foreign_final_weight_is_refused(self, weight):
+        f = fst_from_sequence("a", RealWeight)
+        with pytest.raises(SemiringMismatchError):
+            f.set_final_weight(1, weight)
+        assert dict(f.finals) == {1: RealWeight.one}

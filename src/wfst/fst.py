@@ -16,7 +16,7 @@ from itertools import chain
 from types import MappingProxyType
 
 from .errors import InvalidLabelError, InvalidStateError, InvalidWeightError
-from .semirings import BooleanWeight, _box, _same, _unbox
+from .semirings import BooleanWeight, _box, _not_a_member, _same, _unbox
 
 EPSILON = 0
 MAX_LABEL = 2 ** 64 - 1
@@ -270,7 +270,8 @@ def enumerate_paths(fst, max_paths=1000, max_length=None, max_steps=200_000):
     arcs, so shorter paths precede their extensions.  Enumeration is
     bounded by ``max_paths`` accepting paths, ``max_length`` arcs per path
     (cycles), and ``max_steps`` arc traversals overall; hitting any bound
-    sets the truncation flag.
+    sets the truncation flag.  Each path weight passes the membership
+    gate, so a NaN raises InvalidWeightError.
     """
     if max_length is None:
         max_length = max_paths
@@ -287,7 +288,10 @@ def enumerate_paths(fst, max_paths=1000, max_length=None, max_steps=200_000):
             return True
         if len(paths) >= max_paths:
             return False
-        paths.append(Path(tuple(taken), acc * fw))
+        weight = acc * fw
+        if not weight.member():
+            raise _not_a_member(sr, weight)
+        paths.append(Path(tuple(taken), weight))
         return True
 
     taken = []

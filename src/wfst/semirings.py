@@ -11,23 +11,21 @@ that declare 'path' also pick one operand of plus, which induces the total
 order a <= b  iff  a + b == a used by shortest-path.
 
 A machine stores its arc and final weights as the values of its
-semiring's kernel (``_kernel``), on which the algorithms compute.  The
-real, min, max and tropical classes each set a float kernel on the class
-itself, whose values are the weights' plain floats.  A subclass inherits
-no float kernel: it may override an operator or ``star``, so it runs,
-like every other semiring, on the generic kernel, whose values are the
-weights themselves.  ``Fst.add_arc``, ``Fst.set_final_weight`` and
-``parse_text`` unbox a weight once, after ``cast`` has checked it;
-``Fst.arcs``, ``Fst.all_arcs``, ``Fst.finals``, ``Fst.final_weight`` and
-every ``Path`` box it on read, unchecked.  A computed value passes the
-gate unboxed (``_gate``) or on its way into a weight (``checked``).
-
-Division and quantization are kernel operations as well.  A float
-kernel's ``divide`` and ``quantize`` are the very functions that the
-weight class's ``/`` and ``quantize`` call before they box the result, so
-an algorithm that divides or quantizes values gets the bits the weight
-operators give.  The generic kernel divides with ``/`` and quantizes with
-the weight's own ``quantize``.
+semiring's kernel (``_kernel``), on which the algorithms compute.  A
+float semiring (real, min, max, tropical) is declared once, by a kernel
+whose values are its weights' plain floats: ``_float_semiring`` sets the
+class's kernel, zero and one, and ``_path_semiring`` builds the path
+semirings' operations.  A weight operator gives the bits of its kernel
+operation: the path operators, and each float ``/`` and ``quantize``,
+call the kernel's very functions.  Every other semiring, a subclass too
+(it may override an operator or ``star``), runs on the generic kernel,
+whose values are the weights themselves, and which divides with ``/``
+and quantizes with the weight's ``quantize``.  ``Fst.add_arc``,
+``Fst.set_final_weight`` and ``parse_text`` unbox a weight once, after
+``cast`` has checked it; ``Fst.arcs``, ``Fst.all_arcs``, ``Fst.finals``,
+``Fst.final_weight`` and every ``Path`` box it on read, unchecked.  A
+computed value passes the gate unboxed (``_gate``) or on its way into a
+weight (``checked``).
 """
 
 import math
@@ -206,19 +204,26 @@ class BooleanWeight(AbstractSemiringWeight):
     def __init__(self, value):
         self.value = bool(value)
 
+    def _promoted(self, other):
+        """This weight cast into the richer semiring of ``other``."""
+        if isinstance(other, AbstractSemiringWeight):
+            return type(other).cast(self)
+        raise SemiringMismatchError(
+            f"cannot combine boolean weight with {type(other).__name__}")
+
     def __add__(self, other):
         if other.__class__ is not BooleanWeight:
-            # Auto-cast: delegate to the richer semiring, preserving order.
-            return type(other).cast(self) + other
+            return self._promoted(other) + other
         return BooleanWeight(self.value or other.value)
 
     def __mul__(self, other):
         if other.__class__ is not BooleanWeight:
-            return type(other).cast(self) * other
+            return self._promoted(other) * other
         return BooleanWeight(self.value and other.value)
 
     def __truediv__(self, other):
-        other = self._coerce(other)
+        if other.__class__ is not BooleanWeight:
+            return self._promoted(other) / other
         if not other.value:
             raise DivisionByZeroError("boolean division by zero element")
         return self
@@ -286,9 +291,10 @@ _Kernel = namedtuple(
     "plus times zero one star divide quantize unbox box checked score")
 
 
-def _make_float_kernel(semiring, plus, times, zero, one, divide, star=None,
-                       score=None):
-    """A kernel on the plain float ``value`` of ``semiring``'s weights."""
+def _float_semiring(semiring, plus, times, zero, one, divide, star=None,
+                    score=None):
+    """Declare ``semiring`` a float semiring: set its ``zero`` and ``one``
+    weights and its kernel, whose values are its weights' plain floats."""
     new = object.__new__
 
     def checked(value):
@@ -299,8 +305,10 @@ def _make_float_kernel(semiring, plus, times, zero, one, divide, star=None,
         weight.value = value
         return weight
 
-    return _Kernel(plus, times, zero, one, star, divide, _quantize,
-                   operator.attrgetter("value"), semiring, checked, score)
+    semiring.zero, semiring.one = semiring(zero), semiring(one)
+    semiring._float_kernel = _Kernel(
+        plus, times, zero, one, star, divide, _quantize,
+        operator.attrgetter("value"), semiring, checked, score)
 
 
 def _same(value):
@@ -473,81 +481,28 @@ class RealWeight(_NumericWeight):
         return type(self)(self.value ** n)
 
 
-RealWeight.zero = RealWeight(0.0)
-RealWeight.one = RealWeight(1.0)
-RealWeight._float_kernel = _make_float_kernel(
-    RealWeight, operator.add, operator.mul, 0.0, 1.0, _real_divide,
-    _real_star)
-
-
-def _path_times(zero_value):
-    """times of the path semiring whose zero has ``zero_value``: the sum
-    of two values, or zero_value when either is infinite."""
-    isinf = math.isinf
-
-    def times(a, b):
-        if isinf(a) or isinf(b):
-            return zero_value
-        return a + b
-
-    return times
-
-
-def _path_divide(semiring):
-    """divide of the path semiring ``semiring``: the difference of two
-    values, where an infinite dividend stays as it is and a divisor equal
-    to zero raises, under the semiring's name."""
-    zero_value, isinf = semiring._zero_value, math.isinf
-
-    def divide(a, b):
-        if b == zero_value:
-            raise DivisionByZeroError(
-                f"{semiring.name} division by zero element")
-        return a if isinf(a) else a - b
-
-    return divide
-
-
-def _path_score(sign):
-    """A path semiring value's sampling weight, exp(sign·value): the cap
-    of 700 keeps it finite, and zero's (exp(-inf)) is 0.0."""
-    exp = math.exp
-    return lambda value: exp(min(sign * value, 700.0))
-
-
-def _path_kernel(semiring):
-    return _make_float_kernel(semiring, semiring._select, semiring._times,
-                              semiring._zero_value, 0.0, semiring._divide,
-                              score=semiring._score)
+_float_semiring(RealWeight, operator.add, operator.mul, 0.0, 1.0,
+                _real_divide, _real_star)
 
 
 class _PathWeight(_NumericWeight):
     """An idempotent path semiring <select, +, zero, 0> over the extended
-    reals, where select is min (zero +inf) or max (zero -inf).
-
-    ``_score`` (see ``_path_score``) turns a value into its sampling
-    weight.  ``_times`` (see ``_path_times``) gives zero whenever an
-    operand is infinite.  Each subclass gets a ``_divide`` of its own (see
-    ``_path_divide``), whose error names it.
-    """
+    reals, where select is min (zero +inf) or max (zero -inf); its
+    operators run the kernel that ``_path_semiring`` declares for it."""
 
     semiring_properties = frozenset({"base", "path", "idempotent"})
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls._divide = staticmethod(_path_divide(cls))
-
     def __add__(self, other):
         other = self._coerce(other)
-        return type(self)(self._select(self.value, other.value))
+        return type(self)(self._float_kernel.plus(self.value, other.value))
 
     def __mul__(self, other):
         other = self._coerce(other)
-        return type(self)(self._times(self.value, other.value))
+        return type(self)(self._float_kernel.times(self.value, other.value))
 
     def __truediv__(self, other):
         other = self._coerce(other)
-        return type(self)(self._divide(self.value, other.value))
+        return type(self)(self._float_kernel.divide(self.value, other.value))
 
     def __pow__(self, n):
         if n < 0:
@@ -557,7 +512,7 @@ class _PathWeight(_NumericWeight):
         return type(self)(self.value * n)
 
     def sampling_weight(self):
-        return self._score(self.value)
+        return self._float_kernel.score(self.value)
 
     @classmethod
     def random_member(cls, rng):
@@ -566,19 +521,36 @@ class _PathWeight(_NumericWeight):
         return cls(rng.uniform(-5.0, 5.0))
 
 
+def _path_semiring(semiring, select, zero_value, sign):
+    """Declare ``semiring`` the path semiring <select, +, zero_value, 0>:
+    times gives zero_value if an operand is infinite, divide keeps an
+    infinite dividend and names the semiring for a zero divisor, and a
+    value scores exp(sign·value), capped at exp(700) to stay finite (so a
+    lower cost, or a higher score, is a likelier arc)."""
+    isinf, exp = math.isinf, math.exp
+
+    def times(a, b):
+        if isinf(a) or isinf(b):
+            return zero_value
+        return a + b
+
+    def divide(a, b):
+        if b == zero_value:
+            raise DivisionByZeroError(
+                f"{semiring.name} division by zero element")
+        return a if isinf(a) else a - b
+
+    def score(value):
+        return exp(min(sign * value, 700.0))
+
+    _float_semiring(semiring, select, times, zero_value, 0.0, divide,
+                    score=score)
+
+
 class MinWeight(_PathWeight):
     """<min, +, +inf, 0>; an idempotent path semiring over costs."""
 
     name = "min"
-    _select = min
-    _zero_value = math.inf
-    _times = staticmethod(_path_times(math.inf))
-    _score = staticmethod(_path_score(-1.0))  # lower cost, likelier arc
-
-
-MinWeight.zero = MinWeight(math.inf)
-MinWeight.one = MinWeight(0.0)
-MinWeight._float_kernel = _path_kernel(MinWeight)
 
 
 class TropicalWeight(MinWeight):
@@ -587,24 +559,15 @@ class TropicalWeight(MinWeight):
     name = "tropical"
 
 
-TropicalWeight.zero = TropicalWeight(math.inf)
-TropicalWeight.one = TropicalWeight(0.0)
-TropicalWeight._float_kernel = _path_kernel(TropicalWeight)
-
-
 class MaxWeight(_PathWeight):
     """<max, +, -inf, 0>; the max-plus path semiring over scores."""
 
     name = "max"
-    _select = max
-    _zero_value = -math.inf
-    _times = staticmethod(_path_times(-math.inf))
-    _score = staticmethod(_path_score(1.0))
 
 
-MaxWeight.zero = MaxWeight(-math.inf)
-MaxWeight.one = MaxWeight(0.0)
-MaxWeight._float_kernel = _path_kernel(MaxWeight)
+_path_semiring(MinWeight, min, math.inf, -1.0)
+_path_semiring(TropicalWeight, min, math.inf, -1.0)
+_path_semiring(MaxWeight, max, -math.inf, 1.0)
 
 
 # Default global feature-weight table used by FeaturizedWeight's

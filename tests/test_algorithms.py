@@ -1645,6 +1645,18 @@ class TestEquivalence:
         b.set_final_weight(1, 2.0)
         assert not equivalent_by_enumeration(a, b)
 
+    def test_nan_path_weight_is_refused(self):
+        # inf * 0 makes the one path's weight a NaN, which sum_paths
+        # refuses; enumeration once yielded it and compared it unequal.
+        f = parse_text("#semiring real\n#initial 0\n#states 3\n"
+                       "0 1 97 97 inf\n1 2 98 98 0\n2 1\n")
+        message = re.escape(
+            "RealWeight(nan) is not a member of the real semiring")
+        for run in (sum_paths, enumerate_paths,
+                    lambda f: equivalent_by_enumeration(f, f)):
+            with pytest.raises(InvalidWeightError, match=message):
+                run(f)
+
 
 def counting_pair(semiring):
     """A real machine with an epsilon cycle (states 0 and 1) and a
@@ -1828,8 +1840,16 @@ class TestKernelEquivalence:
         kernel = _kernel(semiring)
         values = [0.0, -0.0, 0.25, -3.5, 2.5, 1e308, 1e-300, math.inf,
                   -math.inf]
+        assert repr(kernel.zero) == repr(semiring.zero.value)
+        assert repr(kernel.one) == repr(semiring.one.value)
         for a in values:
+            score = a if kernel.score is None else kernel.score(a)
+            assert repr(score) == repr(semiring(a).sampling_weight())
             for b in values:
+                assert repr(semiring(kernel.plus(a, b))) == \
+                    repr(semiring(a) + semiring(b))
+                assert repr(semiring(kernel.times(a, b))) == \
+                    repr(semiring(a) * semiring(b))
                 fast = outcome(kernel.divide, a, b)
                 slow = outcome(lambda: semiring(a) / semiring(b))
                 if isinstance(slow, tuple):  # an error: the same one
@@ -1849,9 +1869,14 @@ class TestKernelEquivalence:
         # -0.0 is zero steps, as the weight operator has it: +0.0.
         assert math.copysign(1.0, kernel.quantize(-0.0, 1.0)) == 1.0
         zero = semiring.zero.value
-        with pytest.raises(DivisionByZeroError, match=re.escape(
-                f"{semiring.name} division by zero element")):
+        message = re.escape(f"{semiring.name} division by zero element")
+        with pytest.raises(DivisionByZeroError, match=message):
             kernel.divide(1.0, zero)
+        # A renamed subclass divides with its base's kernel, whose error
+        # names the base.
+        renamed = type("Renamed", (semiring,), {"name": "renamed"})
+        with pytest.raises(DivisionByZeroError, match=message):
+            renamed(1.0) / renamed(zero)
         if semiring is RealWeight:
             # inf / inf is a NaN, which the gate refuses with one text.
             message = re.escape(

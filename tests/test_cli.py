@@ -315,6 +315,17 @@ class TestExitCodes:
         assert result.stdout == ""
         assert "not a member" in result.stderr
 
+    def test_nan_path_weight_is_domain_error(self):
+        # The one path weighs inf * 0; enumerate once printed "ab\tab\tnan".
+        doc = ("#semiring real\n#initial 0\n#states 3\n"
+               "0 1 97 97 inf\n1 2 98 98 0\n2 1\n")
+        enumerated = run_cli(["enumerate", "-"], stdin=doc)
+        summed = run_cli(["sumpaths", "-"], stdin=doc)
+        assert enumerated.returncode == summed.returncode == 2
+        assert enumerated.stdout == ""
+        assert enumerated.stderr.replace("enumerate", "sumpaths") == \
+            summed.stderr
+
     def test_infinite_sampling_total_is_domain_error(self):
         # r * inf is inf, which no running sum exceeds: the draw once fell
         # through to the last arc, b, on every seed.

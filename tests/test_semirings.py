@@ -1,4 +1,5 @@
 import math
+import operator
 
 import pytest
 from hypothesis import given
@@ -72,6 +73,16 @@ class TestPlusTimes:
         assert (RealWeight(2) + BooleanWeight.one).value == 3
         assert (BooleanWeight.one * RealWeight(2)).value == 2
         assert (BooleanWeight.zero + MinWeight(4)).value == 4
+        # Division promotes a boolean left operand the same way.
+        assert BooleanWeight.one / RealWeight(0.5) == RealWeight(2)
+        assert RealWeight(0.5) / BooleanWeight.one == RealWeight(0.5)
+        assert BooleanWeight.one / MinWeight(3) == MinWeight(-3)
+        # A non-weight right operand is a mismatch under every operator.
+        for op in (operator.add, operator.mul, operator.truediv):
+            for left, right in ((BooleanWeight.one, 1), (RealWeight(1), 1),
+                                (BooleanWeight.zero, None)):
+                with pytest.raises(SemiringMismatchError):
+                    op(left, right)
 
 
 class TestDivide:

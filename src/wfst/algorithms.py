@@ -25,6 +25,7 @@ from .errors import (
 from .fst import EPSILON, Fst, _read_path, enumerate_paths, label_str
 from .semirings import (
     DEFAULT_DELTA,
+    _argument,
     _box,
     _kernel,
     _NumericWeight,
@@ -812,8 +813,10 @@ def determinize(fst, delta=DEFAULT_DELTA):
     membership gate, so a NaN (inf / inf, say) raises InvalidWeightError.
     A label pair whose weight into every target is zero is left out:
     every path through it weighs zero, so the weighted language is the
-    same, and there is no total to divide by.
+    same, and there is no total to divide by.  A ``delta`` that is not a
+    finite number above 0 raises WfstError.
     """
+    delta = _argument("delta", delta)
     sr = fst.semiring
     if any(arc[1] == EPSILON == arc[2] for arcs in fst._arcs for arc in arcs):
         raise UnsupportedOperationError(
@@ -1084,25 +1087,24 @@ def equivalent_by_enumeration(a, b, max_paths=1000, delta=DEFAULT_DELTA):
 
     Paths are grouped by (input, output) label strings; weights within a
     group are plus-combined and the group maps compared with approx_eq.
-    A best-effort comparison on machines whose enumeration truncates.
+    An enumeration that truncates (a cyclic machine, or one with more
+    than ``max_paths`` paths) raises WfstError, naming the operand.
     """
     a, b = _coerce(a, b)
     sr = a.semiring
 
-    def grouped(fst):
+    def grouped(fst, operand):
+        paths = enumerate_paths(fst, max_paths)
+        if paths.truncated:
+            raise WfstError(f"the enumeration of the {operand} operand "
+                            f"truncated at max_paths={max_paths}")
         groups = {}
-        for path in enumerate_paths(fst, max_paths):
+        for path in paths:
             key = (path.input_labels, path.output_labels)
-            if key in groups:
-                groups[key] = groups[key] + path.weight
-            else:
-                groups[key] = path.weight
+            groups[key] = (groups[key] + path.weight if key in groups
+                           else path.weight)
         return groups
 
-    ga, gb = grouped(a), grouped(b)
-    for key in set(ga) | set(gb):
-        wa = ga.get(key, sr.zero)
-        wb = gb.get(key, sr.zero)
-        if not wa.approx_eq(wb, delta):
-            return False
-    return True
+    ga, gb = grouped(a, "first"), grouped(b, "second")
+    return all(ga.get(key, sr.zero).approx_eq(gb.get(key, sr.zero), delta)
+               for key in set(ga) | set(gb))

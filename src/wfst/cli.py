@@ -241,7 +241,8 @@ COMMANDS = {
         lambda args, fst: _path_line(
             _op("random_path")(fst, seed=args.seed)) + "\n"),
     "enumerate": Command("list accepting paths", 1, (
-        ("--max", {"type": int, "default": 1000, "dest": "max_paths"}),
+        ("--max", {"type": _non_negative_int, "default": 1000,
+                   "dest": "max_paths"}),
     ), _enumerate),
     "train": Command("gradient-descent weight learning", 1, (
         ("--pairs", {"required": True, "metavar": "FILE",

@@ -9,6 +9,8 @@ Each state's arcs are stored as plain ``(target, input, output, value)``
 tuples, value being the weight's kernel value (see ``semirings``), and
 ``Arc`` records are built from them on read; final weights are stored as
 values too, and the read-only ``finals`` mapping boxes them on read.
+``enumerate_paths`` walks those values on the semiring's kernel, as the
+path queries in ``algorithms`` do, and boxes only the paths it returns.
 """
 
 from collections import namedtuple
@@ -16,7 +18,8 @@ from itertools import chain
 from types import MappingProxyType
 
 from .errors import InvalidLabelError, InvalidStateError, InvalidWeightError
-from .semirings import BooleanWeight, _box, _not_a_member, _same, _unbox
+from .semirings import (BooleanWeight, _argument, _box, _kernel, _same,
+                        _unbox)
 
 EPSILON = 0
 MAX_LABEL = 2 ** 64 - 1
@@ -246,85 +249,58 @@ def _read_path(fst, steps, weight):
                        for s, (t, i, o, v) in steps]), weight)
 
 
-class PathEnumeration:
-    """Paths found by enumerate_paths plus a truncation flag."""
+class PathEnumeration(list):
+    """The paths that enumerate_paths found, in order: a list, whose
+    ``truncated`` flag says whether a cap cut the search short."""
 
-    def __init__(self, paths, truncated):
-        self.paths = paths
+    def __init__(self, paths=(), truncated=False):
+        super().__init__(paths)
         self.truncated = truncated
-
-    def __iter__(self):
-        return iter(self.paths)
-
-    def __len__(self):
-        return len(self.paths)
-
-    def __getitem__(self, idx):
-        return self.paths[idx]
 
 
 def enumerate_paths(fst, max_paths=1000, max_length=None, max_steps=200_000):
     """All accepting paths, depth-first by arc insertion order.
 
     At each state, stopping (if final) is considered before its outgoing
-    arcs, so shorter paths precede their extensions.  Enumeration is
-    bounded by ``max_paths`` accepting paths, ``max_length`` arcs per path
-    (cycles), and ``max_steps`` arc traversals overall; hitting any bound
-    sets the truncation flag.  Each path weight passes the membership
-    gate, so a NaN raises InvalidWeightError.
+    arcs, so shorter paths precede their extensions.  Three caps, each an
+    integer of at least 0 (else WfstError), bound it: ``max_paths`` paths,
+    ``max_length`` arcs per path (default ``max_paths``), and ``max_steps``
+    arcs taken; the first one hit ends it and sets ``truncated``.  It
+    walks kernel values, as ``shortest_path`` does, and each path weight
+    passes the membership gate, so a NaN raises InvalidWeightError.
     """
-    if max_length is None:
-        max_length = max_paths
-    paths = []
-    truncated = False
+    max_paths = _argument("max_paths", max_paths, integer=True)
+    max_length = _argument("max_length", max_paths if max_length is None
+                           else max_length, integer=True)
+    max_steps = _argument("max_steps", max_steps, integer=True)
+    paths = PathEnumeration()
     if fst.initial is None:
-        return PathEnumeration(paths, truncated)
-
-    sr, finals = fst.semiring, fst.finals
-
-    def emit(state, acc):
-        fw = finals.get(state)
-        if fw is None:
-            return True
-        if len(paths) >= max_paths:
-            return False
-        weight = acc * fw
-        if not weight.member():
-            raise _not_a_member(sr, weight)
-        paths.append(Path(tuple(taken), weight))
-        return True
-
-    taken = []
-    arcs_of = {}  # state -> its Arcs, read on the first visit
-    # Each frame: [state, next arc index]; weights holds the running product.
-    frames = [[fst.initial, 0]]
-    weights = [sr.one]
-    steps = 0
-    if not emit(fst.initial, weights[0]):
-        truncated = True
-    while frames and not truncated:
-        state, idx = frames[-1]
-        arcs = arcs_of.get(state)
-        if arcs is None:
-            arcs = arcs_of[state] = fst.arcs(state)
-        if idx >= len(arcs) or len(taken) >= max_length:
-            if idx < len(arcs):
-                truncated = True  # depth cap cut off unexplored arcs
-            frames.pop()
-            weights.pop()
-            if taken:
-                taken.pop()
-            continue
-        frames[-1][1] = idx + 1
-        steps += 1
-        if steps > max_steps:
-            truncated = True
+        return paths
+    kernel = _kernel(fst.semiring)
+    times, finals = kernel.times, fst._finals
+    taken = []  # (source, arc) pairs: the path to the state being entered
+    stack = []  # (state, its arcs still to try, the path's value there)
+    state, value, steps = fst.initial, kernel.one, 0
+    while True:
+        if state in finals:  # stopping comes before the outgoing arcs
+            if len(paths) >= max_paths:
+                break
+            paths.append(_read_path(
+                fst, taken, kernel.checked(times(value, finals[state]))))
+        stack.append((state, iter(fst._arcs[state]), value))
+        arc = None
+        while stack and arc is None:
+            source, arcs, value = stack[-1]
+            arc = next(arcs, None)
+            if arc is None:
+                stack.pop()
+                del taken[-1:]  # the arc into ``source``, if any
+        if arc is None:
+            return paths
+        if len(taken) >= max_length or steps >= max_steps:
             break
-        arc = arcs[idx]
-        taken.append(arc)
-        acc = weights[-1] * arc.weight
-        frames.append([arc.target, 0])
-        weights.append(acc)
-        if not emit(arc.target, acc):
-            truncated = True
-    return PathEnumeration(paths, truncated)
+        steps += 1
+        taken.append((source, arc))
+        state, value = arc[0], times(value, arc[3])
+    paths.truncated = True
+    return paths

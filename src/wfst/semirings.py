@@ -39,9 +39,29 @@ from .errors import (
     InvalidWeightError,
     SemiringMismatchError,
     UnsupportedOperationError,
+    WfstError,
 )
 
 DEFAULT_DELTA = 1.0 / 1024
+
+
+def _argument(name, value, integer=False, error=WfstError):
+    """``value`` if it is a finite number above 0 or, for an ``integer``,
+    a whole number of at least 0 (as an int); else ``error``, naming it."""
+    if integer:
+        if (isinstance(value, numbers.Integral) or isinstance(value, float)
+                and value.is_integer()) and value >= 0:
+            return int(value)
+        raise error(f"{name} must be an integer of at least 0, got {value!r}")
+    if isinstance(value, numbers.Real) and 0 < value < math.inf:
+        return value
+    raise error(f"{name} must be a finite number above 0, got {value!r}")
+
+
+def _exponent(weight, n):
+    """``n``, if an integer of at least 0; else UnsupportedOperationError."""
+    return _argument(f"the exponent of a {weight.name} power", n,
+                     integer=True, error=UnsupportedOperationError)
 
 
 class SemiringDescriptor(namedtuple(
@@ -229,9 +249,7 @@ class BooleanWeight(AbstractSemiringWeight):
         return self
 
     def __pow__(self, n):
-        if n < 0:
-            raise UnsupportedOperationError("negative power")
-        return BooleanWeight.one if n == 0 else self
+        return BooleanWeight.one if _exponent(self, n) == 0 else self
 
     def __eq__(self, other):
         return other.__class__ is BooleanWeight and self.value == other.value
@@ -408,7 +426,7 @@ class _NumericWeight(AbstractSemiringWeight):
         return abs(self.value - other.value) < delta
 
     def quantize(self, delta=DEFAULT_DELTA):
-        value = _quantize(self.value, delta)
+        value = _quantize(self.value, _argument("delta", delta))
         # A value without a nearest step keeps its weight (and a diff
         # weight its tape node).
         return self if value is self.value else self.cast(value)
@@ -476,9 +494,11 @@ class RealWeight(_NumericWeight):
         return type(self)(_real_divide(self.value, other.value))
 
     def __pow__(self, n):
-        if n < 0:
-            raise UnsupportedOperationError("negative power")
-        return type(self)(self.value ** n)
+        n = _exponent(self, n)
+        try:
+            return type(self)(self.value ** n)
+        except OverflowError:  # infinite, with the sign that * gives
+            return type(self)(math.copysign(math.inf, self.value) ** n)
 
 
 _float_semiring(RealWeight, operator.add, operator.mul, 0.0, 1.0,
@@ -505,10 +525,12 @@ class _PathWeight(_NumericWeight):
         return type(self)(self._float_kernel.divide(self.value, other.value))
 
     def __pow__(self, n):
-        if n < 0:
-            raise UnsupportedOperationError("negative power")
+        n = _exponent(self, n)
         if n == 0:
             return type(self).one
+        # Once n - 1 factors make an infinity, times gives zero (a * a does).
+        if n > 1 and math.isinf(self.value * (n - 1)):
+            return type(self).zero
         return type(self)(self.value * n)
 
     def sampling_weight(self):
@@ -640,8 +662,7 @@ class FeaturizedWeight(AbstractSemiringWeight):
         return type(self)(+result)
 
     def __pow__(self, n):
-        if n < 0:
-            raise UnsupportedOperationError("negative power")
+        n = _exponent(self, n)
         if n == 0:
             return type(self).one
         if self.is_zero:

@@ -737,6 +737,15 @@ class TestDeterminize:
             labels = [a.input for a in fst.arcs(state)]
             assert len(labels) == len(set(labels))
 
+    @pytest.mark.parametrize("delta", [0, -1, math.nan, math.inf, "0.1"])
+    def test_delta_is_finite_and_above_zero(self, delta):
+        message = f"delta must be a finite number above 0, got {delta!r}"
+        for run in (lambda: determinize(fst_from_sequence("ab"), delta),
+                    lambda: RealWeight(1).quantize(delta)):
+            with pytest.raises(WfstError) as exc:
+                run()
+            assert str(exc.value) == message
+
     def test_already_deterministic_preserved(self):
         f = fst_from_sequence("abc")
         d = determinize(f)
@@ -1645,6 +1654,19 @@ class TestEquivalence:
         b.set_final_weight(1, 2.0)
         assert not equivalent_by_enumeration(a, b)
 
+    def test_truncated_enumeration_is_refused(self):
+        # At max_paths=1 (and so max_length=1) neither side lists a
+        # path, so the listed paths alone would compare equal.
+        ab_cd = union(fst_from_sequence("ab"), fst_from_sequence("cd"))
+        ab_ce = union(fst_from_sequence("ab"), fst_from_sequence("ce"))
+        assert not equivalent_by_enumeration(ab_cd, ab_ce)
+        for a, b, operand in ((ab_cd, ab_ce, "first"),
+                              (fst_from_sequence(""), ab_ce, "second")):
+            with pytest.raises(WfstError, match=(
+                    f"the enumeration of the {operand} operand truncated "
+                    f"at max_paths=1")):
+                equivalent_by_enumeration(a, b, max_paths=1)
+
     def test_nan_path_weight_is_refused(self):
         # inf * 0 makes the one path's weight a NaN, which sum_paths
         # refuses; enumeration once yielded it and compared it unequal.
@@ -1776,6 +1798,11 @@ def path_values(path):
     return [tuple(a[:4]) + (a.weight.value,) for a in arcs], weight.value
 
 
+def enumeration_values(f):
+    paths = enumerate_paths(f, max_paths=50)
+    return [path_values(path) for path in paths], paths.truncated
+
+
 def outcome(run, *args):
     """``run(*args)``, or the type and text of the WfstError it raised."""
     try:
@@ -1808,7 +1835,8 @@ class TestKernelEquivalence:
                 lambda f: arc_values(determinize(remove_epsilon(f), 0.1)),
                 lambda f: arc_values(push(f, "initial")),
                 lambda f: arc_values(push(f, "final")),
-                lambda f: arc_values(lift(f, other))]
+                lambda f: arc_values(lift(f, other)),
+                enumeration_values]
         runs += [lambda f, seed=seed: path_values(random_path(f, seed))
                  for seed in range(5)]
         if semiring is MinWeight:

@@ -242,6 +242,20 @@ class TestTrain:
         assert err.startswith("usage: wfst train ")
         assert f"argument {flag}: {expected}, got {value!r}" in err
 
+    @pytest.mark.parametrize("value", ["-1", "1.5"])
+    def test_bad_enumerate_max_is_usage_error(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "-", f"--max={value}"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: wfst enumerate ")
+        assert (f"argument --max: must be a non-negative integer, "
+                f"got {value!r}") in err
+
+    def test_enumerate_max_zero_truncates(self, troll_file):
+        result = run_cli(["enumerate", troll_file, "--max", "0"])
+        assert (result.returncode, result.stdout) == (0, "# truncated\n")
+
     def test_train_arguments_are_parsed(self):
         args = build_parser().parse_args(
             ["train", "-", "--pairs", "-", "--steps", "0", "--rate", "0.5"])

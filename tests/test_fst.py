@@ -23,7 +23,7 @@ from wfst.errors import (
     SemiringMismatchError,
     WfstError,
 )
-from wfst.fst import EPSILON, Arc, as_label
+from wfst.fst import EPSILON, Arc, Path, as_label
 from conftest import plant_arc, plant_final, random_acyclic_fst
 
 
@@ -300,8 +300,33 @@ class TestEnumeratePaths:
         f.add_arc(0, 0, input_label="a")
         f.set_final_weight(0, True)
         result = enumerate_paths(f, max_paths=10)
+        assert isinstance(result, list)
         assert len(result) == 10
         assert result.truncated
+        # The first cap hit ends the search: no path at max_paths=0, though
+        # the initial state is final; the paths of up to three arcs within
+        # three steps; those of up to two arcs at max_length=2.
+        for caps, count in (({"max_paths": 0}, 0), ({"max_steps": 3}, 4),
+                            ({"max_length": 2}, 3)):
+            result = enumerate_paths(f, **caps)
+            assert [p.input_str for p in result] == \
+                ["a" * k for k in range(count)]
+            assert result.truncated
+
+    def test_result_equals_a_list_of_its_paths(self):
+        f = fst_from_sequence("ab", RealWeight)
+        result = enumerate_paths(f)
+        assert result == [Path(tuple(f.all_arcs()), RealWeight.one)]
+        assert not result.truncated
+        assert enumerate_paths(f, max_paths=2.0) == result
+
+    @pytest.mark.parametrize("cap", ["max_paths", "max_length", "max_steps"])
+    @pytest.mark.parametrize("value", [-1, 2.5, math.nan, math.inf, "3"])
+    def test_caps_are_integers_of_at_least_zero(self, cap, value):
+        message = f"{cap} must be an integer of at least 0, got {value!r}"
+        with pytest.raises(WfstError) as exc:
+            enumerate_paths(fst_from_sequence("ab"), **{cap: value})
+        assert str(exc.value) == message
 
     def test_deterministic_order(self, rng):
         for _ in range(10):

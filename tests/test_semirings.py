@@ -147,6 +147,47 @@ class TestPower:
                 assert (a ** n).approx_eq(product)
                 product = product * a
 
+    @pytest.mark.parametrize("semiring", ALL_SEMIRINGS)
+    @pytest.mark.parametrize("n", [-1, 0.5, math.nan, math.inf, "2", None])
+    def test_exponent_is_an_integer_of_at_least_zero(self, semiring, n):
+        message = (f"the exponent of a {semiring.name} power must be an "
+                   f"integer of at least 0, got {n!r}")
+        with pytest.raises(UnsupportedOperationError) as exc:
+            semiring.one ** n
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("semiring", ALL_SEMIRINGS)
+    def test_integral_float_exponent(self, semiring, rng):
+        a = semiring.random_member(rng)
+        assert a ** 2.0 == a ** 2
+
+    def test_real_power_of_a_negative_base(self):
+        assert RealWeight(-2) ** 3 == RealWeight(-8)
+        with pytest.raises(UnsupportedOperationError):
+            RealWeight(-2) ** 0.5
+
+    def test_real_power_overflows_to_a_signed_infinity(self):
+        # As *: 1e200 * 1e200 is inf, and 1e200 * -1e200 is -inf.
+        assert RealWeight(10) ** 400 == RealWeight(math.inf)
+        assert RealWeight(-10) ** 401 == RealWeight(-math.inf)
+        assert RealWeight(-10) ** 400 == RealWeight(math.inf)
+        assert RealWeight(0.1) ** 400 == RealWeight(0.1 ** 400)
+
+    @pytest.mark.parametrize("semiring", [MinWeight, TropicalWeight, MaxWeight])
+    def test_infinite_path_power_is_zero_from_two_on(self, semiring):
+        # The infinity that is not zero: a * a is zero, and so is a ** n.
+        a = semiring(-semiring.zero.value)
+        assert a ** 1 == a
+        assert a ** 2 == a * a == semiring.zero
+        assert a ** 3 == a * a * a == semiring.zero
+
+    def test_diff_power_keeps_real_exponents(self):
+        sr = make_diff_semiring()
+        x = sr(sr.tape.parameter(4.0))
+        root = x ** 0.5
+        assert root.value == 2.0
+        assert sr.tape.backward(root.node)[x.node.node_id] == 0.25
+
 
 class TestApproxEqQuantize:
     def test_below_default_delta(self):
@@ -453,7 +494,10 @@ class TestPathSemiringTable:
     def test_power(self, semiring, select, zero, a, n):
         result = semiring(a) ** n
         assert type(result) is semiring
-        assert result.value == (0.0 if n == 0 else a * n)
+        expected = 0.0 if n == 0 else a * n
+        if n > 1 and math.isinf(a):  # as a * a: an infinite factor is zero
+            expected = zero
+        assert result.value == expected
         with pytest.raises(UnsupportedOperationError):
             semiring(a) ** -1
 

@@ -1087,8 +1087,8 @@ def equivalent_by_enumeration(a, b, max_paths=1000, delta=DEFAULT_DELTA):
 
     Paths are grouped by (input, output) label strings; weights within a
     group are plus-combined and the group maps compared with approx_eq.
-    An enumeration that truncates (a cyclic machine, or one with more
-    than ``max_paths`` paths) raises WfstError, naming the operand.
+    An enumeration that truncates (on a reachable cycle, or past
+    ``max_paths`` paths) raises WfstError, naming the operand.
     """
     a, b = _coerce(a, b)
     sr = a.semiring

@@ -74,8 +74,9 @@ def lift(fst, target_semiring, cast=None):
     ``cast``, a numeric weight lifted into a semiring with a float kernel
     keeps its value, which passes the same gate (a NaN raises
     InvalidWeightError) without a call to ``cast``; between two float
-    kernels the stored arc tuples are shared.  A final weight that lifts
-    to zero (a cost of 0 lifted to a real, say) is left out.
+    kernels each state's arcs are shared, as ``Fst.copy`` shares them.  A
+    final weight that lifts to zero (a cost of 0 lifted to a real, say) is
+    left out.
     """
     kernel = _kernel(target_semiring)
     if (cast is None and kernel.box is not _same  # a float kernel
@@ -85,7 +86,7 @@ def lift(fst, target_semiring, cast=None):
                     for arcs in fst._arcs]
             finals = {s: w.value for s, w in fst._finals.items()}
         else:
-            arcs = [list(arcs) for arcs in fst._arcs]
+            arcs = list(map(tuple, fst._arcs))
             finals = fst._finals
         _gate_arcs(kernel, arcs)
     else:
@@ -125,11 +126,12 @@ def _coerce(*fsts):
 
 def _copy_into(dst, src):
     """Append src's states and arcs to dst, targets renumbered by dst's
-    state count; return that offset.  At offset 0 the arc lists are
-    copied and their immutable arcs shared, since no arc changes."""
+    state count; return that offset.  At offset 0 no arc changes, so
+    each state's arcs are shared as a tuple, as ``Fst.copy`` shares them;
+    otherwise dst owns the renumbered lists."""
     offset = dst.num_states
     if offset == 0:
-        dst._arcs.extend([list(arcs) for arcs in src._arcs])
+        dst._arcs.extend(map(tuple, src._arcs))
     else:
         dst._arcs.extend([(offset + t, i, o, v) for t, i, o, v in arcs]
                          for arcs in src._arcs)
@@ -151,12 +153,12 @@ def union(*fsts):
     one = _unbox(sr)(sr.cast(sr.one))
     out = Fst(sr)
     offsets = [_copy_into(out, side) for side in fsts]
-    start = out.add_state()
-    out.initial = start
-    start_arcs = out._arcs[start]
-    for side, offset in zip(fsts, offsets):
-        if side.initial is not None:
-            start_arcs.append((offset + side.initial, EPSILON, EPSILON, one))
+    out.initial = out.num_states
+    out._arcs.append([(offset + side.initial, EPSILON, EPSILON, one)
+                      for side, offset in zip(fsts, offsets)
+                      if side.initial is not None])
+    out._finals.update(fsts[0]._finals)  # at offset 0
+    for side, offset in zip(fsts[1:], offsets[1:]):
         for state, value in side._finals.items():
             out._finals[offset + state] = value
     return out
@@ -173,7 +175,7 @@ def concat(a, b):
     if b.initial is not None:
         target = offset_b + b.initial
         for state, value in a._finals.items():
-            out._arcs[offset_a + state].append(
+            out._writable(offset_a + state).append(
                 (target, EPSILON, EPSILON, value))
     for state, value in b._finals.items():
         out._finals[offset_b + state] = value
@@ -190,9 +192,11 @@ def closure(a):
     out._finals[start] = one
     offset = _copy_into(out, a)
     if a.initial is not None:
-        out._arcs[start].append((offset + a.initial, EPSILON, EPSILON, one))
+        out._writable(start).append(
+            (offset + a.initial, EPSILON, EPSILON, one))
     for state, value in a._finals.items():
-        out._arcs[offset + state].append((start, EPSILON, EPSILON, value))
+        out._writable(offset + state).append(
+            (start, EPSILON, EPSILON, value))
     return out
 
 
@@ -1026,10 +1030,12 @@ def random_path(fst, seed=None, max_steps=10_000):
     final weight's sampling weight.  Deterministic for a fixed seed.
     SamplingError is raised for a negative sampling weight, and at a state
     whose choices' sampling weights sum to zero or to a total that is not
-    finite (an infinite weight, or a sum that overflows).
+    finite (an infinite weight, or a sum that overflows).  ``max_steps``
+    is an integer of at least 0, else WfstError.
     """
     import random
 
+    max_steps = _argument("max_steps", max_steps, integer=True)
     if fst.initial is None:
         raise NoAcceptingPathError("FST has no initial state")
     rng = random.Random(seed)
@@ -1088,8 +1094,10 @@ def equivalent_by_enumeration(a, b, max_paths=1000, delta=DEFAULT_DELTA):
     Paths are grouped by (input, output) label strings; weights within a
     group are plus-combined and the group maps compared with approx_eq.
     An enumeration that truncates (on a reachable cycle, or past
-    ``max_paths`` paths) raises WfstError, naming the operand.
+    ``max_paths`` paths) raises WfstError, naming the operand, as does a
+    ``delta`` that is not a finite number above 0.
     """
+    delta = _argument("delta", delta)
     a, b = _coerce(a, b)
     sr = a.semiring
 

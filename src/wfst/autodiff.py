@@ -39,7 +39,8 @@ from .errors import (
     WfstError,
 )
 from .fst import Fst
-from .semirings import RealWeight, _kernel, _NumericWeight, _real_star
+from .semirings import (RealWeight, _argument, _kernel, _NumericWeight,
+                        _real_star)
 
 
 class TapeNode:
@@ -488,18 +489,23 @@ def train(real_fst, pairs, steps=200, rate=0.05, min_weight=1e-6):
     total weight diverges (a cycle of weight 1 or more) raises
     DivergenceError.  Weights are clamped to at least ``min_weight`` so
     the probability model stays well defined.  Returns (trained real FST,
-    per-step losses).  An empty ``pairs`` raises WfstError.
+    per-step losses).  An empty ``pairs`` raises WfstError, as do
+    ``steps`` other than an integer of at least 0, ``rate`` other than a
+    finite number above 0 and ``min_weight`` other than a finite number
+    of at least 0.
     """
     from .algorithms import _gate, _gate_arcs, _rebuilt, lift
 
+    steps = _argument("steps", steps, integer=True)
+    # Floats, so that every descended value is one, as the kernel needs.
+    rate = float(_argument("rate", rate))
+    floor = float(_argument("min_weight", min_weight, zero=True))
     if not pairs:
         raise WfstError("train needs at least one observed pair")
     model = lift(real_fst, RealWeight)
     restricted = _restrict(
         model, [lift(pair_acceptor(i, o), RealWeight) for i, o in pairs])
     kernel = _kernel(RealWeight)
-    # Floats, so that every descended value is one, as the kernel needs.
-    floor, rate = float(min_weight), float(rate)
     losses = []
     for _ in range(steps):
         step_losses, partials = _losses(model, *restricted)

@@ -11,6 +11,13 @@ tuples, value being the weight's kernel value (see ``semirings``), and
 values too, and the read-only ``finals`` mapping boxes them on read.
 ``enumerate_paths`` walks those values on the semiring's kernel, as the
 path queries in ``algorithms`` do, and boxes only the paths it returns.
+
+A state's arc storage is either a list that its machine owns or a tuple
+that any number of machines share: ``copy``, the rational operations and
+``lift`` keep the arcs they do not change as such tuples.  Code that
+builds a machine fills the lists it creates; any other write goes
+through ``Fst._writable``, which first swaps a shared tuple for a list
+of the machine's own, so no write to one machine reaches another.
 """
 
 from collections import namedtuple
@@ -155,8 +162,16 @@ class Fst:
         olabel = ilabel if output_label is None else as_label(output_label)
         sr = self.semiring
         weight = sr.cast(sr.one if weight is None else weight)
-        self._arcs[from_state].append(
+        self._writable(from_state).append(
             (to_state, ilabel, olabel, _unbox(sr)(weight)))
+
+    def _writable(self, state):
+        """``state``'s arc list, ready for an in-place write: a shared
+        tuple is first replaced by a list copy that this machine owns."""
+        arcs = self._arcs[state]
+        if arcs.__class__ is tuple:
+            arcs = self._arcs[state] = list(arcs)
+        return arcs
 
     def set_initial_state(self, state):
         """Set the (single) initial state, replacing any previous one."""
@@ -183,8 +198,12 @@ class Fst:
         return state in self._finals
 
     def copy(self):
+        """An independent machine with the same states, arcs and weights.
+        The two share each state's arcs as one tuple, made once from a
+        list (``tuple()`` of a tuple is that tuple); a later write to
+        either machine copies only the state that it touches."""
         out = Fst(self.semiring)
-        out._arcs = [list(arcs) for arcs in self._arcs]
+        out._arcs = list(map(tuple, self._arcs))
         out.initial = self.initial
         out._finals = dict(self._finals)
         return out

@@ -45,23 +45,54 @@ from .errors import (
 DEFAULT_DELTA = 1.0 / 1024
 
 
-def _argument(name, value, integer=False, error=WfstError):
-    """``value`` if it is a finite number above 0 or, for an ``integer``,
-    a whole number of at least 0 (as an int); else ``error``, naming it."""
+def _argument(name, value, integer=False, error=WfstError, zero=False):
+    """``value`` if it is a finite number above 0 (at least 0, with
+    ``zero``) or, for an ``integer``, a whole number of at least 0 (as an
+    int); else ``error``, naming it."""
     if integer:
         if (isinstance(value, numbers.Integral) or isinstance(value, float)
                 and value.is_integer()) and value >= 0:
             return int(value)
         raise error(f"{name} must be an integer of at least 0, got {value!r}")
-    if isinstance(value, numbers.Real) and 0 < value < math.inf:
+    if (isinstance(value, numbers.Real) and value < math.inf
+            and (0 <= value if zero else 0 < value)):
         return value
-    raise error(f"{name} must be a finite number above 0, got {value!r}")
+    bound = "of at least 0" if zero else "above 0"
+    raise error(f"{name} must be a finite number {bound}, got {value!r}")
 
 
 def _exponent(weight, n):
     """``n``, if an integer of at least 0; else UnsupportedOperationError."""
     return _argument(f"the exponent of a {weight.name} power", n,
                      integer=True, error=UnsupportedOperationError)
+
+
+def _float_power(value, n):
+    """``value ** n`` for an integer ``n`` of at least 0: the exact power
+    rounded to a float, so an infinity or a zero past the float range, and
+    negative for a negative ``value`` and an odd ``n``, as ``*`` gives it.
+    (``float ** int`` converts ``n`` to a float, which can fail or round
+    off its parity.)"""
+    try:
+        # Past 2 ** 1023, |value| ** n is 0, 1, inf or NaN as at 2 ** 1023.
+        magnitude = abs(value) ** min(n, 2 ** 1023)
+    except OverflowError:
+        magnitude = math.inf
+    return -magnitude if n % 2 and math.copysign(1.0, value) < 0 else magnitude
+
+
+def _float_multiple(value, n):
+    """``value * n`` for an integer ``n`` of at least 0: the exact product
+    rounded to a float, so an infinity past the float range."""
+    if n < 2 ** 53:  # n is a float exactly
+        return value * n
+    if not math.isfinite(value):
+        return value
+    numerator, denominator = value.as_integer_ratio()
+    try:
+        return numerator * n / denominator  # int / int rounds once
+    except OverflowError:
+        return math.copysign(math.inf, value)
 
 
 class SemiringDescriptor(namedtuple(
@@ -148,6 +179,7 @@ class AbstractSemiringWeight:
         return self == other
 
     def quantize(self, delta=DEFAULT_DELTA):
+        _argument("delta", delta)
         return self
 
     def member(self):
@@ -175,10 +207,12 @@ class AbstractSemiringWeight:
             result = value
         elif isinstance(value, AbstractSemiringWeight):
             if not value.is_boolean:
-                raise SemiringMismatchError(
-                    f"cannot cast {value.name} weight to the {cls.name} "
-                    "semiring"
-                )
+                text = (f"cannot cast {value.name} weight to the "
+                        f"{cls.name} semiring")
+                if value is cls.zero or value is cls.one:  # inherited
+                    text += (f"; {cls.__name__} must declare its own zero "
+                             "and one")
+                raise SemiringMismatchError(text)
             result = cls.one if value.value else cls.zero
         elif isinstance(value, bool):
             result = cls.one if value else cls.zero
@@ -494,11 +528,7 @@ class RealWeight(_NumericWeight):
         return type(self)(_real_divide(self.value, other.value))
 
     def __pow__(self, n):
-        n = _exponent(self, n)
-        try:
-            return type(self)(self.value ** n)
-        except OverflowError:  # infinite, with the sign that * gives
-            return type(self)(math.copysign(math.inf, self.value) ** n)
+        return type(self)(_float_power(self.value, _exponent(self, n)))
 
 
 _float_semiring(RealWeight, operator.add, operator.mul, 0.0, 1.0,
@@ -529,9 +559,9 @@ class _PathWeight(_NumericWeight):
         if n == 0:
             return type(self).one
         # Once n - 1 factors make an infinity, times gives zero (a * a does).
-        if n > 1 and math.isinf(self.value * (n - 1)):
+        if n > 1 and math.isinf(_float_multiple(self.value, n - 1)):
             return type(self).zero
-        return type(self)(self.value * n)
+        return type(self)(_float_multiple(self.value, n))
 
     def sampling_weight(self):
         return self._float_kernel.score(self.value)
@@ -809,9 +839,15 @@ def check_semiring_axioms(semiring, sample_count=1000, delta=DEFAULT_DELTA,
     """Probe the semiring axioms on random elements.
 
     Violations are collected into the report, never raised; each carries
-    the witness elements that broke the law.
+    the witness elements that broke the law.  ``sample_count`` and
+    ``max_violations`` are integers of at least 0 and ``delta`` a finite
+    number above 0, else WfstError.
     """
     import random as _random
+
+    sample_count = _argument("sample_count", sample_count, integer=True)
+    max_violations = _argument("max_violations", max_violations, integer=True)
+    delta = _argument("delta", delta)
 
     rng = _random.Random(seed)
     report = AxiomReport(semiring=semiring.name, samples=sample_count)

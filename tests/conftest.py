@@ -17,9 +17,9 @@ def plant_arc(fst, arc, index=None):
         weight = _unbox(fst.semiring)(weight)
     stored = (target, ilabel, olabel, weight)
     if index is None:
-        fst._arcs[source].append(stored)
+        fst._writable(source).append(stored)
     else:
-        fst._arcs[source][index] = stored
+        fst._writable(source)[index] = stored
 
 
 def plant_final(fst, state, weight):

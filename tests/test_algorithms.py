@@ -11,12 +11,14 @@ from scipy import linalg
 import wfst.algorithms as algorithms
 from wfst import (
     BooleanWeight,
+    FeaturizedWeight,
     Fst,
     MaxWeight,
     MinWeight,
     RealWeight,
     TropicalWeight,
     cast_from_boolean,
+    check_semiring_axioms,
     closure,
     make_diff_semiring,
     compose,
@@ -171,7 +173,8 @@ class TestInheritedOne:
         name = "noone"
 
     NoOneReal.zero = NoOneReal(0.0)
-    TEXT = "cannot cast real weight to the noone semiring"
+    TEXT = ("cannot cast real weight to the noone semiring; NoOneReal must "
+            "declare its own zero and one")
 
     def machine(self):
         sr = self.NoOneReal
@@ -238,6 +241,63 @@ class TestClosure:
         by_string = {p.input_str: p.weight.value
                      for p in enumerate_paths(c, max_paths=40, max_length=12)}
         assert by_string["aaa"] == pytest.approx(0.125)
+
+
+class TestSharedArcs:
+    """Copies, the rational operations and lift share the arc storage of
+    the states they keep unchanged, and a write to one machine reaches no
+    other: each operand takes an add_arc on every state, then the result
+    a plant_arc on every state, and every other machine reads as before."""
+
+    OPERATIONS = {
+        "copy": lambda a, b: ([a], a.copy()),
+        "union(a, b)": lambda a, b: ([a, b], union(a, b)),
+        "union(a, a)": lambda a, b: ([a], union(a, a)),
+        "concat(a, b)": lambda a, b: ([a, b], concat(a, b)),
+        "concat(a, a)": lambda a, b: ([a], concat(a, a)),
+        "closure(a)": lambda a, b: ([a], closure(a)),
+        "lift(a, MinWeight)": lambda a, b: ([a], lift(a, MinWeight)),
+    }
+
+    @staticmethod
+    def add_arcs(f):
+        for state in f.states():
+            f.add_arc(state, state, 0.5, "z", "z")
+
+    @staticmethod
+    def plant_arcs(f):
+        for state in f.states():
+            plant_arc(f, Arc(state, state, 122, 122, f.semiring.one))
+
+    @pytest.mark.parametrize("operation", OPERATIONS)
+    def test_a_write_reaches_no_other_machine(self, operation, rng):
+        for _ in range(10):
+            a, b = random_acyclic_fst(rng), random_acyclic_fst(rng)
+            before = [render_text(a), render_text(b)]
+            operands, result = self.OPERATIONS[operation](a, b)
+            assert [render_text(a), render_text(b)] == before
+            machines = operands + [result]
+            writes = [self.add_arcs] * len(operands) + [self.plant_arcs]
+            for k, write in enumerate(writes):
+                texts = [render_text(f) for f in machines]
+                write(machines[k])
+                after = [render_text(f) for f in machines]
+                assert after[k] != texts[k]
+                del texts[k], after[k]
+                assert after == texts
+                assert all(f.validate() for f in machines)
+
+    def test_a_pairwise_fold_shares_the_first_operands_storage(self):
+        first, second, third = (fst_from_sequence(w, RealWeight)
+                                for w in ("ab", "cd", "ef"))
+        folded = union(first, second)
+        last = union(folded, third)
+        # The states that folded shares with first are shared on, as the
+        # same objects; the rest are copied once, into a tuple.
+        for state in range(folded.num_states):
+            assert (last._arcs[state] is folded._arcs[state]) == (
+                state < first.num_states)
+            assert last._arcs[state] == tuple(folded._arcs[state])
 
 
 class TestCompose:
@@ -740,8 +800,13 @@ class TestDeterminize:
     @pytest.mark.parametrize("delta", [0, -1, math.nan, math.inf, "0.1"])
     def test_delta_is_finite_and_above_zero(self, delta):
         message = f"delta must be a finite number above 0, got {delta!r}"
-        for run in (lambda: determinize(fst_from_sequence("ab"), delta),
-                    lambda: RealWeight(1).quantize(delta)):
+        f = fst_from_sequence("ab")
+        for run in (lambda: determinize(f, delta),
+                    lambda: RealWeight(1).quantize(delta),
+                    lambda: BooleanWeight.one.quantize(delta),
+                    lambda: FeaturizedWeight.one.quantize(delta),
+                    lambda: equivalent_by_enumeration(f, f, delta=delta),
+                    lambda: check_semiring_axioms(RealWeight, 5, delta)):
             with pytest.raises(WfstError) as exc:
                 run()
             assert str(exc.value) == message
@@ -1563,6 +1628,14 @@ class TestRandomPath:
         f = fst_from_sequence("abc")
         for seed in range(5):
             assert random_path(f, seed=seed).input_str == "abc"
+
+    @pytest.mark.parametrize("value", [-1, 2.5, math.nan, "3"])
+    def test_max_steps_is_an_integer_of_at_least_zero(self, value):
+        with pytest.raises(WfstError) as exc:
+            random_path(fst_from_sequence("ab"), max_steps=value)
+        assert type(exc.value) is WfstError
+        assert str(exc.value) == (
+            f"max_steps must be an integer of at least 0, got {value!r}")
 
     def test_deterministic_given_seed(self, troll_fst):
         a = random_path(troll_fst, seed=42)

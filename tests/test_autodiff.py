@@ -880,8 +880,39 @@ class TestTrain:
         assert all(w.value > 0 for w in trained.finals.values())
 
     def test_descended_weights_pass_the_membership_gate(self):
-        # max(nan, w) is nan, so a NaN floor makes every descended weight
-        # NaN; the step refuses it instead of storing it.
-        with pytest.raises(InvalidWeightError, match="nan"):
+        # max(nan, w) is nan, so a NaN floor would make every descended
+        # weight NaN; train refuses the floor before the first step.
+        with pytest.raises(WfstError) as exc:
             train(build_hello_world_troll(), [("hello", "troll")], steps=1,
                   min_weight=math.nan)
+        assert str(exc.value) == (
+            "min_weight must be a finite number of at least 0, got nan")
+
+    @pytest.mark.parametrize("name, value, rule", [
+        ("steps", -1, "an integer of at least 0"),
+        ("steps", 2.5, "an integer of at least 0"),
+        ("steps", math.inf, "an integer of at least 0"),
+        ("steps", "3", "an integer of at least 0"),
+        ("rate", 0, "a finite number above 0"),
+        ("rate", -0.05, "a finite number above 0"),
+        ("rate", math.nan, "a finite number above 0"),
+        ("rate", math.inf, "a finite number above 0"),
+        ("rate", "0.05", "a finite number above 0"),
+        ("min_weight", -1e-6, "a finite number of at least 0"),
+        ("min_weight", math.inf, "a finite number of at least 0"),
+        ("min_weight", None, "a finite number of at least 0"),
+    ])
+    def test_numeric_parameters_are_checked(self, name, value, rule):
+        # A NaN rate would floor every weight: max(1e-6, nan) is 1e-6.
+        with pytest.raises(WfstError) as exc:
+            train(build_hello_world_troll(), [("hello", "troll")],
+                  **{name: value})
+        assert type(exc.value) is WfstError
+        assert str(exc.value) == f"{name} must be {rule}, got {value!r}"
+
+    def test_zero_steps_return_the_model_and_no_losses(self):
+        model = build_hello_world_troll()
+        trained, losses = train(model, [("hello", "troll")], steps=0,
+                                min_weight=0)
+        assert losses == []
+        assert list(trained.all_arcs()) == list(model.all_arcs())

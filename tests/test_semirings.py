@@ -23,6 +23,7 @@ from wfst.errors import (
     InvalidWeightError,
     SemiringMismatchError,
     UnsupportedOperationError,
+    WfstError,
 )
 from wfst.semirings import DEFAULT_DELTA, AbstractSemiringWeight
 
@@ -172,6 +173,17 @@ class TestPower:
         assert RealWeight(-10) ** 401 == RealWeight(-math.inf)
         assert RealWeight(-10) ** 400 == RealWeight(math.inf)
         assert RealWeight(0.1) ** 400 == RealWeight(0.1 ** 400)
+        # Past the float range, the exact power rounded to a float, its
+        # sign by parity (float(2 ** 53 + 1) is even; 10 ** 400 is no float).
+        huge = 10 ** 400
+        assert RealWeight(2) ** huge == RealWeight(math.inf)
+        assert RealWeight(0.5) ** huge == RealWeight(0.0)
+        assert RealWeight(-2) ** huge == RealWeight(math.inf)
+        assert RealWeight(-2) ** (huge + 1) == RealWeight(-math.inf)
+        assert RealWeight(-2) ** (2 ** 53 + 1) == RealWeight(-math.inf)
+        assert RealWeight(-1) ** (huge + 1) == RealWeight(-1)
+        assert RealWeight(1) ** huge == RealWeight(1)
+        assert math.copysign(1, (RealWeight(-0.5) ** (huge + 1)).value) == -1
 
     @pytest.mark.parametrize("semiring", [MinWeight, TropicalWeight, MaxWeight])
     def test_infinite_path_power_is_zero_from_two_on(self, semiring):
@@ -187,6 +199,17 @@ class TestPower:
         root = x ** 0.5
         assert root.value == 2.0
         assert sr.tape.backward(root.node)[x.node.node_id] == 0.25
+
+
+class TestAxiomCheckArguments:
+    @pytest.mark.parametrize("name", ["sample_count", "max_violations"])
+    @pytest.mark.parametrize("value", [-1, 2.5, math.nan, "3"])
+    def test_counts_are_integers_of_at_least_zero(self, name, value):
+        with pytest.raises(WfstError) as exc:
+            check_semiring_axioms(RealWeight, **{name: value})
+        assert type(exc.value) is WfstError
+        assert str(exc.value) == (
+            f"{name} must be an integer of at least 0, got {value!r}")
 
 
 class TestApproxEqQuantize:
@@ -490,12 +513,16 @@ class TestPathSemiringTable:
 
     @pytest.mark.parametrize("semiring, select, zero", PATH_SEMIRINGS)
     @pytest.mark.parametrize("a", PATH_VALUES)
-    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n", [
+        0, 1, 2, 3, pytest.param(10 ** 400, id="10**400"),
+        pytest.param(10 ** 400 + 1, id="10**400+1")])
     def test_power(self, semiring, select, zero, a, n):
         result = semiring(a) ** n
         assert type(result) is semiring
-        expected = 0.0 if n == 0 else a * n
-        if n > 1 and math.isinf(a):  # as a * a: an infinite factor is zero
+        # a * n, which past the float range is an infinity unless a is 0.
+        expected = (0.0 if n == 0 else a * n if n < 4
+                    else math.copysign(math.inf, a) if a else 0.0)
+        if n > 1 and math.isinf(expected):  # as a * a: an infinite factor
             expected = zero
         assert result.value == expected
         with pytest.raises(UnsupportedOperationError):

@@ -6,7 +6,7 @@ argument is auto-cast into the other side's semiring first.
 """
 
 import math
-from collections import deque, namedtuple
+from collections import defaultdict, deque, namedtuple
 from functools import reduce
 from itertools import accumulate, count
 
@@ -551,11 +551,11 @@ def _generic_distance(semiring, kernel, arcs_by_state, sources, search):
     """Single-source (or multi-source) shortest distance over a semiring,
     computed with its kernel (see ``semirings._kernel``).
 
-    ``arcs_by_state[s]`` holds arcs in the stored form (``Fst._arcs`` or
-    ``_backward_arcs``) and ``sources`` maps seed states to their initial
-    weights, all as kernel values.  Returns a dict from each state
-    reachable from the sources to its distance, a kernel value; only
-    those states are visited.
+    ``arcs_by_state[s]`` holds arcs in the stored form (``Fst._arcs``, say)
+    and ``sources`` maps seed states to their initial weights, all as
+    kernel values.  Returns a dict from each state reachable from the
+    sources to its distance, a kernel value; only those states are
+    visited.
 
     ``search`` is ``_components(arcs_by_state, sources)``, the Tarjan
     search that orders the reachable part so that every arc leads forward
@@ -674,16 +674,62 @@ def _forward_values(fst, kernel, search=None):
 
 
 def _backward_values(fst, kernel, search=None):
-    """Per-state plus-sum over accepting suffixes (final weights
-    included), as kernel values; no membership gate.  ``search`` is
-    ``_components(_backward_arcs(fst), list(fst._finals))``, run here if
-    not given."""
-    arcs = _backward_arcs(fst)
-    if search is None:
-        search = _components(arcs, list(fst._finals))
-    d = _generic_distance(fst.semiring, kernel, arcs, fst._finals, search)
-    zero = kernel.zero
-    return [d.get(s, zero) for s in fst.states()]
+    """Per-state plus-sum beta over accepting suffixes (final weights
+    included), as kernel values, and on a path semiring the arcs to try
+    from each state with a beta; no membership gate.  ``search`` is
+    ``_components(fst._arcs, sources)``, from every state if not given.
+
+    In its reverse order each state pulls final(s) + beta(t)·w over its
+    arcs s -> t, in arc order, from the targets that reach a final state
+    (so a real inf arc into a dead end makes no inf·0); a state that
+    reaches none, or that the search misses, gets zero.  A cyclic
+    component, seeded so, is solved by ``_generic_distance`` over its own
+    arcs reversed.  The arcs to try are none where the final weight is
+    beta (stop), else the first arc whose product is beta, or in a cyclic
+    component all.
+    """
+    arcs_of, finals = fst._arcs, fst._finals
+    plus, times, zero = kernel.plus, kernel.times, kernel.zero
+    order, cyclic = search or _components(arcs_of, fst.states())
+    path = "path" in fst.semiring.semiring_properties
+    beta = [None] * len(arcs_of)  # None: no final state reached (yet)
+    choices = {}
+    members = ()  # the states of the last cyclic component
+
+    def pull(s):
+        choice, value = (), plus(zero, finals[s]) if s in finals else None
+        for arc in arcs_of[s]:
+            b = beta[arc[0]]
+            if b is not None:
+                x = plus(zero if value is None else value, times(b, arc[3]))
+                if path and x != value:
+                    choice = (arc,)
+                value = x
+        if path and value is not None and s not in members:
+            choices[s] = choice
+        return value
+
+    last = {component[-1]: component for component in cyclic.values()}
+    for s in reversed(order):
+        component = last.get(s)
+        if component is None:
+            if s not in members:
+                beta[s] = pull(s)
+            continue
+        members = set(component)
+        inner = defaultdict(list)  # the arcs out of its states, reversed
+        for m in component:
+            for t, i, o, w in arcs_of[m]:
+                inner[t].append((m, i, o, w))
+        seeds = {m: v for m in component if (v := pull(m)) is not None}
+        if seeds:
+            d = _generic_distance(fst.semiring, kernel, inner, seeds,
+                                  (component, {component[0]: component}))
+            for m in component:
+                beta[m] = d[m]
+                if path:
+                    choices[m] = () if finals.get(m) == d[m] else arcs_of[m]
+    return [zero if b is None else b for b in beta], choices
 
 
 def sum_paths(fst):
@@ -937,8 +983,8 @@ def push(fst, direction="initial"):
     kernel = _kernel(sr)
     times, zero = kernel.times, kernel.zero
     toward_initial = direction == "initial"
-    pot = _gate(kernel, (_backward_values if toward_initial
-                         else _forward_values)(fst, kernel))
+    pot = _gate(kernel, _backward_values(fst, kernel)[0] if toward_initial
+                else _forward_values(fst, kernel))
     pot[fst.initial] = kernel.one
 
     def divide(x, state):
@@ -980,7 +1026,10 @@ def shortest_path(fst):
     is exact), in arc order, entering no state twice.  Ties therefore
     break toward the lexicographically smallest arc-index sequence among
     the paths that repeat no state (stopping at a final state beats taking
-    any arc), and a cycle of weight one cannot trap the walk.
+    any arc), and a cycle of weight one cannot trap the walk.  Outside the
+    cyclic components it tries only the first tight choice, which the
+    backward pass records: it never backtracks there, since a dead end
+    below such a state would need a cycle through it.
     """
     sr = fst.semiring
     if "path" not in sr.semiring_properties:
@@ -991,16 +1040,16 @@ def shortest_path(fst):
         raise NoAcceptingPathError("FST has no initial state")
     kernel = _kernel(sr)
     times = kernel.times
-    beta = _backward_values(fst, kernel)
+    beta, choices = _backward_values(fst, kernel,
+                                     _components(fst._arcs, [fst.initial]))
     if beta[fst.initial] == kernel.zero:
         raise NoAcceptingPathError("FST accepts no string")
 
-    finals = fst._finals
     state = fst.initial
     entered = {state}
-    arcs = iter(fst._arcs[state])
+    arcs = iter(choices[state])
     path = []  # (source, arc taken, the arcs of its source still to try)
-    while not (state in finals and finals[state] == beta[state]):
+    while choices[state]:
         for arc in arcs:
             target = arc[0]
             if (target not in entered
@@ -1008,7 +1057,7 @@ def shortest_path(fst):
                 path.append((state, arc, arcs))
                 state = target
                 entered.add(state)
-                arcs = iter(fst._arcs[state])
+                arcs = iter(choices[state])
                 break
         else:  # no tight arc from here leads to a state not yet entered
             if not path:
@@ -1018,7 +1067,7 @@ def shortest_path(fst):
     value = kernel.one
     for _, arc, _ in path:
         value = times(value, arc[3])
-    weight = kernel.box(times(value, finals[state]))
+    weight = kernel.box(times(value, fst._finals[state]))
     taken = [(source, arc) for source, arc, _ in path]
     return ShortestPathResult(_read_path(fst, taken, weight), weight)
 

@@ -39,8 +39,8 @@ from .errors import (
     WfstError,
 )
 from .fst import Fst
-from .semirings import (RealWeight, _argument, _kernel, _NumericWeight,
-                        _real_star)
+from .semirings import (RealWeight, _argument, _float_multiple, _float_power,
+                        _kernel, _NumericWeight, _real_star)
 
 
 class TapeNode:
@@ -144,12 +144,23 @@ class _DiffWeightBase(_NumericWeight):
         return type(self)(node)
 
     def __pow__(self, n):
-        if n < 0:
-            raise UnsupportedOperationError("negative power")
+        # Any finite real exponent of at least 0; a whole one rounds as a
+        # real weight's power does.
+        n = _argument(f"the exponent of a {self.name} power", n, zero=True,
+                      error=UnsupportedOperationError)
         if n == 0:
             return type(self).one
-        node = self.tape.record(self.value ** n, (self.node,),
-                                (n * self.value ** (n - 1),))
+        value = self.value
+        if n % 1 == 0:
+            n = int(n)
+        elif value < 0:
+            raise UnsupportedOperationError(
+                f"{self!r} ** {n!r} is not a real number")
+        # d/dx x ** n = n·x ** (n - 1), infinite at x = 0 for n < 1.
+        slope = (math.inf if value == 0 and n < 1
+                 else _float_power(value, n - 1))
+        node = self.tape.record(_float_power(value, n), (self.node,),
+                                (_float_multiple(slope, n),))
         return type(self)(node)
 
     @classmethod
@@ -269,8 +280,8 @@ def _weight_nodes(fst):
 def _restrict(model, observed):
     """Build, once per call, what the losses of the real machines
     ``observed`` under the real ``model`` keep from step to step: (the
-    model's searches, the restricted machines, the constants).  Nothing
-    of it outlives the call that built it.
+    model's search, the restricted machines, the constants).  Nothing of
+    it outlives the call that built it.
 
     Parameters are numbered as ``_losses`` lays out its partials: the
     model's arc weights in ``all_arcs()`` order, then its final weights
@@ -288,14 +299,9 @@ def _restrict(model, observed):
     provenance), with the slot of 1.0 for a side that stood still.  R's
     finals map each final state to the slots of its three final weights.
     A restricted machine is (arcs, initial state, finals, factors,
-    searches): factors lists the slot triples of R's arcs, then of its
-    finals, in the order of R's partials; no searches without an initial
-    state.
-
-    The searches are ``_searches`` of the model and of each R: the Tarjan
-    searches of the forward and backward distance passes, which read only
-    the arcs' targets and the final states, so they hold for every set of
-    values.
+    search): factors lists the slot triples of R's arcs, then of its
+    finals, in the order of R's partials, and search is ``_searches(R)``,
+    as the model's is ``_searches(model)``: one search per machine.
     """
     from .algorithms import _compose, project
 
@@ -339,12 +345,12 @@ def _restrict(model, observed):
     return _searches(model), restricted, constants
 
 
-def _losses(model, searches, restricted, constants):
+def _losses(model, search, restricted, constants):
     """Each observed machine's loss log Z - log Z_obs under ``model``, and
     the partials of their sum, all on float values: one step.
 
     ``model`` is a real FST, with the arcs and final states it had when
-    ``_restrict(model, observed)`` gave ``searches``, ``restricted`` and
+    ``_restrict(model, observed)`` gave ``search``, ``restricted`` and
     ``constants``; only its values may have changed.  The model's forward
     and backward values alpha and beta, and its total weight Z, are
     computed once for all the observed machines.  Each restricted machine
@@ -372,12 +378,12 @@ def _losses(model, searches, restricted, constants):
     if model.initial is None:  # every restricted machine is empty
         raise WfstError("observed pair has non-positive total weight 0.0")
     kernel = _kernel(RealWeight)
-    total, total_partials = _forward_backward(model, searches)
+    total, total_partials = _forward_backward(model, search)
     values = ([arc[3] for arcs in model._arcs for arc in arcs]
               + list(model._finals.values()) + constants)
     partials = [0.0] * len(values)
     losses = []
-    for arcs, initial, finals, factors, r_searches in restricted:
+    for arcs, initial, finals, factors, r_search in restricted:
         observed_total = 0.0
         if initial is not None:
             machine = Fst(RealWeight)
@@ -389,8 +395,7 @@ def _losses(model, searches, restricted, constants):
                 state: (values[a] * values[b]) * values[c]
                 for state, (a, b, c) in finals.items()}
             _gate(kernel, list(machine._finals.values()))
-            observed_total, r_partials = _forward_backward(machine,
-                                                           r_searches)
+            observed_total, r_partials = _forward_backward(machine, r_search)
         if observed_total <= 0.0:
             raise WfstError("observed pair has non-positive total weight "
                             f"{observed_total}")
@@ -416,30 +421,29 @@ def _losses(model, searches, restricted, constants):
 
 
 def _searches(fst):
-    """The Tarjan searches that ``fst``'s forward and backward distance
-    passes run, (forward, backward), or None without an initial state.
-    They read only the arcs' targets and the final states."""
-    from .algorithms import _backward_arcs, _components
+    """The one search that ``fst``'s forward and backward passes share:
+    ``_components`` from the initial state (None without one).  It reads
+    only the arcs' targets, so it holds for every set of values."""
+    from .algorithms import _components
 
     if fst.initial is None:
         return None
-    return (_components(fst._arcs, [fst.initial]),
-            _components(_backward_arcs(fst), list(fst._finals)))
+    return _components(fst._arcs, [fst.initial])
 
 
-def _forward_backward(fst, searches=None):
+def _forward_backward(fst, search=None):
     """The total weight of a real ``fst``, which has an initial state, and
     its partials, all on float values: alpha(s)·beta(t) for each arc
     s -> t in ``all_arcs()`` order, then alpha(f) for each final state f
     in ``finals`` order, from the exact real-semiring solver.  An arc on
     no accepting path, its alpha or beta zero, gets 0.0, never inf·0.
-    ``searches`` is ``_searches(fst)``, run by the passes if not given."""
+    ``search`` is ``_searches(fst)``, run here if not given."""
     from .algorithms import _backward_values, _forward_values
 
-    forward, backward = searches or (None, None)
+    search = search or _searches(fst)
     kernel = _kernel(RealWeight)
-    alpha = _forward_values(fst, kernel, forward)
-    beta = _backward_values(fst, kernel, backward)
+    alpha = _forward_values(fst, kernel, search)
+    beta = _backward_values(fst, kernel, search)[0]
     total = 0.0
     for state, value in fst._finals.items():
         total += alpha[state] * value
@@ -476,8 +480,8 @@ def train(real_fst, pairs, steps=200, rate=0.05, min_weight=1e-6):
     semiring); every arc and final weight is a parameter.  Before the
     first step, each pair's restricted machine (its input projection, the
     model and its output projection, composed) is built once, with where
-    each of its weights comes from and the graph searches of its distance
-    passes, and the model's searches too (see ``_restrict``); a descent
+    each of its weights comes from and the graph search that its distance
+    passes share, and the model's search too (see ``_restrict``); a descent
     changes values, never arcs, so they hold for every step.  Each step
     computes the model's total weight Z, with its forward and backward
     values, once, then re-weights each restricted machine with the

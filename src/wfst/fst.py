@@ -245,7 +245,12 @@ class Fst:
 
 def fst_from_sequence(labels, semiring=BooleanWeight):
     """Linear-chain acceptor for an iterable of labels (e.g. a string);
-    the first bad label, epsilon included, raises InvalidLabelError."""
+    the first bad label, epsilon included, raises InvalidLabelError, as
+    does a ``labels`` that is not iterable."""
+    try:
+        labels = iter(labels)
+    except TypeError:
+        raise InvalidLabelError(f"bad label sequence {labels!r}") from None
     values = []
     for value in map(as_label, labels):
         if value == EPSILON:

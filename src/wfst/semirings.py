@@ -68,17 +68,19 @@ def _exponent(weight, n):
 
 
 def _float_power(value, n):
-    """``value ** n`` for an integer ``n`` of at least 0: the exact power
-    rounded to a float, so an infinity or a zero past the float range, and
-    negative for a negative ``value`` and an odd ``n``, as ``*`` gives it.
-    (``float ** int`` converts ``n`` to a float, which can fail or round
-    off its parity.)"""
+    """``value ** n`` for an integer ``n`` of at least 0, or any real ``n``
+    and a ``value`` of at least 0: the exact power rounded to a float, so
+    an infinity or a zero past the float range, and negative for a
+    negative ``value`` and an odd ``n``, as ``*`` gives it.  (``float **
+    int`` converts ``n`` to a float, which can fail or round off its
+    parity.)"""
     try:
         # Past 2 ** 1023, |value| ** n is 0, 1, inf or NaN as at 2 ** 1023.
         magnitude = abs(value) ** min(n, 2 ** 1023)
     except OverflowError:
         magnitude = math.inf
-    return -magnitude if n % 2 and math.copysign(1.0, value) < 0 else magnitude
+    odd = n % 2 == 1
+    return -magnitude if odd and math.copysign(1.0, value) < 0 else magnitude
 
 
 def _float_multiple(value, n):
@@ -437,7 +439,11 @@ class _NumericWeight(AbstractSemiringWeight):
     __slots__ = ("value",)
 
     def __init__(self, value):
-        self.value = float(value)
+        try:
+            self.value = float(value)
+        except (TypeError, ValueError):
+            raise SemiringMismatchError(
+                f"cannot cast {value!r} to the {self.name} semiring") from None
 
     def __eq__(self, other):
         return other.__class__ is self.__class__ and self.value == other.value
@@ -579,12 +585,15 @@ def _path_semiring(semiring, select, zero_value, sign):
     infinite dividend and names the semiring for a zero divisor, and a
     value scores exp(sign·value), capped at exp(700) to stay finite (so a
     lower cost, or a higher score, is a likelier arc)."""
-    isinf, exp = math.isinf, math.exp
+    isfinite, isinf, exp = math.isfinite, math.isinf, math.exp
 
     def times(a, b):
-        if isinf(a) or isinf(b):
-            return zero_value
-        return a + b
+        s = a + b
+        if isfinite(s):
+            return s
+        # An infinite operand (inf + -inf included) gives zero; a finite
+        # overflow keeps its infinity.
+        return zero_value if isinf(a) or isinf(b) else s
 
     def divide(a, b):
         if b == zero_value:

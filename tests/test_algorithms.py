@@ -1114,6 +1114,150 @@ class TestShortestPath:
             best = min(p.weight.value for p in paths)
             assert shortest_path(f).distance.value == pytest.approx(best)
 
+    @pytest.mark.parametrize("semiring, sign", [
+        (MinWeight, 1), (TropicalWeight, 1), (MaxWeight, -1)])
+    def test_ties_break_toward_the_first_optimal_path_enumerated(
+            self, semiring, sign):
+        # Whole costs, so every path weight is exact and ties are common.
+        # enumerate_paths lists paths depth first, stopping before the
+        # arcs, in arc order: by arc-index sequence, a prefix first.
+        rng = random.Random(11)
+        ties = 0
+        for _ in range(300):
+            f = random_acyclic_fst(
+                rng, semiring, max_states=7, max_arcs=14,
+                weight=lambda r: (sign * r.randint(0, 3) if r.random() < 0.9
+                                  else semiring.zero.value))
+            paths = enumerate_paths(f)
+            best = (min if sign > 0 else max)(
+                (p.weight.value for p in paths), default=semiring.zero.value)
+            optimal = [p for p in paths if p.weight.value == best]
+            if best == semiring.zero.value:
+                with pytest.raises(NoAcceptingPathError):
+                    shortest_path(f)
+                continue
+            ties += len(optimal) > 1
+            result = shortest_path(f)
+            assert result.distance.value == best
+            assert result.path == optimal[0]
+        assert ties > 50
+
+
+def reversed_arc_beta(fst, kernel):
+    """The backward values as the reversed-arc pass computes them, the
+    oracle of ``_backward_values``: a Tarjan search over the reversed
+    arcs from the final states, and one distance pass in its order."""
+    arcs = algorithms._backward_arcs(fst)
+    d = algorithms._generic_distance(
+        fst.semiring, kernel, arcs, fst._finals,
+        algorithms._components(arcs, list(fst._finals)))
+    return [d.get(s, kernel.zero) for s in fst.states()]
+
+
+def tangled_fst(rng, semiring, weight, cyclic=True):
+    """Up to 9 states with arcs between any two (self-loops and cycles),
+    or with ``cyclic`` False only to later states, so that some states
+    are unreachable, some dead ends, and about a third final."""
+    n = rng.randint(1, 9)
+    f = Fst(semiring)
+    for _ in range(n):
+        f.add_state()
+    f.set_initial_state(0)
+    for _ in range(rng.randint(0, 2 * n)):
+        s, t = rng.randrange(n), rng.randrange(n)
+        if cyclic or s < t:
+            f.add_arc(s, t, weight(rng), "a", "b")
+    for s in range(n):
+        if rng.random() < 0.3:
+            f.set_final_weight(s, weight(rng))
+    return f
+
+
+def with_infinities(weight):
+    """``weight``, drawn in place of inf and of -inf 6 % of the time each."""
+    def draw(rng):
+        r = rng.random()
+        return math.inf if r < 0.06 else -math.inf if r < 0.12 else weight(rng)
+    return draw
+
+
+def value_bits(values):
+    """Float values as their exact hex spellings; other values as they
+    are, compared by their own ``==``."""
+    return [v.hex() if isinstance(v, float) else v for v in values]
+
+
+class TestBackwardPull:
+    """``_backward_values`` pulls beta over the forward arcs; the
+    reversed-arc pass is its oracle."""
+
+    WEIGHTS = {
+        BooleanWeight: lambda r: r.random() < 0.8,
+        MinWeight: with_infinities(lambda r: r.uniform(0.0, 5.0)),
+        TropicalWeight: with_infinities(lambda r: r.uniform(-1.0, 5.0)),
+        MaxWeight: with_infinities(lambda r: r.uniform(-5.0, 0.0)),
+        FeaturizedWeight: lambda r: {f: 1 for f in "xy" if r.random() < 0.3},
+    }
+
+    def assert_pulls_as_reversed(self, f):
+        kernel = _kernel(f.semiring)
+        want = outcome(reversed_arc_beta, f, kernel)
+        got = outcome(lambda: algorithms._backward_values(f, kernel)[0])
+        if isinstance(want, tuple):  # an error
+            # Two divergent components may be met in either order.
+            assert isinstance(got, tuple) and got[0] is want[0]
+            return False
+        assert value_bits(got) == value_bits(want)
+        return True
+
+    @pytest.mark.parametrize("semiring", list(WEIGHTS),
+                             ids=lambda cls: cls.name)
+    def test_matches_the_reversed_arc_pass(self, semiring):
+        rng = random.Random(3)
+        solved = sum(self.assert_pulls_as_reversed(
+            tangled_fst(rng, semiring, self.WEIGHTS[semiring]))
+            for _ in range(500))
+        assert solved > 250
+
+    def test_matches_the_reversed_arc_pass_on_exact_reals(self):
+        # Sixteenths: every product and sum on an acyclic machine is
+        # exact, so any term added or dropped, or added as inf·0, shows
+        # in the bits.
+        rng = random.Random(3)
+        weight = with_infinities(lambda r: r.randint(0, 4) / 16)
+        for _ in range(1000):
+            f = tangled_fst(rng, RealWeight, weight, cyclic=False)
+            assert self.assert_pulls_as_reversed(f)
+
+    def test_cyclic_reals_match_up_to_summation_order(self):
+        # Each state sums its terms in arc order, where the reversed-arc
+        # pass summed them in its own search order, so the last bits of
+        # a sum of three or more terms may differ.
+        rng = random.Random(3)
+        weight = with_infinities(lambda r: r.uniform(0.0, 0.3))
+        kernel = _kernel(RealWeight)
+        for _ in range(1000):
+            f = tangled_fst(rng, RealWeight, weight)
+            want = outcome(reversed_arc_beta, f, kernel)
+            got = outcome(lambda: algorithms._backward_values(f, kernel)[0])
+            if isinstance(want, tuple):  # an error
+                assert isinstance(got, tuple) and got[0] is want[0]
+                continue
+            for x, y in zip(got, want):
+                assert x == pytest.approx(y, rel=1e-12, nan_ok=True)
+                assert math.isfinite(x) == math.isfinite(y)
+
+    def test_an_infinite_arc_into_a_dead_end_adds_no_nan(self):
+        f = Fst(RealWeight)
+        for _ in range(3):
+            f.add_state()
+        f.set_initial_state(0)
+        f.add_arc(0, 1, 0.5, "a", "a")
+        f.add_arc(0, 2, math.inf, "b", "b")  # state 2 reaches no final
+        f.set_final_weight(1, 1.0)
+        assert algorithms._backward_values(f, _kernel(RealWeight))[0] == [
+            0.5, 1.0, 0.0]
+
 
 class TestSumPaths:
     def test_troll_machine(self, troll_fst):

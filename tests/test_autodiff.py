@@ -797,9 +797,10 @@ class TestRestrictionOnce:
         assert len(calls) == 2 * 3
 
     @pytest.mark.parametrize("steps", [1, 3, 7])
-    def test_two_searches_per_machine_per_call(self, monkeypatch, steps):
-        # A forward and a backward search of the model and of each
-        # restricted machine, whatever the number of steps.
+    def test_one_search_per_machine_per_call(self, monkeypatch, steps):
+        # One search of the model and of each restricted machine, which
+        # its forward and backward passes share, whatever the number of
+        # steps.
         calls = []
         search_once = algorithms._components
 
@@ -809,7 +810,7 @@ class TestRestrictionOnce:
 
         monkeypatch.setattr(algorithms, "_components", counted)
         train(epsilon_loop_model(), EPSILON_PAIRS, steps=steps, rate=0.005)
-        assert len(calls) == 2 * (1 + len(EPSILON_PAIRS))
+        assert len(calls) == 1 + len(EPSILON_PAIRS)
 
 
 class TestPairAcceptor:

@@ -231,6 +231,12 @@ class TestFromSequence:
         with pytest.raises(InvalidLabelError):
             fst_from_sequence([0, 1])
 
+    @pytest.mark.parametrize("labels", [None, 5])
+    def test_a_non_iterable_is_a_bad_label_sequence(self, labels):
+        with pytest.raises(InvalidLabelError) as exc:
+            fst_from_sequence(labels)
+        assert str(exc.value) == f"bad label sequence {labels!r}"
+
     def test_first_bad_label_in_order_is_reported(self):
         with pytest.raises(InvalidLabelError, match="reserved for epsilon"):
             fst_from_sequence(iter(["a", 0, "bc"]))

@@ -1,5 +1,6 @@
 import math
 import operator
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -199,6 +200,51 @@ class TestPower:
         root = x ** 0.5
         assert root.value == 2.0
         assert sr.tape.backward(root.node)[x.node.node_id] == 0.25
+
+    @pytest.mark.parametrize("n", [-1, -0.5, math.nan, math.inf, "2", None])
+    def test_diff_exponent_is_a_finite_real_of_at_least_zero(self, n):
+        sr = make_diff_semiring()
+        message = ("the exponent of a diff power must be a finite number "
+                   f"of at least 0, got {n!r}")
+        with pytest.raises(UnsupportedOperationError) as exc:
+            sr.constant(2.0) ** n
+        assert str(exc.value) == message
+
+    def test_diff_power_of_a_negative_base_must_be_real(self):
+        sr = make_diff_semiring()
+        assert (sr.constant(-2.0) ** 3).value == -8.0
+        assert (sr.constant(-2.0) ** 2.0).value == 4.0
+        with pytest.raises(UnsupportedOperationError) as exc:
+            sr.constant(-2.0) ** 0.5
+        assert str(exc.value) == "DiffWeight(-2.0) ** 0.5 is not a real number"
+
+    def test_diff_power_past_the_float_range_rounds_as_real_weights(self):
+        # The value is RealWeight's **, and the partial n·x ** (n - 1) is
+        # the exact product of n and RealWeight's x ** (n - 1), rounded.
+        def rounded(x, n):
+            if not math.isfinite(x):
+                return x
+            try:
+                return float(Fraction(x) * n)
+            except OverflowError:
+                return math.copysign(math.inf, x)
+
+        sr = make_diff_semiring()
+        huge = 10 ** 400
+        for base in (2.0, 0.5, -2.0, -1.0, 1.0, -0.5, 0.0):
+            for n in (huge, huge + 1, 2 ** 53 + 1):
+                x = sr(sr.tape.parameter(base))
+                power = x ** n
+                assert power.value == (RealWeight(base) ** n).value
+                partial = rounded((RealWeight(base) ** (n - 1)).value, n)
+                assert sr.tape.backward(power.node)[x.node.node_id] == partial
+
+    def test_diff_power_partial_at_zero_below_one_is_infinite(self):
+        sr = make_diff_semiring()
+        x = sr(sr.tape.parameter(0.0))
+        root = x ** 0.5
+        assert root.value == 0.0
+        assert sr.tape.backward(root.node)[x.node.node_id] == math.inf
 
 
 class TestAxiomCheckArguments:
@@ -458,6 +504,17 @@ class TestCastGate:
         assert RealWeight.cast(value).value == value
 
 
+class TestRawConstruction:
+    @pytest.mark.parametrize("semiring", NUMERIC, ids=lambda cls: cls.name)
+    @pytest.mark.parametrize("value", ["x", None, 1j, [1.0]])
+    def test_a_non_number_raises_what_cast_raises(self, semiring, value):
+        with pytest.raises(SemiringMismatchError) as want:
+            semiring.cast(value)
+        with pytest.raises(SemiringMismatchError) as got:
+            semiring(value)
+        assert str(got.value) == str(want.value)
+
+
 class TestDiffIsNumeric:
     def test_diff_reuses_the_numeric_weight_rules(self):
         from wfst.autodiff import _DiffWeightBase
@@ -527,6 +584,27 @@ class TestPathSemiringTable:
         assert result.value == expected
         with pytest.raises(UnsupportedOperationError):
             semiring(a) ** -1
+
+
+class TestPathTimes:
+    @pytest.mark.parametrize("semiring, select, zero", PATH_SEMIRINGS)
+    def test_one_finiteness_test_keeps_the_rule_bit_for_bit(
+            self, semiring, select, zero):
+        def rule(a, b):
+            # The rule as first written, with two infinity tests: zero
+            # for an infinite operand (inf + -inf included), else the
+            # sum, which keeps the infinity of a finite overflow.
+            if math.isinf(a) or math.isinf(b):
+                return zero
+            return a + b
+
+        times = semiring._float_kernel.times
+        grid = [0.0, -0.0, 1e308, -1e308, math.inf, -math.inf]
+        for a in grid:
+            for b in grid:
+                assert times(a, b).hex() == rule(a, b).hex(), (a, b)
+        assert times(1e308, 1e308) == math.inf  # a finite overflow
+        assert times(-0.0, -0.0).hex() == "-0x0.0p+0"
 
 
 class TestPathSampling:

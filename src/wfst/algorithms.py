@@ -58,11 +58,14 @@ def _default_cast(source, target):
 
 def _rebuilt(fst, semiring, arcs, finals):
     """A new FST over ``semiring`` with ``fst``'s states and initial state,
-    the arc lists ``arcs`` as given and a copy of the final values dict."""
+    the arc lists ``arcs`` as given and a copy of the final values dict.
+    Each list of ``arcs`` has the targets of ``fst``'s, so the new machine
+    keeps ``fst``'s forward search."""
     out = Fst(semiring)
     out._arcs = arcs
     out.initial = fst.initial
     out._finals = dict(finals)
+    out._search = fst._search
     return out
 
 
@@ -396,6 +399,18 @@ def _components(arcs_by_state, sources):
     return order, cyclic
 
 
+def _kept_search(fst):
+    """``_components(fst._arcs, [fst.initial])``, for an ``fst`` with an
+    initial state: the search the machine keeps (see ``Fst``), run and
+    kept on first use, and run again once a write has dropped it or
+    ``initial`` no longer names the state it started from."""
+    kept = fst._search
+    if kept is None or kept[0] != fst.initial:
+        kept = fst._search = (fst.initial,
+                              _components(fst._arcs, [fst.initial]))
+    return kept[1]
+
+
 def _describe(component):
     shown = ", ".join(map(str, component[:10]))
     more = ", ..." if len(component) > 10 else ""
@@ -664,9 +679,9 @@ def shortest_distance(fst):
 def _forward_values(fst, kernel, search=None):
     """Per-state plus-sum over paths from the initial state, which must
     exist, as kernel values; no membership gate.  ``search`` is
-    ``_components(fst._arcs, [fst.initial])``, run here if not given."""
+    ``_components(fst._arcs, [fst.initial])``, the kept one if not given."""
     if search is None:
-        search = _components(fst._arcs, [fst.initial])
+        search = _kept_search(fst)
     d = _generic_distance(fst.semiring, kernel, fst._arcs,
                           {fst.initial: kernel.one}, search)
     zero = kernel.zero
@@ -780,11 +795,10 @@ def connect(fst):
     arcs between them, numbered by rank in their original order.
 
     OpenFST's ``Connect``.  A machine that accepts nothing gives an FST
-    without states.  Both sets come from ``_components``, over the arcs
-    and over the reversed arcs.
+    without states.  Both sets come from ``_components``: the machine's
+    kept forward search, and one over the reversed arcs.
     """
-    sources = [] if fst.initial is None else [fst.initial]
-    accessible = _components(fst._arcs, sources)[0]
+    accessible = [] if fst.initial is None else _kept_search(fst)[0]
     coaccessible = _components(_backward_arcs(fst), list(fst._finals))[0]
     return _renumbered(fst.semiring, fst.initial, fst._arcs, fst._finals,
                        sorted(set(accessible).intersection(coaccessible)))
@@ -1040,8 +1054,7 @@ def shortest_path(fst):
         raise NoAcceptingPathError("FST has no initial state")
     kernel = _kernel(sr)
     times = kernel.times
-    beta, choices = _backward_values(fst, kernel,
-                                     _components(fst._arcs, [fst.initial]))
+    beta, choices = _backward_values(fst, kernel, _kept_search(fst))
     if beta[fst.initial] == kernel.zero:
         raise NoAcceptingPathError("FST accepts no string")
 
@@ -1072,67 +1085,87 @@ def shortest_path(fst):
     return ShortestPathResult(_read_path(fst, taken, weight), weight)
 
 
+def _sampling_table(kernel, state, arcs, final):
+    """The sampling table of a state with ``arcs`` and the final value
+    ``final`` (None if not final): its total sampling weight, then the
+    running sum through each choice, stopping first, then the arcs.  The
+    total is ``sum()`` of the weights and each running sum adds one weight
+    to the last, as a draw has always added them; the last one is
+    infinite, so a pick that rounding leaves past every sum takes the last
+    choice.  SamplingError for a negative weight, or a total that is zero
+    or not finite."""
+    values = [arc[3] for arc in arcs]
+    if final is not None:
+        values.insert(0, final)
+    score = kernel.score
+    weights = values if score is None else list(map(score, values))
+    if weights and min(weights) < 0:
+        v = next(v for v, w in zip(values, weights) if w < 0)
+        raise SamplingError(f"negative sampling weight for {kernel.box(v)!r}")
+    total = sum(weights)
+    if total <= 0.0:
+        raise SamplingError(
+            f"sampling dead end at state {state}: all choices weigh zero")
+    if not total < math.inf:
+        raise SamplingError(
+            f"sampling at state {state}: its choices' sampling weights "
+            f"sum to {total!r}, so none can be drawn in proportion")
+    table = list(accumulate(weights, initial=0.0))
+    table[0], table[-1] = total, math.inf
+    return table
+
+
 def random_path(fst, seed=None, max_steps=10_000):
     """Sample an accepting path, arc choice proportional to sampling_weight.
 
     At a final state, stopping competes with the outgoing arcs using the
-    final weight's sampling weight.  Deterministic for a fixed seed.
-    SamplingError is raised for a negative sampling weight, and at a state
-    whose choices' sampling weights sum to zero or to a total that is not
-    finite (an infinite weight, or a sum that overflows).  ``max_steps``
-    is an integer of at least 0, else WfstError.
+    final weight's sampling weight.  Each choice is local, so on a machine
+    that is not locally normalized the samples do not follow the path
+    weights.  Deterministic for a fixed seed.  SamplingError is raised
+    for a negative sampling weight, and at a state whose choices'
+    sampling weights sum to zero or to a total that is not finite (an
+    infinite weight, or a sum that overflows).  ``max_steps`` is an
+    integer of at least 0, else WfstError.
+
+    Each state's choices are drawn by bisection over its sampling table
+    (``_sampling_table``), built on its first visit.  A machine on a
+    float kernel keeps its tables from call to call (see ``Fst``); on the
+    generic kernel they last one call.
     """
     import random
+    from bisect import bisect_right
 
     max_steps = _argument("max_steps", max_steps, integer=True)
     if fst.initial is None:
         raise NoAcceptingPathError("FST has no initial state")
     rng = random.Random(seed)
     kernel = _kernel(fst.semiring)
-    times, score = kernel.times, kernel.score
+    times = kernel.times
     finals, arcs_of = fst._finals, fst._arcs
+    if kernel.box is _same:  # a sampling weight may read mutable state
+        tables = {}
+    else:
+        tables = fst._tables
+        if tables is None:
+            tables = fst._tables = {}
     state = fst.initial
     taken = []  # (source, arc) pairs
     value = kernel.one
     for _ in range(max_steps):
-        # The choices: stopping (None) at a final state, then the arcs.
-        choices = arcs_of[state]
-        values = [arc[3] for arc in choices]
-        fw = finals.get(state)
-        if fw is not None:
-            choices = [None, *choices]
-            values.insert(0, fw)
-        weights = values if score is None else list(map(score, values))
-        if weights and min(weights) < 0:
-            v = next(v for v, w in zip(values, weights) if w < 0)
-            raise SamplingError(
-                f"negative sampling weight for {kernel.box(v)!r}")
-        total = sum(weights)
-        if total <= 0.0:
-            raise SamplingError(
-                f"sampling dead end at state {state}: all choices weigh zero"
-            )
-        if not total < math.inf:
-            raise SamplingError(
-                f"sampling at state {state}: its choices' sampling weights "
-                f"sum to {total!r}, so none can be drawn in proportion"
-            )
-        pick = rng.random() * total
-        running = 0.0
-        k = 0
-        for weight in weights:
-            running += weight
-            if pick < running:
-                break
-            k += 1
-        else:
+        table = tables.get(state)
+        if table is None:
+            table = tables[state] = _sampling_table(
+                kernel, state, arcs_of[state], finals.get(state))
+        # The first choice whose running sum passes the pick.
+        k = bisect_right(table, rng.random() * table[0], 1) - 1
+        if state in finals:
+            if k == 0:
+                return _read_path(fst, taken,
+                                  kernel.checked(times(value, finals[state])))
             k -= 1
-        arc = choices[k]
-        if arc is None:
-            return _read_path(fst, taken,
-                              kernel.checked(times(value, values[0])))
+        arc = arcs_of[state][k]
         taken.append((state, arc))
-        value = times(value, values[k])
+        value = times(value, arc[3])
         state = arc[0]
     raise CycleLimitError(f"random path exceeded {max_steps} steps")
 

@@ -422,13 +422,14 @@ def _losses(model, search, restricted, constants):
 
 def _searches(fst):
     """The one search that ``fst``'s forward and backward passes share:
-    ``_components`` from the initial state (None without one).  It reads
-    only the arcs' targets, so it holds for every set of values."""
-    from .algorithms import _components
+    the machine's kept forward search (None without an initial state).
+    It reads only the arcs' targets, so it holds for every set of values,
+    and each ``train`` step's model, rebuilt with new values, keeps it."""
+    from .algorithms import _kept_search
 
     if fst.initial is None:
         return None
-    return _components(fst._arcs, [fst.initial])
+    return _kept_search(fst)
 
 
 def _forward_backward(fst, search=None):

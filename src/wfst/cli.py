@@ -253,11 +253,18 @@ COMMANDS = {
 }
 
 
-def build_parser():
+def build_parser(argv=None):
+    """The argument parser.  When the first word of ``argv`` names a
+    command, only that command's subparser is built, which parses it as
+    the full parser would; otherwise (``-h``, no command or an unknown
+    one) all of them are, so that the help and the error list every
+    command."""
+    names = (argv[0],) if argv and argv[0] in COMMANDS else COMMANDS
     parser = _Parser(prog="wfst", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
-    for name, command in COMMANDS.items():
+    for name in names:
+        command = COMMANDS[name]
         p = sub.add_parser(name, help=command.help)
         if command.inputs:
             p.add_argument("inputs", nargs=command.inputs, metavar="FILE",
@@ -272,8 +279,9 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         fsts = [_load(path) for path in args.inputs]
         _write(args, COMMANDS[args.command].run(args, *fsts))

@@ -18,6 +18,28 @@ that any number of machines share: ``copy``, the rational operations and
 builds a machine fills the lists it creates; any other write goes
 through ``Fst._writable``, which first swaps a shared tuple for a list
 of the machine's own, so no write to one machine reaches another.
+
+A machine also keeps what the algorithms derive from its arcs, as
+OpenFST keeps its property bits, and drops it on any write that could
+change it:
+
+- the forward search from its initial state (``algorithms._components``),
+  recorded with that state, which ``sum_paths``, ``shortest_distance``,
+  ``shortest_path``, ``connect`` and training read.  ``_writable`` (so
+  ``add_arc``), ``add_state`` and ``set_initial_state`` drop it, and a
+  reassigned ``initial`` misses it.  ``copy`` and every algorithm that
+  keeps each arc's target and the initial state (``lift``, ``project``,
+  ``invert``, ``push``) hand it to their result, since it reads only the
+  targets;
+- on a float kernel only, each state's sampling table that
+  ``random_path`` has built: the running sums of its choices' sampling
+  weights and their total.  ``_writable`` and ``set_final_weight`` drop
+  them.  On the generic kernel a sampling weight may read mutable state
+  (a featurized semiring's ``weight_table``, say), so its tables last one
+  call.
+
+Reassigning ``semiring`` is unsupported: build the machine anew, or
+``lift`` it.
 """
 
 from collections import namedtuple
@@ -109,6 +131,8 @@ class Fst:
         self._arcs = []
         self.initial = None
         self._finals = {}  # final state -> kernel value
+        self._search = None  # (initial state, its forward search), or None
+        self._tables = None  # state -> its sampling table, or None
 
     @property
     def finals(self):
@@ -149,6 +173,7 @@ class Fst:
     def add_state(self):
         """Add a new state and return its id (consecutive from 0)."""
         self._arcs.append([])
+        self._search = None
         return len(self._arcs) - 1
 
     def add_arc(self, from_state, to_state, weight=None,
@@ -167,7 +192,10 @@ class Fst:
 
     def _writable(self, state):
         """``state``'s arc list, ready for an in-place write: a shared
-        tuple is first replaced by a list copy that this machine owns."""
+        tuple is first replaced by a list copy that this machine owns.  A
+        write may change a target or a choice, so what the machine keeps
+        goes."""
+        self._search = self._tables = None
         arcs = self._arcs[state]
         if arcs.__class__ is tuple:
             arcs = self._arcs[state] = list(arcs)
@@ -177,11 +205,13 @@ class Fst:
         """Set the (single) initial state, replacing any previous one."""
         self._check_state(state)
         self.initial = state
+        self._search = None
 
     def set_final_weight(self, state, weight):
         """Set a state's final weight; weight zero makes it non-final."""
         self._check_state(state)
         weight = self.semiring.cast(weight)
+        self._tables = None
         if weight == self.semiring.zero:
             self._finals.pop(state, None)
         else:
@@ -201,11 +231,13 @@ class Fst:
         """An independent machine with the same states, arcs and weights.
         The two share each state's arcs as one tuple, made once from a
         list (``tuple()`` of a tuple is that tuple); a later write to
-        either machine copies only the state that it touches."""
+        either machine copies only the state that it touches.  The copy
+        keeps the forward search too, which no write changes in place."""
         out = Fst(self.semiring)
         out._arcs = list(map(tuple, self._arcs))
         out.initial = self.initial
         out._finals = dict(self._finals)
+        out._search = self._search
         return out
 
     def validate(self):

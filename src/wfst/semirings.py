@@ -351,18 +351,23 @@ def _float_semiring(semiring, plus, times, zero, one, divide, star=None,
     weights and its kernel, whose values are its weights' plain floats."""
     new = object.__new__
 
-    def checked(value):
-        # The values are floats already, so __init__'s float() is skipped.
-        if value != value:  # NaN, the one float that is no member
-            raise _not_a_member(semiring, semiring(value))
+    def box(value):
+        # The values are floats already, so __init__'s checks are skipped.
         weight = new(semiring)
         weight.value = value
         return weight
 
-    semiring.zero, semiring.one = semiring(zero), semiring(one)
+    def checked(value):
+        if value != value:  # NaN, the one float that is no member
+            raise _not_a_member(semiring, box(value))
+        weight = new(semiring)
+        weight.value = value
+        return weight
+
+    semiring.zero, semiring.one = box(zero), box(one)
     semiring._float_kernel = _Kernel(
         plus, times, zero, one, star, divide, _quantize,
-        operator.attrgetter("value"), semiring, checked, score)
+        operator.attrgetter("value"), box, checked, score)
 
 
 def _same(value):
@@ -432,18 +437,27 @@ def _float_text(v):
 
 class _NumericWeight(AbstractSemiringWeight):
     """Shared plumbing for the real / min / max / tropical / diff semirings:
-    a float ``value``, equality within the exact class, NaN is no member."""
+    a float ``value``, equality within the exact class, NaN is no member.
+
+    The constructor reads a raw value as ``cast`` does: a bool is the
+    semiring's one or zero, any other real number its float, and anything
+    else (a numeric string, say) raises SemiringMismatchError.  Unlike
+    ``cast``, it does not refuse a NaN."""
 
     has_division = True
     has_power = True
     __slots__ = ("value",)
 
     def __init__(self, value):
-        try:
-            self.value = float(value)
-        except (TypeError, ValueError):
-            raise SemiringMismatchError(
-                f"cannot cast {value!r} to the {self.name} semiring") from None
+        if value.__class__ is not float:
+            if value.__class__ is bool:
+                value = (self.one if value else self.zero).value
+            elif isinstance(value, numbers.Real):
+                value = float(value)
+            else:
+                raise SemiringMismatchError(
+                    f"cannot cast {value!r} to the {self.name} semiring")
+        self.value = value
 
     def __eq__(self, other):
         return other.__class__ is self.__class__ and self.value == other.value
@@ -490,8 +504,8 @@ class _NumericWeight(AbstractSemiringWeight):
 
     @classmethod
     def _cast_raw(cls, value):
-        if isinstance(value, numbers.Real):
-            return cls(float(value))
+        if value.__class__ is float or isinstance(value, numbers.Real):
+            return cls(value)
         return None
 
 

@@ -25,10 +25,12 @@ def plant_arc(fst, arc, index=None):
 def plant_final(fst, state, weight):
     """Write ``weight`` as ``state``'s final weight in ``fst``, past
     ``set_final_weight``'s gate, in the stored form, as ``plant_arc``
-    writes an arc."""
+    writes an arc, and drops the sampling tables as ``set_final_weight``
+    does."""
     if weight.__class__ is fst.semiring:
         weight = _unbox(fst.semiring)(weight)
     fst._finals[state] = weight
+    fst._tables = None
 
 
 def build_hello_world_troll():

@@ -1944,7 +1944,8 @@ class TestFloatKernels:
     def test_kernels_are_declared_not_inherited(self):
         w = RealWeight(2.0)
         assert _kernel(RealWeight).unbox(w) == 2.0
-        assert _kernel(TropicalWeight).box is TropicalWeight
+        boxed = _kernel(TropicalWeight).box(2.0)
+        assert type(boxed) is TropicalWeight and boxed.value == 2.0
         for subclass in (CountingWeight, StarlessReal):
             kernel = _kernel(subclass)
             assert kernel.unbox(w) is w

@@ -597,3 +597,41 @@ class TestDelta:
         assert err.startswith("usage: wfst print ")
         assert "wfst print: error: unrecognized arguments: --delta 0.1" in err
         assert "shortestdistance" not in err
+
+
+class TestOneSubparser:
+    """``build_parser(argv)`` builds only the command that ``argv`` names;
+    it must parse, help and fail byte for byte as the full parser does."""
+
+    @staticmethod
+    def outcome(parser, argv, capsys):
+        try:
+            result = vars(parser.parse_args(argv))
+            code = None
+        except SystemExit as exc:
+            result, code = None, exc.code
+        out, err = capsys.readouterr()
+        return result, code, out, err
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    @pytest.mark.parametrize("tail", [["--help"], [], ["--bogus"]])
+    def test_matches_the_full_parser(self, name, tail, capsys):
+        argv = [name, *tail]
+        full = self.outcome(build_parser(), argv, capsys)
+        assert self.outcome(build_parser(argv), argv, capsys) == full
+        if tail:
+            code = 0 if tail == ["--help"] else 1
+            assert full[1] == code and f"usage: wfst {name}" in full[2] + full[3]
+        else:  # a missing argument
+            assert full[1] == 1 and "required" in full[3]
+
+    @pytest.mark.parametrize("argv", [[], ["-h"], ["frobnicate"],
+                                      ["--out", "x", "print", "-"]])
+    def test_builds_every_command_without_one_named(self, argv):
+        usage = build_parser(argv).format_usage()
+        assert usage == build_parser().format_usage()
+        assert "{" + ",".join(COMMANDS) + "}" in usage
+
+    def test_builds_only_the_named_command(self):
+        usage = build_parser(["print", "-"]).format_usage()
+        assert usage == "usage: wfst [-h] {print} ...\n"

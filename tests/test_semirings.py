@@ -1,5 +1,6 @@
 import math
 import operator
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -513,6 +514,38 @@ class TestRawConstruction:
         with pytest.raises(SemiringMismatchError) as got:
             semiring(value)
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("semiring", NUMERIC, ids=lambda cls: cls.name)
+    def test_a_bool_is_one_or_zero_as_cast_reads_it(self, semiring):
+        # MinWeight(True) was a cost of 1 and MaxWeight(False) max's one.
+        assert semiring(True) == semiring.cast(True) == semiring.one
+        assert semiring(False) == semiring.cast(False) == semiring.zero
+        assert type(semiring(True).value) is float
+
+    @pytest.mark.parametrize("semiring", NUMERIC, ids=lambda cls: cls.name)
+    @pytest.mark.parametrize("value", ["1.5", "inf", b"2", Decimal("1.5")])
+    def test_a_numeric_string_raises_what_cast_raises(self, semiring, value):
+        # RealWeight("1.5") was RealWeight(1.5).
+        with pytest.raises(SemiringMismatchError) as want:
+            semiring.cast(value)
+        with pytest.raises(SemiringMismatchError) as got:
+            semiring(value)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("semiring", NUMERIC, ids=lambda cls: cls.name)
+    @pytest.mark.parametrize("value", [2, 2.5, Fraction(5, 2), -math.inf])
+    def test_a_real_number_is_its_float(self, semiring, value):
+        weight = semiring(value)
+        assert type(weight.value) is float and weight.value == float(value)
+        assert weight == semiring.cast(value)
+
+    def test_the_diff_semiring_is_unaffected(self):
+        sr = make_diff_semiring()
+        assert sr.cast(True) is sr.one and sr.cast(False) is sr.zero
+        node = sr.tape.constant(1.5)
+        assert sr(node).node is node and sr(node).value == 1.5
+        with pytest.raises(SemiringMismatchError):
+            sr.cast("1.5")
 
 
 class TestDiffIsNumeric:

@@ -22,7 +22,8 @@ from .errors import (
     UnsupportedOperationError,
     WfstError,
 )
-from .fst import EPSILON, Fst, _read_path, enumerate_paths, label_str
+from .fst import (EPSILON, Fst, _frozen, _read_path, enumerate_paths,
+                  label_str)
 from .semirings import (
     DEFAULT_DELTA,
     _argument,
@@ -30,6 +31,7 @@ from .semirings import (
     _kernel,
     _NumericWeight,
     _same,
+    _seeded,
     _unbox,
 )
 
@@ -58,8 +60,8 @@ def _default_cast(source, target):
 
 def _rebuilt(fst, semiring, arcs, finals):
     """A new FST over ``semiring`` with ``fst``'s states and initial state,
-    the arc lists ``arcs`` as given and a copy of the final values dict.
-    Each list of ``arcs`` has the targets of ``fst``'s, so the new machine
+    the table ``arcs`` as given and a copy of the final values dict.
+    Each state of ``arcs`` has the targets of ``fst``'s, so the new machine
     keeps ``fst``'s forward search."""
     out = Fst(semiring)
     out._arcs = arcs
@@ -77,7 +79,7 @@ def lift(fst, target_semiring, cast=None):
     ``cast``, a numeric weight lifted into a semiring with a float kernel
     keeps its value, which passes the same gate (a NaN raises
     InvalidWeightError) without a call to ``cast``; between two float
-    kernels each state's arcs are shared, as ``Fst.copy`` shares them.  A
+    kernels the table of arcs is shared, as ``Fst.copy`` shares it.  A
     final weight that lifts to zero (a cost of 0 lifted to a real, say) is
     left out.
     """
@@ -89,7 +91,7 @@ def lift(fst, target_semiring, cast=None):
                     for arcs in fst._arcs]
             finals = {s: w.value for s, w in fst._finals.items()}
         else:
-            arcs = list(map(tuple, fst._arcs))
+            arcs = _frozen(fst._arcs)
             finals = fst._finals
         _gate_arcs(kernel, arcs)
     else:
@@ -128,15 +130,16 @@ def _coerce(*fsts):
 
 
 def _copy_into(dst, src):
-    """Append src's states and arcs to dst, targets renumbered by dst's
-    state count; return that offset.  At offset 0 no arc changes, so
-    each state's arcs are shared as a tuple, as ``Fst.copy`` shares them;
-    otherwise dst owns the renumbered lists."""
+    """Append src's states and arcs to dst's list table, each state's
+    arcs a tuple, targets renumbered by dst's state count; return that
+    offset.  At offset 0 no arc changes, so src's states are shared, as
+    ``Fst.copy`` shares them: from a tuple table by reference, without a
+    call per state."""
     offset = dst.num_states
     if offset == 0:
-        dst._arcs.extend(map(tuple, src._arcs))
+        dst._arcs.extend(_frozen(src._arcs))
     else:
-        dst._arcs.extend([(offset + t, i, o, v) for t, i, o, v in arcs]
+        dst._arcs.extend(tuple([(offset + t, i, o, v) for t, i, o, v in arcs])
                          for arcs in src._arcs)
     return offset
 
@@ -147,7 +150,9 @@ def union(*fsts):
 
     As in OpenFST, the first operand keeps its state ids, the others
     follow in argument order, and one new start state, numbered last, has
-    an epsilon arc to each operand's start, in argument order.
+    an epsilon arc to each operand's start, in argument order.  The
+    result's table is a tuple, so a pairwise fold copies one pointer per
+    earlier state.
     """
     if not fsts:
         raise WfstError("union needs at least one FST")
@@ -157,9 +162,10 @@ def union(*fsts):
     out = Fst(sr)
     offsets = [_copy_into(out, side) for side in fsts]
     out.initial = out.num_states
-    out._arcs.append([(offset + side.initial, EPSILON, EPSILON, one)
-                      for side, offset in zip(fsts, offsets)
-                      if side.initial is not None])
+    out._arcs.append(tuple([(offset + side.initial, EPSILON, EPSILON, one)
+                            for side, offset in zip(fsts, offsets)
+                            if side.initial is not None]))
+    out._arcs = tuple(out._arcs)
     out._finals.update(fsts[0]._finals)  # at offset 0
     for side, offset in zip(fsts[1:], offsets[1:]):
         for state, value in side._finals.items():
@@ -182,6 +188,7 @@ def concat(a, b):
                 (target, EPSILON, EPSILON, value))
     for state, value in b._finals.items():
         out._finals[offset_b + state] = value
+    out._arcs = _frozen(out._arcs)
     return out
 
 
@@ -200,6 +207,7 @@ def closure(a):
     for state, value in a._finals.items():
         out._writable(offset + state).append(
             (start, EPSILON, EPSILON, value))
+    out._arcs = _frozen(out._arcs)
     return out
 
 
@@ -1132,13 +1140,12 @@ def random_path(fst, seed=None, max_steps=10_000):
     float kernel keeps its tables from call to call (see ``Fst``); on the
     generic kernel they last one call.
     """
-    import random
     from bisect import bisect_right
 
     max_steps = _argument("max_steps", max_steps, integer=True)
     if fst.initial is None:
         raise NoAcceptingPathError("FST has no initial state")
-    rng = random.Random(seed)
+    rng = _seeded(seed)
     kernel = _kernel(fst.semiring)
     times = kernel.times
     finals, arcs_of = fst._finals, fst._arcs

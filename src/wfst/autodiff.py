@@ -30,6 +30,7 @@ restricted machines and solves them and the model's total once.
 """
 
 import math
+import numbers
 
 from .errors import (
     DivisionByZeroError,
@@ -66,7 +67,14 @@ class GradientTape:
         self.parameters = set()
 
     def record(self, value, parents=(), partials=()):
-        node = TapeNode(float(value), tuple(parents), tuple(partials),
+        """A new node of ``value``, a real number (else InvalidWeightError),
+        with its parents and the partials toward them."""
+        try:
+            value = float(value)
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidWeightError(
+                f"a tape value must be a real number, got {value!r}") from None
+        node = TapeNode(value, tuple(parents), tuple(partials),
                         len(self.nodes))
         self.nodes.append(node)
         return node
@@ -116,6 +124,10 @@ class _DiffWeightBase(_NumericWeight):
     __slots__ = ("node",)
 
     def __init__(self, node):
+        if not isinstance(node, TapeNode):
+            raise SemiringMismatchError(
+                f"a {self.name} weight is built from a tape node, got "
+                f"{node!r}; use cast, constant or parameter")
         self.node = node
         self.value = node.value
 
@@ -144,10 +156,12 @@ class _DiffWeightBase(_NumericWeight):
         return type(self)(node)
 
     def __pow__(self, n):
-        # Any finite real exponent of at least 0; a whole one rounds as a
-        # real weight's power does.
-        n = _argument(f"the exponent of a {self.name} power", n, zero=True,
-                      error=UnsupportedOperationError)
+        # Any whole exponent of at least 0, past the float range too, or
+        # any finite real one; a whole one rounds as a real weight's power
+        # does.
+        if not (isinstance(n, numbers.Integral) and n >= 0):
+            n = _argument(f"the exponent of a {self.name} power", n,
+                          zero=True, error=UnsupportedOperationError)
         if n == 0:
             return type(self).one
         value = self.value
@@ -165,6 +179,9 @@ class _DiffWeightBase(_NumericWeight):
 
     @classmethod
     def star(cls, a):
+        if not isinstance(a, _DiffWeightBase):
+            raise SemiringMismatchError(
+                f"cannot take the {cls.name} star of {a!r}")
         value = _real_star(a.value)
         # d/da 1 / (1 - a) = 1 / (1 - a)²
         return cls(cls.tape.record(value, (a.node,), (value * value,)))
@@ -212,12 +229,12 @@ class _DiffWeightBase(_NumericWeight):
 
     @classmethod
     def constant(cls, value):
-        return cls(cls.tape.constant(float(value)))
+        return cls(cls.tape.constant(value))
 
     @classmethod
     def parameter(cls, value):
         """A trainable leaf weight."""
-        return cls(cls.tape.parameter(float(value)))
+        return cls(cls.tape.parameter(value))
 
 
 def make_diff_semiring(tape=None):

@@ -12,12 +12,19 @@ values too, and the read-only ``finals`` mapping boxes them on read.
 ``enumerate_paths`` walks those values on the semiring's kernel, as the
 path queries in ``algorithms`` do, and boxes only the paths it returns.
 
-A state's arc storage is either a list that its machine owns or a tuple
-that any number of machines share: ``copy``, the rational operations and
-``lift`` keep the arcs they do not change as such tuples.  Code that
-builds a machine fills the lists it creates; any other write goes
-through ``Fst._writable``, which first swaps a shared tuple for a list
-of the machine's own, so no write to one machine reaches another.
+The same storage rule holds at two levels.  A machine's table
+(``_arcs``) is either a list that the machine owns or a tuple of state
+tuples that any number of machines share, and so is each state's arc
+storage in a list table.  ``copy`` and ``lift`` between float kernels
+hand a tuple table on as it is, so ``copy()`` of a shared machine copies
+only its final weights, and build one once from a list table; ``union``,
+``concat`` and ``closure`` return tuple tables, so a pairwise ``union``
+fold copies one pointer per earlier state.  Code that builds a machine
+fills the lists it creates; any other write goes through ``add_state``
+or ``Fst._writable``, which first swap a shared table, then a shared
+state tuple, for a list of the machine's own, so no write to one machine
+reaches another.  A list inside a tuple table would be shared and
+written through, so ``validate`` refuses one.
 
 A machine also keeps what the algorithms derive from its arcs, as
 OpenFST keeps its property bits, and drops it on any write that could
@@ -128,7 +135,7 @@ class Fst:
 
     def __init__(self, semiring=BooleanWeight):
         self.semiring = semiring
-        self._arcs = []
+        self._arcs = []  # its own list, or a shared tuple of tuples
         self.initial = None
         self._finals = {}  # final state -> kernel value
         self._search = None  # (initial state, its forward search), or None
@@ -172,6 +179,8 @@ class Fst:
 
     def add_state(self):
         """Add a new state and return its id (consecutive from 0)."""
+        if self._arcs.__class__ is tuple:
+            self._arcs = list(self._arcs)
         self._arcs.append([])
         self._search = None
         return len(self._arcs) - 1
@@ -192,10 +201,12 @@ class Fst:
 
     def _writable(self, state):
         """``state``'s arc list, ready for an in-place write: a shared
-        tuple is first replaced by a list copy that this machine owns.  A
-        write may change a target or a choice, so what the machine keeps
-        goes."""
+        table, then a shared tuple, is first replaced by a list copy that
+        this machine owns.  A write may change a target or a choice, so
+        what the machine keeps goes."""
         self._search = self._tables = None
+        if self._arcs.__class__ is tuple:
+            self._arcs = list(self._arcs)
         arcs = self._arcs[state]
         if arcs.__class__ is tuple:
             arcs = self._arcs[state] = list(arcs)
@@ -229,12 +240,14 @@ class Fst:
 
     def copy(self):
         """An independent machine with the same states, arcs and weights.
-        The two share each state's arcs as one tuple, made once from a
-        list (``tuple()`` of a tuple is that tuple); a later write to
-        either machine copies only the state that it touches.  The copy
-        keeps the forward search too, which no write changes in place."""
+        The copy shares this machine's table if it is a tuple, in
+        constant time; else it gets a tuple of each state's arcs as a
+        tuple, made once from a list (``tuple()`` of a tuple is that
+        tuple).  A later write to either machine copies the table and the
+        state that it touches.  The copy keeps the forward search too,
+        which no write changes in place."""
         out = Fst(self.semiring)
-        out._arcs = list(map(tuple, self._arcs))
+        out._arcs = _frozen(self._arcs)
         out.initial = self.initial
         out._finals = dict(self._finals)
         out._search = self._search
@@ -252,6 +265,11 @@ class Fst:
         n = len(self._arcs)
         if self.initial is not None and not 0 <= self.initial < n:
             raise InvalidStateError(f"initial state {self.initial} unknown")
+        if self._arcs.__class__ is tuple:
+            for state, arcs in enumerate(self._arcs):
+                if arcs.__class__ is not tuple:
+                    raise InvalidStateError(
+                        f"state {state}'s arcs are a list in a shared table")
         for target in [arc[0] for arcs in self._arcs for arc in arcs]:
             if not 0 <= target < n:
                 raise InvalidStateError(f"arc target {target} unknown")
@@ -273,6 +291,13 @@ class Fst:
             f"arcs={self.num_arcs} initial={self.initial} "
             f"finals={sorted(self._finals)}>"
         )
+
+
+def _frozen(table):
+    """``table``, a machine's ``_arcs``, as a tuple of tuples that any
+    number of machines may share: a tuple table as it is, a list table
+    copied once."""
+    return table if table.__class__ is tuple else tuple(map(tuple, table))
 
 
 def fst_from_sequence(labels, semiring=BooleanWeight):

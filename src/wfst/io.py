@@ -15,10 +15,11 @@ is the semiring's one; epsilon renders as "ε".
 """
 
 from collections import deque
+from operator import methodcaller
 
-from .errors import FstParseError
+from .errors import FstParseError, InvalidWeightError
 from .fst import MAX_LABEL, Fst, label_str
-from .semirings import BUILTIN_SEMIRINGS, _box, _unbox
+from .semirings import BUILTIN_SEMIRINGS, _float_text, _same, _unbox
 
 
 def render_text(fst):
@@ -28,13 +29,14 @@ def render_text(fst):
         f"#initial {fst.initial if fst.initial is not None else '-'}",
         f"#states {fst.num_states}",
     ]
-    box = _box(fst.semiring)
+    # A float kernel's value is written as its weight's text() writes it.
+    text = (methodcaller("text") if _unbox(fst.semiring) is _same
+            else _float_text)
     for source, arcs in enumerate(fst._arcs):
         for target, ilabel, olabel, value in arcs:
-            lines.append(
-                f"{source} {target} {ilabel} {olabel} {box(value).text()}")
+            lines.append(f"{source} {target} {ilabel} {olabel} {text(value)}")
     for state in sorted(fst._finals):
-        lines.append(f"{state} {box(fst._finals[state]).text()}")
+        lines.append(f"{state} {text(fst._finals[state])}")
     return "\n".join(lines) + "\n"
 
 
@@ -72,7 +74,7 @@ def parse_text(document, semirings=None):
                         line=lineno,
                     )
                 semiring = registry[value]
-                unbox = _unbox(semiring)
+                read = _weight_reader(semiring)
             elif line.startswith("#initial"):
                 try:
                     initial = None if value == "-" else int(value)
@@ -97,15 +99,14 @@ def parse_text(document, semirings=None):
             if not (0 <= ilabel <= MAX_LABEL and 0 <= olabel <= MAX_LABEL):
                 raise FstParseError(f"label out of 64-bit range in {line!r}",
                                     line=lineno)
-            weight = _parse_weight(semiring, fields[4], lineno)
-            arcs.append((src, (dst, ilabel, olabel, unbox(weight)), lineno))
+            arcs.append((src, (dst, ilabel, olabel, read(fields[4], lineno)),
+                         lineno))
         elif len(fields) == 2:
             try:
                 state = int(fields[0])
             except ValueError:
                 raise FstParseError(f"bad final record {line!r}", line=lineno)
-            weight = _parse_weight(semiring, fields[1], lineno)
-            finals.append((state, weight, lineno))
+            finals.append((state, read(fields[1], lineno), lineno))
         else:
             raise FstParseError(
                 f"expected 5 fields (arc) or 2 (final), got {len(fields)}",
@@ -134,18 +135,45 @@ def parse_text(document, semirings=None):
             raise FstParseError(f"arc references unknown state {unknown}",
                                 line=lineno)
         table[src].append(arc)
-    for state, weight, lineno in finals:
+    zero = _unbox(semiring)(semiring.zero)
+    for state, value, lineno in finals:
         if not 0 <= state < num_states:
             raise FstParseError(f"final state {state} out of range", line=lineno)
-        fst.set_final_weight(state, weight)
+        if value == zero:  # as set_final_weight, a zero weight unsets
+            fst._finals.pop(state, None)
+        else:
+            fst._finals[state] = value
     return fst
 
 
-def _parse_weight(semiring, text, lineno):
-    try:
-        return semiring.cast(semiring.from_text(text))
-    except Exception as exc:
-        raise FstParseError(str(exc), line=lineno)
+def _weight_reader(semiring):
+    """The function that reads a weight's text on line ``lineno`` as its
+    stored value, raising FstParseError.  A float kernel reads it with
+    ``float()`` and one NaN test, as its ``from_text`` and ``cast`` would
+    without building the weight; any other semiring calls those two."""
+    kernel = semiring.__dict__.get("_float_kernel")
+    if kernel is None:
+        def read(text, lineno):
+            try:
+                return semiring.cast(semiring.from_text(text))
+            except Exception as exc:
+                raise FstParseError(str(exc), line=lineno)
+        return read
+    checked = kernel.checked
+
+    def read(text, lineno):
+        try:
+            value = float(text)
+        except ValueError:
+            raise FstParseError(f"bad {semiring.name} weight {text!r}",
+                                line=lineno)
+        if value != value:
+            try:
+                checked(value)  # raises the membership error
+            except InvalidWeightError as exc:
+                raise FstParseError(str(exc), line=lineno)
+        return value
+    return read
 
 
 def _edge_label(arc, one):

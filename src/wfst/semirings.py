@@ -31,6 +31,7 @@ weight (``checked``).
 import math
 import numbers
 import operator
+import sys
 from collections import Counter, namedtuple
 
 from .errors import (
@@ -46,19 +47,31 @@ DEFAULT_DELTA = 1.0 / 1024
 
 
 def _argument(name, value, integer=False, error=WfstError, zero=False):
-    """``value`` if it is a finite number above 0 (at least 0, with
-    ``zero``) or, for an ``integer``, a whole number of at least 0 (as an
-    int); else ``error``, naming it."""
+    """``value`` if it is a number above 0 (at least 0, with ``zero``)
+    within the float range or, for an ``integer``, a whole number of at
+    least 0 (as an int); else ``error``, naming it."""
     if integer:
         if (isinstance(value, numbers.Integral) or isinstance(value, float)
                 and value.is_integer()) and value >= 0:
             return int(value)
         raise error(f"{name} must be an integer of at least 0, got {value!r}")
-    if (isinstance(value, numbers.Real) and value < math.inf
+    if (isinstance(value, numbers.Real) and value <= sys.float_info.max
             and (0 <= value if zero else 0 < value)):
         return value
     bound = "of at least 0" if zero else "above 0"
     raise error(f"{name} must be a finite number {bound}, got {value!r}")
+
+
+def _seeded(seed):
+    """``random.Random(seed)``; a seed of a type it refuses raises
+    WfstError."""
+    import random
+
+    try:
+        return random.Random(seed)
+    except TypeError:
+        raise WfstError("seed must be None, an int, a float, a str or "
+                        f"bytes, got {seed!r}") from None
 
 
 def _exponent(weight, n):
@@ -178,6 +191,7 @@ class AbstractSemiringWeight:
         )
 
     def approx_eq(self, other, delta=DEFAULT_DELTA):
+        _argument("delta", delta)
         return self == other
 
     def quantize(self, delta=DEFAULT_DELTA):
@@ -441,8 +455,9 @@ class _NumericWeight(AbstractSemiringWeight):
 
     The constructor reads a raw value as ``cast`` does: a bool is the
     semiring's one or zero, any other real number its float, and anything
-    else (a numeric string, say) raises SemiringMismatchError.  Unlike
-    ``cast``, it does not refuse a NaN."""
+    else (a numeric string, say) raises SemiringMismatchError, and one
+    beyond the float range InvalidWeightError.  Unlike ``cast``, it does
+    not refuse a NaN."""
 
     has_division = True
     has_power = True
@@ -453,7 +468,11 @@ class _NumericWeight(AbstractSemiringWeight):
             if value.__class__ is bool:
                 value = (self.one if value else self.zero).value
             elif isinstance(value, numbers.Real):
-                value = float(value)
+                try:
+                    value = float(value)
+                except OverflowError:
+                    raise InvalidWeightError(
+                        f"{value!r} is beyond the float range") from None
             else:
                 raise SemiringMismatchError(
                     f"cannot cast {value!r} to the {self.name} semiring")
@@ -475,6 +494,7 @@ class _NumericWeight(AbstractSemiringWeight):
 
     def approx_eq(self, other, delta=DEFAULT_DELTA):
         other = self._coerce(other)
+        delta = _argument("delta", delta)
         if self.value == other.value:  # covers matching infinities
             return True
         return abs(self.value - other.value) < delta
@@ -533,6 +553,9 @@ class RealWeight(_NumericWeight):
 
     @classmethod
     def star(cls, a):
+        if not isinstance(a, _NumericWeight):
+            raise SemiringMismatchError(
+                f"cannot take the {cls.name} star of {a!r}")
         return cls(_real_star(a.value))
 
     def __add__(self, other):
@@ -676,7 +699,12 @@ class FeaturizedWeight(AbstractSemiringWeight):
             self.features = Counter()
             self._hash = hash(_ZERO_HASH)
             return
-        counts = Counter(features if features is not None else ())
+        try:
+            counts = Counter(features if features is not None else ())
+        except TypeError:
+            raise InvalidWeightError(
+                f"featurized weight needs a mapping of feature counts, got "
+                f"{features!r}") from None
         for key, count in counts.items():
             if not isinstance(count, int) or count < 0:
                 raise InvalidWeightError(
@@ -739,6 +767,7 @@ class FeaturizedWeight(AbstractSemiringWeight):
 
     def approx_eq(self, other, delta=DEFAULT_DELTA):
         other = self._coerce(other)
+        delta = _argument("delta", delta)
         if self.is_zero or other.is_zero:
             return self.is_zero and other.is_zero
         a, b = self.features, other.features
@@ -866,13 +895,11 @@ def check_semiring_axioms(semiring, sample_count=1000, delta=DEFAULT_DELTA,
     ``max_violations`` are integers of at least 0 and ``delta`` a finite
     number above 0, else WfstError.
     """
-    import random as _random
-
     sample_count = _argument("sample_count", sample_count, integer=True)
     max_violations = _argument("max_violations", max_violations, integer=True)
     delta = _argument("delta", delta)
 
-    rng = _random.Random(seed)
+    rng = _seeded(seed)
     report = AxiomReport(semiring=semiring.name, samples=sample_count)
     zero, one = semiring.zero, semiring.one
     is_path = "path" in semiring.semiring_properties

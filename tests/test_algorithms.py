@@ -245,9 +245,10 @@ class TestClosure:
 
 class TestSharedArcs:
     """Copies, the rational operations and lift share the arc storage of
-    the states they keep unchanged, and a write to one machine reaches no
-    other: each operand takes an add_arc on every state, then the result
-    a plant_arc on every state, and every other machine reads as before."""
+    the states they keep unchanged, or the whole table, and a write to one
+    machine reaches no other: each operand takes an add_state and then an
+    add_arc on every state, the result an add_state and then a plant_arc
+    on every state, and every other machine reads as before."""
 
     OPERATIONS = {
         "copy": lambda a, b: ([a], a.copy()),
@@ -257,6 +258,12 @@ class TestSharedArcs:
         "concat(a, a)": lambda a, b: ([a], concat(a, a)),
         "closure(a)": lambda a, b: ([a], closure(a)),
         "lift(a, MinWeight)": lambda a, b: ([a], lift(a, MinWeight)),
+        "union(union(a, b), a)": lambda a, b: (
+            [a, b, u := union(a, b)], union(u, a)),
+        "union(a, b).copy()": lambda a, b: (
+            [a, b, u := union(a, b)], u.copy()),
+        "lift(union(a, b), MinWeight)": lambda a, b: (
+            [a, b, u := union(a, b)], lift(u, MinWeight)),
     }
 
     @staticmethod
@@ -277,27 +284,29 @@ class TestSharedArcs:
             operands, result = self.OPERATIONS[operation](a, b)
             assert [render_text(a), render_text(b)] == before
             machines = operands + [result]
-            writes = [self.add_arcs] * len(operands) + [self.plant_arcs]
-            for k, write in enumerate(writes):
-                texts = [render_text(f) for f in machines]
-                write(machines[k])
-                after = [render_text(f) for f in machines]
-                assert after[k] != texts[k]
-                del texts[k], after[k]
-                assert after == texts
-                assert all(f.validate() for f in machines)
+            for k, f in enumerate(machines):
+                arcs = self.plant_arcs if f is result else self.add_arcs
+                for write in (Fst.add_state, arcs):
+                    texts = [render_text(g) for g in machines]
+                    write(f)
+                    after = [render_text(g) for g in machines]
+                    assert after[k] != texts[k]
+                    del texts[k], after[k]
+                    assert after == texts
+                    assert all(g.validate() for g in machines)
 
     def test_a_pairwise_fold_shares_the_first_operands_storage(self):
         first, second, third = (fst_from_sequence(w, RealWeight)
                                 for w in ("ab", "cd", "ef"))
         folded = union(first, second)
         last = union(folded, third)
-        # The states that folded shares with first are shared on, as the
-        # same objects; the rest are copied once, into a tuple.
+        # A union's table is a tuple of tuples, and the next union shares
+        # every state of it, as the same objects; a copy shares the table.
+        assert type(folded._arcs) is type(last._arcs) is tuple
         for state in range(folded.num_states):
-            assert (last._arcs[state] is folded._arcs[state]) == (
-                state < first.num_states)
-            assert last._arcs[state] == tuple(folded._arcs[state])
+            assert last._arcs[state] is folded._arcs[state]
+        for f in (folded, last):
+            assert f.copy()._arcs is f._arcs
 
 
 class TestCompose:

@@ -434,6 +434,15 @@ class TestInvariants:
         with pytest.raises(InvalidStateError):
             f.validate()
 
+    def test_validate_catches_a_list_in_a_shared_table(self):
+        # A tuple table is shared, so a list in it would be written
+        # through by a machine that shares it.
+        f = fst_from_sequence("abc", RealWeight).copy()
+        assert type(f._arcs) is tuple and f.validate()
+        f._arcs = f._arcs[:2] + (list(f._arcs[2]),) + f._arcs[3:]
+        with pytest.raises(InvalidStateError, match="state 2's arcs"):
+            f.validate()
+
 
 def every_builtin_semiring():
     return [BooleanWeight, RealWeight, MinWeight, MaxWeight, TropicalWeight,

@@ -1,7 +1,8 @@
 """What a machine keeps between queries: its forward search and, on a
 float kernel, its sampling tables.  Every answer read through them must
 equal the answer of a machine rebuilt from ``all_arcs()``, which keeps
-nothing, after any write."""
+nothing, after any write; and a write to one machine must reach no other
+that shares its storage."""
 
 import pytest
 from hypothesis import settings
@@ -11,7 +12,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize,
 
 from wfst import (Fst, MinWeight, RealWeight, connect, featurized_semiring,
                   lift, random_path, shortest_distance, shortest_path,
-                  sum_paths)
+                  sum_paths, union)
 from wfst.algorithms import _components, _sampling_table
 from wfst.errors import WfstError
 from wfst.fst import Arc
@@ -155,11 +156,17 @@ WEIGHTS = st.sampled_from([0.125, 0.25, 0.5, 1.0, 2.0])
 LABELS = st.sampled_from("abc")
 
 
+def stored(f):
+    """What ``f`` stores, as plain values to compare."""
+    return f.initial, [tuple(arcs) for arcs in f._arcs], dict(f._finals)
+
+
 class KeptDataMachine(RuleBasedStateMachine):
-    """Random writes and queries on a few machines, some sharing arcs
-    (``copy``, ``lift``).  After every step each machine's kept search
-    and sampling tables equal fresh ones; each query equals its answer on
-    a rebuilt machine."""
+    """Random writes and queries on a few machines, some sharing arcs or
+    whole tables (``copy``, ``lift``, ``union``).  After every step each
+    machine's kept search and sampling tables equal fresh ones, and every
+    machine but the one the step wrote to stores what it stored before;
+    each query equals its answer on a rebuilt machine."""
 
     @initialize(semiring=st.sampled_from([RealWeight, MinWeight]),
                 states=st.integers(1, 4))
@@ -170,23 +177,26 @@ class KeptDataMachine(RuleBasedStateMachine):
         f.set_initial_state(0)
         f.set_final_weight(states - 1, 1.0)
         self.machines = [f]
+        self.stored, self.picked = [], None
 
-    def pick(self, data):
-        return data.draw(st.sampled_from(self.machines))
+    def pick(self, data, write=False):
+        f = data.draw(st.sampled_from(self.machines))
+        self.picked = f if write else None
+        return f
 
     @rule(data=st.data())
     def add_state(self, data):
-        self.pick(data).add_state()
+        self.pick(data, write=True).add_state()
 
     @rule(data=st.data(), weight=WEIGHTS, label=LABELS)
     def add_arc(self, data, weight, label):
-        f = self.pick(data)
+        f = self.pick(data, write=True)
         s, t = (data.draw(st.integers(0, f.num_states - 1)) for _ in "st")
         f.add_arc(s, t, weight, label, label)
 
     @rule(data=st.data(), weight=WEIGHTS, label=LABELS)
     def plant_arc(self, data, weight, label):
-        f = self.pick(data)
+        f = self.pick(data, write=True)
         s, t = (data.draw(st.integers(0, f.num_states - 1)) for _ in "st")
         arcs = len(f._arcs[s])
         index = data.draw(st.integers(0, arcs - 1)) if arcs else None
@@ -195,18 +205,18 @@ class KeptDataMachine(RuleBasedStateMachine):
 
     @rule(data=st.data())
     def set_initial_state(self, data):
-        f = self.pick(data)
+        f = self.pick(data, write=True)
         f.set_initial_state(data.draw(st.integers(0, f.num_states - 1)))
 
     @rule(data=st.data())
     def assign_initial(self, data):
-        f = self.pick(data)
+        f = self.pick(data, write=True)
         f.initial = data.draw(st.none() | st.integers(0, f.num_states - 1))
 
     @rule(data=st.data(),
           weight=st.sampled_from([0.0, 0.25, 1.0]) | st.just(None))
     def set_final_weight(self, data, weight):
-        f = self.pick(data)
+        f = self.pick(data, write=True)
         state = data.draw(st.integers(0, f.num_states - 1))
         f.set_final_weight(state, f.semiring.zero if weight is None
                            else weight)
@@ -223,6 +233,12 @@ class KeptDataMachine(RuleBasedStateMachine):
         target = RealWeight if f.semiring is MinWeight else MinWeight
         self.machines.append(lift(f, target))
 
+    @precondition(lambda self: len(self.machines) < 5)
+    @rule(data=st.data())
+    def union(self, data):
+        f, g = self.pick(data), self.pick(data)
+        self.machines.append(union(f, g if g.semiring is f.semiring else f))
+
     @rule(data=st.data())
     def query(self, data):
         f = self.pick(data)
@@ -235,6 +251,15 @@ class KeptDataMachine(RuleBasedStateMachine):
         assert (outcome(lambda: random_path(f, seed=seed, max_steps=200))
                 == outcome(lambda: random_path(rebuilt(f), seed=seed,
                                                max_steps=200)))
+
+    @invariant()
+    def a_write_reaches_no_other_machine(self):
+        machines = getattr(self, "machines", ())
+        for f, before in zip(machines, getattr(self, "stored", ())):
+            if f is not self.picked:
+                assert stored(f) == before
+            assert f.validate()
+        self.stored = [stored(f) for f in machines]
 
     @invariant()
     def kept_data_is_fresh(self):

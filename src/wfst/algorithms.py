@@ -188,7 +188,6 @@ def concat(a, b):
                 (target, EPSILON, EPSILON, value))
     for state, value in b._finals.items():
         out._finals[offset_b + state] = value
-    out._arcs = _frozen(out._arcs)
     return out
 
 
@@ -207,7 +206,6 @@ def closure(a):
     for state, value in a._finals.items():
         out._writable(offset + state).append(
             (start, EPSILON, EPSILON, value))
-    out._arcs = _frozen(out._arcs)
     return out
 
 

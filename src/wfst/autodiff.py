@@ -41,7 +41,7 @@ from .errors import (
 )
 from .fst import Fst
 from .semirings import (RealWeight, _argument, _float_multiple, _float_power,
-                        _kernel, _NumericWeight, _real_star)
+                        _kernel, _NumericWeight, _real_star, _shown)
 
 
 class TapeNode:
@@ -72,8 +72,8 @@ class GradientTape:
         try:
             value = float(value)
         except (TypeError, ValueError, OverflowError):
-            raise InvalidWeightError(
-                f"a tape value must be a real number, got {value!r}") from None
+            raise InvalidWeightError("a tape value must be a real number, "
+                                     f"got {_shown(value)}") from None
         node = TapeNode(value, tuple(parents), tuple(partials),
                         len(self.nodes))
         self.nodes.append(node)
@@ -127,7 +127,7 @@ class _DiffWeightBase(_NumericWeight):
         if not isinstance(node, TapeNode):
             raise SemiringMismatchError(
                 f"a {self.name} weight is built from a tape node, got "
-                f"{node!r}; use cast, constant or parameter")
+                f"{_shown(node)}; use cast, constant or parameter")
         self.node = node
         self.value = node.value
 
@@ -181,7 +181,7 @@ class _DiffWeightBase(_NumericWeight):
     def star(cls, a):
         if not isinstance(a, _DiffWeightBase):
             raise SemiringMismatchError(
-                f"cannot take the {cls.name} star of {a!r}")
+                f"cannot take the {cls.name} star of {_shown(a)}")
         value = _real_star(a.value)
         # d/da 1 / (1 - a) = 1 / (1 - a)²
         return cls(cls.tape.record(value, (a.node,), (value * value,)))

@@ -17,9 +17,9 @@ The same storage rule holds at two levels.  A machine's table
 tuples that any number of machines share, and so is each state's arc
 storage in a list table.  ``copy`` and ``lift`` between float kernels
 hand a tuple table on as it is, so ``copy()`` of a shared machine copies
-only its final weights, and build one once from a list table; ``union``,
-``concat`` and ``closure`` return tuple tables, so a pairwise ``union``
-fold copies one pointer per earlier state.  Code that builds a machine
+only its final weights, and build one once from a list table; ``union``
+returns a tuple table, so a pairwise ``union`` fold copies one pointer
+per earlier state.  Code that builds a machine
 fills the lists it creates; any other write goes through ``add_state``
 or ``Fst._writable``, which first swap a shared table, then a shared
 state tuple, for a list of the machine's own, so no write to one machine
@@ -55,7 +55,7 @@ from types import MappingProxyType
 
 from .errors import InvalidLabelError, InvalidStateError, InvalidWeightError
 from .semirings import (BooleanWeight, _argument, _box, _kernel, _same,
-                        _unbox)
+                        _shown, _unbox)
 
 EPSILON = 0
 MAX_LABEL = 2 ** 64 - 1
@@ -67,7 +67,8 @@ def as_label(label):
         raise InvalidLabelError(f"bad label {label!r}")
     if isinstance(label, int):
         if not 0 <= label <= MAX_LABEL:
-            raise InvalidLabelError(f"label {label} out of 64-bit range")
+            raise InvalidLabelError(
+                f"label {_shown(label)} out of 64-bit range")
         return label
     if isinstance(label, str):
         if len(label) != 1:
@@ -75,7 +76,7 @@ def as_label(label):
                 f"label must be a single character, got {label!r}"
             )
         return ord(label)
-    raise InvalidLabelError(f"bad label {label!r}")
+    raise InvalidLabelError(f"bad label {_shown(label)}")
 
 
 def label_str(label):
@@ -175,7 +176,7 @@ class Fst:
 
     def _check_state(self, state):
         if not isinstance(state, int) or not 0 <= state < len(self._arcs):
-            raise InvalidStateError(f"unknown state {state!r}")
+            raise InvalidStateError(f"unknown state {_shown(state)}")
 
     def add_state(self):
         """Add a new state and return its id (consecutive from 0)."""
@@ -307,7 +308,8 @@ def fst_from_sequence(labels, semiring=BooleanWeight):
     try:
         labels = iter(labels)
     except TypeError:
-        raise InvalidLabelError(f"bad label sequence {labels!r}") from None
+        raise InvalidLabelError(
+            f"bad label sequence {_shown(labels)}") from None
     values = []
     for value in map(as_label, labels):
         if value == EPSILON:

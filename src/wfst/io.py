@@ -17,7 +17,7 @@ is the semiring's one; epsilon renders as "ε".
 from collections import deque
 from operator import methodcaller
 
-from .errors import FstParseError, InvalidWeightError
+from .errors import FstParseError
 from .fst import MAX_LABEL, Fst, label_str
 from .semirings import BUILTIN_SEMIRINGS, _float_text, _same, _unbox
 
@@ -135,45 +135,35 @@ def parse_text(document, semirings=None):
             raise FstParseError(f"arc references unknown state {unknown}",
                                 line=lineno)
         table[src].append(arc)
-    zero = _unbox(semiring)(semiring.zero)
     for state, value, lineno in finals:
         if not 0 <= state < num_states:
             raise FstParseError(f"final state {state} out of range", line=lineno)
-        if value == zero:  # as set_final_weight, a zero weight unsets
-            fst._finals.pop(state, None)
-        else:
-            fst._finals[state] = value
+        fst.set_final_weight(state, value)
     return fst
 
 
 def _weight_reader(semiring):
     """The function that reads a weight's text on line ``lineno`` as its
-    stored value, raising FstParseError.  A float kernel reads it with
-    ``float()`` and one NaN test, as its ``from_text`` and ``cast`` would
-    without building the weight; any other semiring calls those two."""
-    kernel = semiring.__dict__.get("_float_kernel")
-    if kernel is None:
-        def read(text, lineno):
-            try:
-                return semiring.cast(semiring.from_text(text))
-            except Exception as exc:
-                raise FstParseError(str(exc), line=lineno)
-        return read
-    checked = kernel.checked
-
+    stored value through the semiring's ``from_text`` and ``cast``, raising
+    FstParseError.  A float kernel takes the value that ``float()`` reads,
+    as those two would without building the weight, and calls them only
+    for a text that is not a number, or NaN, to raise their error."""
     def read(text, lineno):
+        try:
+            return semiring.cast(semiring.from_text(text))
+        except Exception as exc:
+            raise FstParseError(str(exc), line=lineno)
+
+    if semiring.__dict__.get("_float_kernel") is None:
+        return read
+
+    def read_float(text, lineno):
         try:
             value = float(text)
         except ValueError:
-            raise FstParseError(f"bad {semiring.name} weight {text!r}",
-                                line=lineno)
-        if value != value:
-            try:
-                checked(value)  # raises the membership error
-            except InvalidWeightError as exc:
-                raise FstParseError(str(exc), line=lineno)
-        return value
-    return read
+            return read(text, lineno)
+        return value if value == value else read(text, lineno)
+    return read_float
 
 
 def _edge_label(arc, one):

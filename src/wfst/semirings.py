@@ -46,6 +46,17 @@ from .errors import (
 DEFAULT_DELTA = 1.0 / 1024
 
 
+def _shown(value):
+    """``repr(value)`` for an error message; an int with more digits than
+    repr() prints (``sys.get_int_max_str_digits()``) shows its size."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"an int of {value.bit_length()} bits"
+        return f"a {type(value).__name__} too long to print"
+
+
 def _argument(name, value, integer=False, error=WfstError, zero=False):
     """``value`` if it is a number above 0 (at least 0, with ``zero``)
     within the float range or, for an ``integer``, a whole number of at
@@ -54,12 +65,13 @@ def _argument(name, value, integer=False, error=WfstError, zero=False):
         if (isinstance(value, numbers.Integral) or isinstance(value, float)
                 and value.is_integer()) and value >= 0:
             return int(value)
-        raise error(f"{name} must be an integer of at least 0, got {value!r}")
+        raise error(f"{name} must be an integer of at least 0, got "
+                    f"{_shown(value)}")
     if (isinstance(value, numbers.Real) and value <= sys.float_info.max
             and (0 <= value if zero else 0 < value)):
         return value
     bound = "of at least 0" if zero else "above 0"
-    raise error(f"{name} must be a finite number {bound}, got {value!r}")
+    raise error(f"{name} must be a finite number {bound}, got {_shown(value)}")
 
 
 def _seeded(seed):
@@ -71,7 +83,7 @@ def _seeded(seed):
         return random.Random(seed)
     except TypeError:
         raise WfstError("seed must be None, an int, a float, a str or "
-                        f"bytes, got {seed!r}") from None
+                        f"bytes, got {_shown(seed)}") from None
 
 
 def _exponent(weight, n):
@@ -236,7 +248,8 @@ class AbstractSemiringWeight:
             result = cls._cast_raw(value)
             if result is None:
                 raise SemiringMismatchError(
-                    f"cannot cast {value!r} to the {cls.name} semiring"
+                    f"cannot cast {_shown(value)} to the {cls.name} "
+                    "semiring"
                 )
         if not result.member():
             raise _not_a_member(cls, result)
@@ -472,10 +485,10 @@ class _NumericWeight(AbstractSemiringWeight):
                     value = float(value)
                 except OverflowError:
                     raise InvalidWeightError(
-                        f"{value!r} is beyond the float range") from None
+                        f"{_shown(value)} is beyond the float range") from None
             else:
                 raise SemiringMismatchError(
-                    f"cannot cast {value!r} to the {self.name} semiring")
+                    f"cannot cast {_shown(value)} to the {self.name} semiring")
         self.value = value
 
     def __eq__(self, other):
@@ -555,7 +568,7 @@ class RealWeight(_NumericWeight):
     def star(cls, a):
         if not isinstance(a, _NumericWeight):
             raise SemiringMismatchError(
-                f"cannot take the {cls.name} star of {a!r}")
+                f"cannot take the {cls.name} star of {_shown(a)}")
         return cls(_real_star(a.value))
 
     def __add__(self, other):
@@ -704,11 +717,12 @@ class FeaturizedWeight(AbstractSemiringWeight):
         except TypeError:
             raise InvalidWeightError(
                 f"featurized weight needs a mapping of feature counts, got "
-                f"{features!r}") from None
+                f"{_shown(features)}") from None
         for key, count in counts.items():
             if not isinstance(count, int) or count < 0:
                 raise InvalidWeightError(
-                    f"feature count for {key!r} must be a nonnegative int"
+                    f"feature count for {_shown(key)} must be a nonnegative "
+                    "int"
                 )
         self.features = Counter({k: v for k, v in counts.items() if v > 0})
         self._hash = hash(frozenset(self.features.items()))

@@ -22,8 +22,8 @@ from wfst.errors import WfstError
 
 VALUES = {
     "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "-1": -1,
-    "-0.5": -0.5, "2.5": 2.5, "10**400": 10 ** 400, "str": "x",
-    "None": None, "list": [1], "RealWeight": RealWeight(2.0), "True": True,
+    "-0.5": -0.5, "2.5": 2.5, "10**400": 10 ** 400,
+    "10**5000": 10 ** 5000, "str": "x", "None": None, "list": [1], "RealWeight": RealWeight(2.0), "True": True,
     "False": False,
 }
 
@@ -45,11 +45,13 @@ def one_state(semiring):
 
 
 # "callable.parameter" -> (call with the value, the values left out).  A
-# count as large as 10**400 is a valid request that would run that long.
+# count as large as 10**400 is a valid request that would run that long;
+# 10**5000 has more digits than repr() prints by default, so its error
+# message must not call repr() on it.
 CASES = {
     "check_semiring_axioms.sample_count": (
         lambda v: check_semiring_axioms(RealWeight, sample_count=v),
-        ("10**400",)),
+        ("10**400", "10**5000")),
     "check_semiring_axioms.delta": (
         lambda v: check_semiring_axioms(RealWeight, 5, delta=v), ()),
     "check_semiring_axioms.seed": (
@@ -75,7 +77,7 @@ CASES = {
     "random_path.max_steps": (
         lambda v: random_path(real_machine(), max_steps=v), ()),
     "train.steps": (lambda v: train(model(), [("a", "a")], steps=v),
-                    ("10**400",)),
+                    ("10**400", "10**5000")),
     "train.rate": (lambda v: train(model(), [("a", "a")], 1, rate=v), ()),
     "train.min_weight": (
         lambda v: train(model(), [("a", "a")], 1, min_weight=v), ()),

@@ -11,7 +11,6 @@ from functools import reduce
 from itertools import accumulate, count
 
 from .errors import (
-    ConvergenceError,
     CycleLimitError,
     DeterminizationLimitError,
     DivergenceError,
@@ -34,9 +33,6 @@ from .semirings import (
     _seeded,
     _unbox,
 )
-
-RELAXATION_SWEEP_CAP = 1000
-
 
 class ShortestPathResult(namedtuple("ShortestPathResult", "path distance")):
     """``shortest_path``'s answer: the best ``Path`` and its weight, the
@@ -527,47 +523,6 @@ def _label_correcting(kernel, component, members, arcs_by_state, d):
         f"improves its distances without bound", scc=component, state=state)
 
 
-def _relax(kernel, component, members, arcs_by_state, d):
-    """Queue-based relaxation over one component, for semirings with
-    neither an idempotent plus nor a star: d holds the distances and
-    ``pending`` the mass not yet passed on.  An update that the old
-    distance's ``approx_eq`` accepts, at the semiring's own default
-    tolerance, is dropped; ConvergenceError names the component and the
-    last residual after the sweep cap.
-
-    Only semirings without a float kernel get here, so the values are the
-    weights themselves.
-    """
-    zero = kernel.zero
-    pending = {s: d[s] for s in component}
-    queue = deque(s for s in component if d[s] != zero)
-    queued = set(queue)
-    pops = 0
-    cap = RELAXATION_SWEEP_CAP * len(component)
-    while queue:
-        s = queue.popleft()
-        queued.discard(s)
-        mass = pending[s]
-        pending[s] = zero
-        pops += 1
-        if pops > cap:
-            raise ConvergenceError(
-                f"shortest-distance relaxation in {_describe(component)} "
-                f"did not converge within {RELAXATION_SWEEP_CAP} sweeps; "
-                f"the last residual was {mass!r} at state {s}",
-                scc=component, residual=mass)
-        for target, _, _, weight in arcs_by_state[s]:
-            if target in members:
-                add = mass * weight
-                new = d[target] + add
-                if not d[target].approx_eq(new):
-                    d[target] = new
-                    pending[target] = pending[target] + add
-                    if target not in queued:
-                        queue.append(target)
-                        queued.add(target)
-
-
 def _generic_distance(semiring, kernel, arcs_by_state, sources, search):
     """Single-source (or multi-source) shortest distance over a semiring,
     computed with its kernel (see ``semirings._kernel``).
@@ -586,17 +541,15 @@ def _generic_distance(semiring, kernel, arcs_by_state, sources, search):
     state's mass along the arcs that leave its component, so the pass is
     exact across components.  An acyclic part is the case where every
     component is one state without a self-loop, and needs nothing more.
-    Any other component is solved, when the pass reaches it, according to
-    what the semiring supplies:
+    Any other component is solved exactly, when the pass reaches it,
+    according to what the semiring supplies:
 
     - the 'path' or 'idempotent' property (boolean, featurized, min, max,
-      tropical): exact label-correcting, DivergenceError on an improving
-      cycle;
-    - a ``star``: exact elimination, DivergenceError where a star does not
+      tropical): label-correcting, DivergenceError on an improving cycle;
+    - a ``star``: elimination, DivergenceError where a star does not
       exist (the sum over the cycles diverges);
-    - neither (custom semirings only): relaxation until every update is
-      within the semiring's own ``approx_eq``, with ConvergenceError after
-      the sweep cap.
+    - neither (custom semirings only): UnsupportedOperationError, naming
+      the component and the two declarations that would solve it.
     """
     plus, times, zero = kernel.plus, kernel.times, kernel.zero
     order, cyclic = search
@@ -617,7 +570,12 @@ def _generic_distance(semiring, kernel, arcs_by_state, sources, search):
             elif kernel.star is not None:
                 _eliminate(kernel, component, arcs_by_state, d)
             else:
-                _relax(kernel, component, members, arcs_by_state, d)
+                raise UnsupportedOperationError(
+                    f"{_describe(component)} has a cycle, and the "
+                    f"{semiring.name} semiring has neither a star nor an "
+                    f"idempotent plus to sum it exactly: declare a star "
+                    f"classmethod (a* = one + a + a² + ...) or the "
+                    f"'idempotent' semiring property")
         ds = d[s]
         for target, _, _, weight in arcs_by_state[s]:
             if target not in members:
@@ -670,10 +628,10 @@ def shortest_distance(fst):
     Exact wherever the semiring allows (see ``_generic_distance``): on
     real and diff weights a cycle whose sum diverges raises
     DivergenceError, as does an improving cycle on an idempotent semiring
-    (a featurized cycle that adds features, say).  A custom semiring with
-    neither a star nor an idempotent plus is relaxed to within its own
-    ``approx_eq``.  Each distance passes the membership gate, so a NaN
-    (from inf * 0, say) raises InvalidWeightError.
+    (a featurized cycle that adds features, say).  A reachable cycle in a
+    custom semiring with neither a star nor an idempotent plus raises
+    UnsupportedOperationError.  Each distance passes the membership gate,
+    so a NaN (from inf * 0, say) raises InvalidWeightError.
     """
     sr = fst.semiring
     if fst.initial is None:

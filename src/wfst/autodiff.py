@@ -317,10 +317,14 @@ def _restrict(model, observed):
     finals map each final state to the slots of its three final weights.
     A restricted machine is (arcs, initial state, finals, factors,
     search): factors lists the slot triples of R's arcs, then of its
-    finals, in the order of R's partials, and search is ``_searches(R)``,
-    as the model's is ``_searches(model)``: one search per machine.
+    finals, in the order of R's partials, and search is R's kept forward
+    search (``algorithms._kept_search``), as the model's is the model's:
+    one search per machine, None for a machine without an initial state.
+    A search reads only the arcs' targets, so it holds for every set of
+    values, and each ``train`` step's model, rebuilt with new values,
+    keeps it.
     """
-    from .algorithms import _compose, project
+    from .algorithms import _compose, _kept_search, project
 
     first = model.num_arcs + len(model._finals)
     model_finals = {state: model.num_arcs + k
@@ -356,10 +360,13 @@ def _restrict(model, observed):
             finals[state] = (obs_finals[in_state], model_finals[model_state],
                              obs_finals[out_state])
         restricted.append((arcs, machine.initial, finals,
-                           factors + list(finals.values()), _searches(machine)))
+                           factors + list(finals.values()),
+                           None if machine.initial is None
+                           else _kept_search(machine)))
         first += obs.num_arcs + len(obs._finals)
     constants.append(1.0)
-    return _searches(model), restricted, constants
+    search = None if model.initial is None else _kept_search(model)
+    return search, restricted, constants
 
 
 def _losses(model, search, restricted, constants):
@@ -437,28 +444,17 @@ def _losses(model, search, restricted, constants):
     return losses, partials
 
 
-def _searches(fst):
-    """The one search that ``fst``'s forward and backward passes share:
-    the machine's kept forward search (None without an initial state).
-    It reads only the arcs' targets, so it holds for every set of values,
-    and each ``train`` step's model, rebuilt with new values, keeps it."""
-    from .algorithms import _kept_search
-
-    if fst.initial is None:
-        return None
-    return _kept_search(fst)
-
-
 def _forward_backward(fst, search=None):
     """The total weight of a real ``fst``, which has an initial state, and
     its partials, all on float values: alpha(s)·beta(t) for each arc
     s -> t in ``all_arcs()`` order, then alpha(f) for each final state f
     in ``finals`` order, from the exact real-semiring solver.  An arc on
     no accepting path, its alpha or beta zero, gets 0.0, never inf·0.
-    ``search`` is ``_searches(fst)``, run here if not given."""
-    from .algorithms import _backward_values, _forward_values
+    ``search`` is the machine's kept forward search, which its forward
+    and backward passes share, read here if not given."""
+    from .algorithms import _backward_values, _forward_values, _kept_search
 
-    search = search or _searches(fst)
+    search = search or _kept_search(fst)
     kernel = _kernel(RealWeight)
     alpha = _forward_values(fst, kernel, search)
     beta = _backward_values(fst, kernel, search)[0]

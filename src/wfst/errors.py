@@ -33,16 +33,14 @@ class ConvergenceError(WfstError):
     """A cyclic shortest-distance computation has no answer.
 
     ``scc`` is the tuple of states of the strongly connected component
-    where it failed, and ``residual`` the mass that the relaxation was
-    still passing on at its sweep cap, or None.  The relaxation runs only
-    for custom semirings with neither a star nor an idempotent plus, and
-    stops once every update is within the semiring's own ``approx_eq``.
+    where it failed.  Every cyclic sum is solved exactly, so the one kind
+    raised is its subclass DivergenceError; handlers of this class catch
+    it.
     """
 
-    def __init__(self, message, scc=(), residual=None):
+    def __init__(self, message, scc=()):
         super().__init__(message)
         self.scc = tuple(scc)
-        self.residual = residual
 
 
 class DivergenceError(ConvergenceError):

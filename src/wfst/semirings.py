@@ -33,6 +33,7 @@ import numbers
 import operator
 import sys
 from collections import Counter, namedtuple
+from types import MappingProxyType
 
 from .errors import (
     DivergenceError,
@@ -681,11 +682,6 @@ _path_semiring(TropicalWeight, min, math.inf, -1.0)
 _path_semiring(MaxWeight, max, -math.inf, 1.0)
 
 
-# Default global feature-weight table used by FeaturizedWeight's
-# sampling_weight.  featurized_semiring() builds a class bound to its own
-# table instead, which is what concurrent users should do.
-feature_weights = {}
-
 _ZERO_HASH = object()
 
 
@@ -696,14 +692,15 @@ class FeaturizedWeight(AbstractSemiringWeight):
     maximum across alternative paths.  one is the empty multiset; zero is
     a distinguished absorbing sentinel (no multiset behaves as zero).
     sampling_weight is the dot product of the counts with the semiring's
-    feature-weight table.
+    feature-weight table: empty and read-only here, so every sampling
+    weight is 0.0, and bound per class by ``featurized_semiring(table)``.
     """
 
     name = "featurized"
     semiring_properties = frozenset({"base", "idempotent"})
     has_division = True
     has_power = True
-    weight_table = feature_weights
+    weight_table = MappingProxyType({})
     __slots__ = ("features", "is_zero", "_hash")
 
     def __init__(self, features=None, *, _zero=False):

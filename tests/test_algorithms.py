@@ -698,18 +698,55 @@ CountingWeight.one = CountingWeight(1.0)
 
 
 class StarlessReal(RealWeight):
-    """Real weights without a star: their cycles are relaxed, to within
-    the class's own approx_eq tolerance."""
+    """Real weights that declare neither a star nor an idempotent plus,
+    as a custom semiring may: a machine of theirs answers while it is
+    acyclic, and a cycle raises UnsupportedOperationError."""
 
     name = "starless"
     star = None
 
-    def approx_eq(self, other, delta=1e-12):
-        return super().approx_eq(other, delta)
-
 
 StarlessReal.zero = StarlessReal(0.0)
 StarlessReal.one = StarlessReal(1.0)
+
+
+def starless_fst(cyclic):
+    """0 -a/0.5-> 1 -eps/0.25-> 2 over StarlessReal, final weights 0.1 at
+    0 and 0.8 at 2, and with ``cyclic`` an epsilon arc 2 -> 1 of 0.5, so
+    that states 1 and 2 form one component, an epsilon cycle."""
+    f = Fst(StarlessReal)
+    for _ in range(3):
+        f.add_state()
+    f.set_initial_state(0)
+    f.add_arc(0, 1, 0.5, "a", "a")
+    f.add_arc(1, 2, 0.25, EPSILON, EPSILON)
+    if cyclic:
+        f.add_arc(2, 1, 0.5, EPSILON, EPSILON)
+    f.set_final_weight(0, 0.1)
+    f.set_final_weight(2, 0.8)
+    return f
+
+
+# Every public entry point that solves a machine's cycles, with its answer
+# as plain values.
+CYCLE_SOLVERS = {
+    "sum_paths": lambda f: sum_paths(f).value,
+    "shortest_distance": lambda f: [w.value for w in shortest_distance(f)],
+    "remove_epsilon": lambda f: arc_values(remove_epsilon(f)),
+    "push_initial": lambda f: arc_values(push(f, "initial")),
+    "push_final": lambda f: arc_values(push(f, "final")),
+}
+
+
+def string_sums(f):
+    """Each (input, output) string's summed path weight, by enumeration."""
+    paths = enumerate_paths(f)
+    assert not paths.truncated
+    sums = {}
+    for path in paths:
+        key = path.input_str, path.output_str
+        sums[key] = sums.get(key, 0.0) + path.weight.value
+    return sums
 
 
 def random_epsilon_fst(rng, semiring, reachable_cycles):
@@ -1484,31 +1521,59 @@ class TestExactCyclicDistance:
         assert exc.value.scc == (1, 2)
         assert "component of 2 states (1, 2)" in str(exc.value)
 
-    def test_relaxation_cap_names_component_and_residual(self):
-        # A custom semiring with neither a star nor an idempotent plus is
-        # relaxed: a loop of weight 1 grows until the sweep cap.
-        f = Fst(StarlessReal)
-        f.add_state()
-        f.add_state()
-        f.set_initial_state(0)
-        f.add_arc(0, 1, 1.0, "a", "a")
-        f.add_arc(1, 1, 1.0, "a", "a")
-        f.set_final_weight(1, 1.0)
-        with pytest.raises(ConvergenceError) as exc:
-            sum_paths(f)
-        assert not isinstance(exc.value, DivergenceError)
-        assert exc.value.scc == (1,)
-        assert exc.value.residual is not None
-        assert "last residual" in str(exc.value)
-        assert "component of 1 state (1)" in str(exc.value)
+    @pytest.mark.parametrize("solver", sorted(CYCLE_SOLVERS))
+    def test_a_starless_cycle_is_refused_naming_its_component(self, solver):
+        with pytest.raises(UnsupportedOperationError) as exc:
+            CYCLE_SOLVERS[solver](starless_fst(cyclic=True))
+        message = str(exc.value)
+        assert message.startswith(
+            "the strongly connected component of 2 states (1, 2) has a "
+            "cycle, and the starless semiring has neither a star nor an "
+            "idempotent plus")
+        assert "declare a star classmethod" in message
+        assert "'idempotent' semiring property" in message
+        assert not isinstance(exc.value, ConvergenceError)
 
-    def test_relaxation_converges_on_a_custom_semiring(self):
-        f = Fst(StarlessReal)
-        f.add_state()
-        f.set_initial_state(0)
-        f.add_arc(0, 0, 0.5, "a", "a")
-        f.set_final_weight(0, 1.0)
-        assert sum_paths(f).value == pytest.approx(2.0, abs=1e-11)
+    def test_a_declared_star_solves_starless_cycles_exactly(self,
+                                                            monkeypatch):
+        machines = [lift(single_scc_real_fst(random.Random(seed), n),
+                         StarlessReal) for seed, n in ((61, 12), (62, 40))]
+        with pytest.raises(UnsupportedOperationError,
+                           match=r"component of 12 states \(0, 1, "):
+            sum_paths(machines[0])
+        monkeypatch.setattr(StarlessReal, "star", classmethod(
+            lambda cls, a: cls(1.0 / (1.0 - a.value))))
+        for f in machines:
+            n = f.num_states
+            a = np.zeros((n, n))
+            for arc in f.all_arcs():
+                a[arc.source, arc.target] += arc.weight.value
+            final = np.array([f.final_weight(s).value for s in range(n)])
+            total = linalg.solve(np.eye(n) - a, final)
+            forward = linalg.solve((np.eye(n) - a).T, np.eye(n)[f.initial])
+            assert sum_paths(f).value == pytest.approx(total[0], rel=1e-12)
+            assert [w.value for w in shortest_distance(f)] == \
+                pytest.approx(list(forward), rel=1e-12)
+        # With the star, the refused machine gives the built-in real answers,
+        # bit for bit, at every entry point: one solver on the same floats.
+        f = starless_fst(cyclic=True)
+        for solver in CYCLE_SOLVERS.values():
+            assert solver(f) == solver(lift(f, RealWeight))
+        assert sum_paths(f).value == pytest.approx(0.1 + 0.1 / 0.875,
+                                                   rel=1e-15)
+
+    def test_a_starless_acyclic_machine_agrees_with_enumeration(self):
+        f = starless_fst(cyclic=False)
+        want = string_sums(f)
+        assert want == pytest.approx({("", ""): 0.1, ("a", "a"): 0.1},
+                                     rel=1e-15)
+        total = sum(want.values())
+        assert sum_paths(f).value == pytest.approx(total, rel=1e-12)
+        d = shortest_distance(f)
+        assert sum(d[s].value * w.value for s, w in f.finals.items()) == \
+            pytest.approx(total, rel=1e-12)
+        for g in (remove_epsilon(f), push(f, "initial"), push(f, "final")):
+            assert string_sums(g) == pytest.approx(want, rel=1e-12)
 
     def test_featurized_cycle_that_adds_features_diverges(self):
         f = parse_text("#semiring featurized\n#initial 0\n#states 2\n"
@@ -1928,9 +1993,8 @@ def arc_values(f):
 
 
 KERNEL_OPERATIONS = {
-    "sum_paths": lambda f: sum_paths(f).value,
-    "shortest_distance": lambda f: [w.value for w in shortest_distance(f)],
-    "remove_epsilon": lambda f: arc_values(remove_epsilon(f)),
+    **{name: CYCLE_SOLVERS[name]
+       for name in ("sum_paths", "shortest_distance", "remove_epsilon")},
     "compose": lambda f: arc_values(compose(f, f)),
 }
 
@@ -1974,24 +2038,17 @@ class TestFloatKernels:
         if semiring is not RealWeight:
             assert type(shortest_path(f).distance) is semiring
 
-    def test_starless_subclass_is_relaxed(self, monkeypatch):
-        relaxed = []
-        relax = algorithms._relax
-
-        def recording_relax(kernel, component, *args):
-            relaxed.append(component)
-            return relax(kernel, component, *args)
-
-        monkeypatch.setattr(algorithms, "_relax", recording_relax)
-        for semiring in (StarlessReal, RealWeight):
-            f = Fst(semiring)
-            f.add_state()
-            f.set_initial_state(0)
-            f.add_arc(0, 0, 0.5, "a", "a")
-            f.set_final_weight(0, 1.0)
-            assert sum_paths(f).value == pytest.approx(2.0)
-        # RealWeight's star solves its loop; StarlessReal's is relaxed.
-        assert relaxed == [[0]]
+    @pytest.mark.parametrize("solver", sorted(CYCLE_SOLVERS))
+    def test_a_starless_subclass_refuses_only_a_cycle(self, solver):
+        # RealWeight's float kernel star solves the cycle that StarlessReal,
+        # which inherits no kernel, refuses; without the cycle both answer
+        # alike.
+        run = CYCLE_SOLVERS[solver]
+        cyclic, acyclic = starless_fst(cyclic=True), starless_fst(cyclic=False)
+        run(lift(cyclic, RealWeight))
+        with pytest.raises(UnsupportedOperationError):
+            run(cyclic)
+        assert run(acyclic) == run(lift(acyclic, RealWeight))
 
     def test_single_component_sum_matches_a_linear_solve(self):
         f = single_scc_real_fst(random.Random(60), 60)

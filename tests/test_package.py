@@ -1,10 +1,12 @@
 """The package surface: names resolved on first access, the named-tuple
-records, and what a CLI command imports.
+records, what a CLI command imports, and no unused import in the source.
 
 Import checks run in fresh interpreters, since this test process has
 long since imported every module.  Nothing here is timed.
 """
 
+import ast
+import pathlib
 import subprocess
 import sys
 
@@ -208,3 +210,60 @@ class TestRecords:
             hash(report)
         with pytest.raises(AttributeError):
             report.extra = 1
+
+
+def unused_imports(source):
+    """The names that ``source``'s imports bind and that the scope holding
+    each import (the module, or the function it sits in) never reads,
+    leaving out the names listed in the module's ``__all__``."""
+    tree = ast.parse(source)
+    exported = set()
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            exported.update(ast.literal_eval(node.value))
+    unused = []
+    scopes = [tree] + [node for node in ast.walk(tree)
+                       if isinstance(node, (ast.FunctionDef,
+                                            ast.AsyncFunctionDef))]
+    for scope in scopes:
+        read = {node.id for node in ast.walk(scope)
+                if isinstance(node, ast.Name)
+                and not isinstance(node.ctx, ast.Store)}
+        body = list(ast.iter_child_nodes(scope))
+        imports = []
+        while body:  # the imports of this scope, not of nested functions
+            node = body.pop()
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imports.append(node)
+            elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                       ast.Lambda)):
+                body.extend(ast.iter_child_nodes(node))
+        for node in imports:
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name != "*" and name not in read | exported:
+                    unused.append(f"line {node.lineno}: {name}")
+    return sorted(unused)
+
+
+SOURCES = sorted((pathlib.Path(wfst.__file__).parent).glob("*.py"))
+
+
+class TestImports:
+    @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+    def test_every_import_is_used_or_exported(self, path):
+        assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+    def test_an_unused_import_is_reported(self):
+        source = ("from .errors import ConvergenceError, WfstError\n"
+                  "import os.path\n\n"
+                  "def f():\n"
+                  "    from .fst import Fst\n"
+                  "    return WfstError\n\n"
+                  "def g():\n"
+                  "    return Fst, os.sep\n")
+        assert unused_imports(source) == ["line 1: ConvergenceError",
+                                          "line 5: Fst"]
+        assert unused_imports("import os\n__all__ = ['os']\n") == []

@@ -363,6 +363,13 @@ class TestFeaturized:
         assert semiring({"f": 1}).sampling_weight() == 10
         assert FeaturizedWeight({"f": 1}).sampling_weight() == 0
 
+    def test_the_builtin_table_is_read_only(self):
+        # featurized_semiring(table) is the one way to weight features.
+        with pytest.raises(TypeError):
+            FeaturizedWeight.weight_table["f"] = 1.0
+        assert dict(FeaturizedWeight.weight_table) == {}
+        assert not hasattr(wfst.semirings, "feature_weights")
+
 
 class TestDescriptor:
     def test_path_property_flags(self):

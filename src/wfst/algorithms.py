@@ -8,7 +8,7 @@ argument is auto-cast into the other side's semiring first.
 import math
 from collections import defaultdict, deque, namedtuple
 from functools import reduce
-from itertools import accumulate, count
+from itertools import accumulate
 
 from .errors import (
     CycleLimitError,
@@ -25,6 +25,7 @@ from .fst import (EPSILON, Fst, _frozen, _read_path, enumerate_paths,
                   label_str)
 from .semirings import (
     DEFAULT_DELTA,
+    FeaturizedWeight,
     _argument,
     _box,
     _kernel,
@@ -229,37 +230,19 @@ def compose(a, b):
     InvalidWeightError.  A final weight that is zero (a product that
     underflows, say) is left out.
     """
-    return _compose(a, b)[0]
-
-
-def _compose(a, b, provenance=False):
-    """``compose``'s one body: returns (out, origins, pairs).
-
-    With ``provenance``, ``origins[k]`` is the pair of slots (positions
-    in ``all_arcs()`` order) of the arcs of a and b that out's k-th arc
-    came from, None for a side that stood still; and ``pairs[s]`` is the
-    pair (a-state, b-state) that state s stands for, so that its final
-    weight, if any, is the product of theirs.  Without provenance, both
-    are None.  With it, a zero final weight is kept, so that the finals
-    that ``_restrict`` lays out do not depend on the values.
-    """
     a, b = _coerce(a, b)
     sr = a.semiring
     out = Fst(sr)
     if a.initial is None or b.initial is None:
-        return (out, [], []) if provenance else (out, None, None)
+        return out
     kernel = _kernel(sr)
     times = kernel.times
-    origins = [] if provenance else None
-    first_a = list(accumulate(map(len, a._arcs), initial=0))
 
-    arcs_b = []  # b-state -> input label -> [(slot, target, output, value)]
-    slots = count()
+    arcs_b = []  # b-state -> input label -> [(target, output, value)]
     for arcs in b._arcs:
         by_label = {}
-        for (target, ilabel, olabel, value), slot in zip(arcs, slots):
-            by_label.setdefault(ilabel, []).append(
-                (slot, target, olabel, value))
+        for target, ilabel, olabel, value in arcs:
+            by_label.setdefault(ilabel, []).append((target, olabel, value))
         arcs_b.append(by_label)
 
     # States are numbered in queue order and the queue is FIFO, so the
@@ -282,21 +265,18 @@ def _compose(a, b, provenance=False):
         src_arcs = []
         out._arcs.append(src_arcs)
         by_label = arcs_b[qb]
-        for slot_a, (target_a, input_a, output_a, wa) in enumerate(
-                a._arcs[qa], first_a[qa]):
+        for target_a, input_a, output_a, wa in a._arcs[qa]:
             # A matched non-epsilon move is allowed from any filter state;
             # both sides move on epsilon together only from filter 0.
             matches = by_label.get(output_a) if (
                 output_a != EPSILON or f == 0) else None
             if matches:
-                for slot_b, target_b, output_b, wb in matches:
+                for target_b, output_b, wb in matches:
                     key = (target_a, target_b, 0)
                     dst = state_map.get(key)
                     if dst is None:
                         dst = add_state(key)
                     src_arcs.append((dst, input_a, output_b, times(wa, wb)))
-                    if provenance:
-                        origins.append((slot_a, slot_b))
             # a moves alone on output epsilon.
             if output_a == EPSILON and f != 2:
                 key = (target_a, qb, 1)
@@ -304,24 +284,17 @@ def _compose(a, b, provenance=False):
                 if dst is None:
                     dst = add_state(key)
                 src_arcs.append((dst, input_a, EPSILON, wa))
-                if provenance:
-                    origins.append((slot_a, None))
         # b moves alone on input epsilon.
         if f != 1:
-            for slot_b, target_b, output_b, wb in by_label.get(EPSILON, ()):
+            for target_b, output_b, wb in by_label.get(EPSILON, ()):
                 key = (qa, target_b, 2)
                 dst = state_map.get(key)
                 if dst is None:
                     dst = add_state(key)
                 src_arcs.append((dst, EPSILON, output_b, wb))
-                if provenance:
-                    origins.append((None, slot_b))
-    kept = _kept_finals(kernel, out._finals)
+    out._finals = _kept_finals(kernel, out._finals)
     _gate_arcs(kernel, out._arcs)
-    if not provenance:
-        out._finals = kept
-        return out, None, None
-    return out, origins, [key[:2] for key in state_map]
+    return out
 
 
 def _components(arcs_by_state, sources):
@@ -942,6 +915,9 @@ def push(fst, direction="initial"):
     Uses per-state shortest-distance potentials with the initial state's
     potential pinned to one, so every path's total weight telescopes back
     to its original value; a final weight that becomes zero is dropped.
+    Potentials are solved over the states that the initial state reaches
+    (its kept search); a state it cannot reach gets potential zero and
+    keeps its arcs and final weight as they are.
     The potentials and every reweighted arc and final weight pass the
     membership gate, so a NaN (from inf * 0 or inf / inf, say) raises
     InvalidWeightError.  A semiring whose division is partial, as the
@@ -961,8 +937,8 @@ def push(fst, direction="initial"):
     kernel = _kernel(sr)
     times, zero = kernel.times, kernel.zero
     toward_initial = direction == "initial"
-    pot = _gate(kernel, _backward_values(fst, kernel)[0] if toward_initial
-                else _forward_values(fst, kernel))
+    pot = _gate(kernel, _backward_values(fst, kernel, _kept_search(fst))[0]
+                if toward_initial else _forward_values(fst, kernel))
     pot[fst.initial] = kernel.one
 
     def divide(x, state):
@@ -1089,7 +1065,9 @@ def random_path(fst, seed=None, max_steps=10_000):
     for a negative sampling weight, and at a state whose choices'
     sampling weights sum to zero or to a total that is not finite (an
     infinite weight, or a sum that overflows).  ``max_steps`` is an
-    integer of at least 0, else WfstError.
+    integer of at least 0, else WfstError.  A featurized class without a
+    feature-weight table (the built-in one, which ``parse_text`` reads)
+    weighs every choice zero: UnsupportedOperationError, before a draw.
 
     Each state's choices are drawn by bisection over its sampling table
     (``_sampling_table``), built on its first visit.  A machine on a
@@ -1099,6 +1077,12 @@ def random_path(fst, seed=None, max_steps=10_000):
     from bisect import bisect_right
 
     max_steps = _argument("max_steps", max_steps, integer=True)
+    sr = fst.semiring
+    if issubclass(sr, FeaturizedWeight) and not sr.weight_table:
+        raise UnsupportedOperationError(
+            f"random_path on {sr.name} weights needs a feature-weight table, "
+            "and this class has none, so every choice weighs zero; bind one "
+            "with featurized_semiring(table)")
     if fst.initial is None:
         raise NoAcceptingPathError("FST has no initial state")
     rng = _seeded(seed)

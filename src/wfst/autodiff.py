@@ -19,11 +19,12 @@ included.
 
 The log-likelihood loss of an observed pair, log Z - log Z_obs, is
 computed with all its partials on float values (``_losses``).  The
-machine restricted to the pair is composed once per call
-(``_restrict``), and the composition reports which model arc made each
-of its arcs, so the partial of a model arc is its expected count under
-the model minus its expected count on the paths that agree with the pair
-(Eisner, "Parameter Estimation for Probabilistic Finite-State
+machine restricted to the pair is built once per call, by one 3-way
+composition of the pair's input projection, the model and the pair's
+output projection (``_restrict``), which records which model arc made
+each of its arcs, so the partial of a model arc is its expected count
+under the model minus its expected count on the paths that agree with
+the pair (Eisner, "Parameter Estimation for Probabilistic Finite-State
 Transducers", 2002).  loglikelihood_loss records the loss as one tape
 node; train keeps no tape, and each of its steps re-weights the
 restricted machines and solves them and the model's total once.
@@ -31,6 +32,7 @@ restricted machines and solves them and the model's total once.
 
 import math
 import numbers
+from itertools import accumulate, count
 
 from .errors import (
     DivisionByZeroError,
@@ -39,7 +41,7 @@ from .errors import (
     UnsupportedOperationError,
     WfstError,
 )
-from .fst import Fst
+from .fst import EPSILON, Fst
 from .semirings import (RealWeight, _argument, _float_multiple, _float_power,
                         _kernel, _NumericWeight, _real_star, _shown)
 
@@ -258,8 +260,9 @@ def loglikelihood_loss(full_fst, observed_fst):
     """Negative log-probability of the observed pair under the machine.
 
     The numerator restricts the machine to paths agreeing with the
-    observed pair on both tapes (by composing with the pair's input and
-    output projections); the denominator is the machine's total weight.
+    observed pair on both tapes (the pair's input projection, the machine
+    and the pair's output projection, composed in one 3-way pass); the
+    denominator is the machine's total weight.
     Returns log(denominator) - log(numerator) as a diff weight recorded
     as one tape node, whose parents are the machine's arc and final
     weights, and the observed machine's too when it is diff-weighted.
@@ -307,66 +310,130 @@ def _restrict(model, observed):
     whose slot stands for a factor that is not there.
 
     Each observed machine's restricted machine R (its input projection,
-    composed with the model, composed with its output projection) is
-    composed here, once.  Composition matches labels and never drops an
-    arc for its value, so R's states and arcs depend on the labels alone.
-    Each arc of R is kept as (target, input, output, in slot, model slot,
-    out slot): its weight is the product of up to three factors, one arc
-    weight from each machine, whose slots the composition reports (its
-    provenance), with the slot of 1.0 for a side that stood still.  R's
-    finals map each final state to the slots of its three final weights.
-    A restricted machine is (arcs, initial state, finals, factors,
-    search): factors lists the slot triples of R's arcs, then of its
-    finals, in the order of R's partials, and search is R's kept forward
-    search (``algorithms._kept_search``), as the model's is the model's:
-    one search per machine, None for a machine without an initial state.
-    A search reads only the arcs' targets, so it holds for every set of
-    values, and each ``train`` step's model, rebuilt with new values,
-    keeps it.
+    the model and its output projection) is built here in one pass, a
+    3-way composition (Allauzen and Mohri, "N-Way Composition of Weighted
+    Finite-State Transducers", 2009) over keys ((in state, model state,
+    filter), out state, filter), with ``compose``'s epsilon filter at both
+    joins: the inner key is a state of the middle machine, input
+    projection ∘ model.  Its moves are made on first use, so only the
+    middle states that R reaches are built, and R's states and arcs, in
+    order, are those that composing twice gives.  Nothing here reads a
+    value.  Each arc of R is kept as (target, input, output, in slot,
+    model slot, out slot): its weight is the product of one arc weight
+    from each machine, with the slot of 1.0 for a side that stood still.  R's finals map each final state to the slots of its three
+    final weights, whatever their product.  A restricted machine is (arcs,
+    initial state, finals, factors, search): factors lists the slot
+    triples of R's arcs, then of its finals, in the order of R's partials,
+    and search is ``_components`` of R from its initial state; None for a
+    machine without an initial state.  A search reads only the arcs'
+    targets, so it holds for every set of values, as the model's kept
+    search holds for each ``train`` step's model.
     """
-    from .algorithms import _compose, _kept_search, project
+    from .algorithms import _components, _kept_search
 
     first = model.num_arcs + len(model._finals)
     model_finals = {state: model.num_arcs + k
                     for k, state in enumerate(model._finals)}
     one = first + sum(obs.num_arcs + len(obs._finals) for obs in observed)
+    by_input = _by_label(model._arcs, 1, 0)
     constants = []
     restricted = []
     for obs in observed:
+        # Its arcs' slots start at base, its finals' at base + num_arcs.
+        base, first = first, first + obs.num_arcs + len(obs._finals)
         constants += [arc[3] for arcs in obs._arcs for arc in arcs]
         constants += obs._finals.values()
-        middle, middle_origins, middle_pairs = _compose(
-            project(obs, "input"), model, True)
-        machine, origins, pairs = _compose(
-            middle, project(obs, "output"), True)
-        factors = []
-        for middle_slot, out_slot in origins:
-            in_slot = model_slot = None
-            if middle_slot is not None:
-                in_slot, model_slot = middle_origins[middle_slot]
-            factors.append((one if in_slot is None else first + in_slot,
-                            one if model_slot is None else model_slot,
-                            one if out_slot is None else first + out_slot))
-        slots = iter(factors)
-        arcs = [[(target, ilabel, olabel, *next(slots))
-                 for target, ilabel, olabel, _ in state_arcs]
-                for state_arcs in machine._arcs]
-        obs_finals = {state: first + obs.num_arcs + k
+        if model.initial is None or obs.initial is None:
+            restricted.append(([], None, {}, [], None))
+            continue
+        starts = list(accumulate(map(len, obs._arcs), initial=base))
+        by_output = _by_label(obs._arcs, 2, base)
+        obs_finals = {state: base + obs.num_arcs + k
                       for k, state in enumerate(obs._finals)}
+        middle = {}  # middle key -> [(target key, input, output, a, b)]
+
+        def moves(key):
+            # For each arc of the input projection, the model's matches,
+            # then the input projection alone; then the model alone.
+            qi, qm, f = key
+            out = []
+            matches = by_input[qm]
+            for a, (ti, label, _, _) in enumerate(obs._arcs[qi], starts[qi]):
+                # A matched non-epsilon move is allowed from any filter
+                # state; both sides move on epsilon together only from 0.
+                if label != EPSILON or f == 0:
+                    for b, tm, output in matches.get(label, ()):
+                        out.append(((ti, tm, 0), label, output, a, b))
+                if label == EPSILON and f != 2:
+                    out.append(((ti, qm, 1), EPSILON, EPSILON, a, one))
+            if f != 1:
+                for b, tm, output in matches.get(EPSILON, ()):
+                    out.append(((qi, tm, 2), EPSILON, output, one, b))
+            return out
+
+        # States are numbered in the order they are found, and taken in
+        # that order, so the state taken next is the next to get its arcs.
+        keys = []
+        numbers = {}
         finals = {}
-        for state in machine._finals:
-            middle_state, out_state = pairs[state]
-            in_state, model_state = middle_pairs[middle_state]
-            finals[state] = (obs_finals[in_state], model_finals[model_state],
-                             obs_finals[out_state])
-        restricted.append((arcs, machine.initial, finals,
-                           factors + list(finals.values()),
-                           None if machine.initial is None
-                           else _kept_search(machine)))
-        first += obs.num_arcs + len(obs._finals)
+
+        def state(key):
+            number = numbers.get(key)
+            if number is None:
+                number = numbers[key] = len(keys)
+                keys.append(key)
+                (qi, qm, _), qo, _ = key
+                if qi in obs_finals and qm in model_finals \
+                        and qo in obs_finals:
+                    finals[number] = (obs_finals[qi], model_finals[qm],
+                                      obs_finals[qo])
+            return number
+
+        initial = state(((obs.initial, model.initial, 0), obs.initial, 0))
+        arcs = []
+        for key in keys:  # grows as states are found
+            mkey, qo, f = key
+            state_arcs = []
+            arcs.append(state_arcs)
+            made = middle.get(mkey)
+            if made is None:
+                made = middle[mkey] = moves(mkey)
+            matches = by_output[qo]
+            for target, i, o, a, b in made:
+                if o != EPSILON or f == 0:
+                    for c, to, _ in matches.get(o, ()):
+                        state_arcs.append(
+                            (state((target, to, 0)), i, o, a, b, c))
+                if o == EPSILON and f != 2:
+                    state_arcs.append(
+                        (state((target, qo, 1)), i, EPSILON, a, b, one))
+            if f != 1:
+                for c, to, _ in matches.get(EPSILON, ()):
+                    state_arcs.append((state((mkey, to, 2)), EPSILON,
+                                       EPSILON, one, one, c))
+        restricted.append((arcs, initial, finals,
+                           [arc[3:] for state_arcs in arcs
+                            for arc in state_arcs] + list(finals.values()),
+                           _components(arcs, [initial])))
     constants.append(1.0)
     search = None if model.initial is None else _kept_search(model)
     return search, restricted, constants
+
+
+def _by_label(arcs_by_state, side, first):
+    """Each state's arcs by their label on ``side`` (1 for the input, 2
+    for the output): label -> [(slot, target, the other label)], in arc
+    order, where slots number the arcs in ``all_arcs()`` order from
+    ``first``."""
+    tables = []
+    slots = count(first)
+    for arcs in arcs_by_state:
+        table = {}
+        for arc, slot in zip(arcs, slots):
+            table.setdefault(arc[side], []).append(
+                (slot, arc[0], arc[3 - side]))
+        tables.append(table)
+    return tables
 
 
 def _losses(model, search, restricted, constants):
@@ -379,10 +446,11 @@ def _losses(model, search, restricted, constants):
     and backward values alpha and beta, and its total weight Z, are
     computed once for all the observed machines.  Each restricted machine
     R is then weighted with the model's current values: an arc's weight
-    is its factors multiplied in composition's association, (w_in·w_model)
+    is its factors multiplied as two compositions would, (w_in·w_model)
     ·w_out, and passes the membership gate, as does each final weight,
-    made the same way.  Its alpha_R, beta_R and total Z_obs follow.  The
-    searches are reused, so a step neither composes nor searches.
+    made the same way: this is the one gate on R's values.  Its alpha_R,
+    beta_R and total Z_obs follow.  The searches are reused, so a step
+    neither composes nor searches.
 
     The partials come as one flat list in ``_restrict``'s parameter order,
     with one more, meaningless, entry at the end (the slot of 1.0).  Log Z
@@ -493,15 +561,15 @@ def train(real_fst, pairs, steps=200, rate=0.05, min_weight=1e-6):
     ``real_fst`` supplies the initial arc and final weights (real or diff
     semiring); every arc and final weight is a parameter.  Before the
     first step, each pair's restricted machine (its input projection, the
-    model and its output projection, composed) is built once, with where
-    each of its weights comes from and the graph search that its distance
-    passes share, and the model's search too (see ``_restrict``); a descent
-    changes values, never arcs, so they hold for every step.  Each step
-    computes the model's total weight Z, with its forward and backward
-    values, once, then re-weights each restricted machine with the
-    model's current values and solves it for the pair's loss and the
-    expected-count gradient on float values (see ``_losses``), and
-    updates with plain gradient descent.  No step composes, and no tape
+    model and its output projection, composed in one 3-way pass) is built
+    once, with where each of its weights comes from and the graph search
+    that its distance passes share, and the model's search too (see
+    ``_restrict``); a descent changes values, never arcs, so they hold for
+    every step.  Each step computes the model's total weight Z, with its
+    forward and backward values, once, then re-weights each restricted
+    machine with the model's current values and solves it for the pair's
+    loss and the expected-count gradient on float values (see
+    ``_losses``), and updates with plain gradient descent.  No step composes, and no tape
     is kept: a step neither records nor backpropagates.
     Z and every pair's total are exact, cycles included.  A model whose
     total weight diverges (a cycle of weight 1 or more) raises

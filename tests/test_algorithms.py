@@ -27,6 +27,7 @@ from wfst import (
     determinize,
     enumerate_paths,
     equivalent_by_enumeration,
+    featurized_semiring,
     fst_from_sequence,
     invert,
     lift,
@@ -52,6 +53,7 @@ from wfst.errors import (
     UnsupportedOperationError,
     WfstError,
 )
+from wfst.autodiff import _losses, _restrict
 from wfst.fst import EPSILON, Arc
 from wfst.io import parse_text, render_text
 from wfst.semirings import DEFAULT_DELTA, _kernel
@@ -345,43 +347,81 @@ class TestCompose:
         assert equivalent_by_enumeration(auto, explicit)
 
     def test_provenance_names_the_operand_arcs_and_states(self):
-        # Machines with epsilon on either side exercise all three moves
-        # of the epsilon filter.
+        # The restriction that trains on a pair is a 3-way composition,
+        # input projection, model, output projection, which names for
+        # each arc the operand arcs that made it (their slots) and for
+        # each final state the operands' final states.  Machines with
+        # epsilon on either tape exercise every move of both filters.
         rng = random.Random(12)
-        for _ in range(40):
-            a = random_epsilon_fst(rng, RealWeight, reachable_cycles=False)
-            b = random_epsilon_fst(rng, RealWeight, reachable_cycles=False)
-            out, origins, pairs = algorithms._compose(a, b, True)
-            assert render_text(out) == render_text(compose(a, b))
-            assert len(origins) == out.num_arcs
-            # A slot is a position in the operand's all_arcs() order.
-            a_arcs, b_arcs = list(a.all_arcs()), list(b.all_arcs())
-            for arc, (slot_a, slot_b) in zip(out.all_arcs(), origins):
-                qa, qb = pairs[arc.source]
-                ta, tb = pairs[arc.target]
-                arc_a = arc_b = None
-                if slot_a is None:
-                    assert (qa, arc.input) == (ta, EPSILON)
-                else:
-                    assert 0 <= slot_a < len(a_arcs)
-                    arc_a = a_arcs[slot_a]
-                    assert (arc_a.source, arc_a.target, arc_a.input) \
-                        == (qa, ta, arc.input)
-                if slot_b is None:
-                    assert (qb, arc.output) == (tb, EPSILON)
-                else:
-                    assert 0 <= slot_b < len(b_arcs)
-                    arc_b = b_arcs[slot_b]
-                    assert (arc_b.source, arc_b.target, arc_b.output) \
-                        == (qb, tb, arc.output)
-                factors = [x.weight.value for x in (arc_a, arc_b)
-                           if x is not None]
-                assert arc.weight.value == math.prod(factors)
-            for state, weight in out.finals.items():
-                qa, qb = pairs[state]
-                assert weight.value == \
-                    a.finals[qa].value * b.finals[qb].value
-        assert algorithms._compose(a, b)[1:] == (None, None)
+        for k in range(40):
+            model, obs = (one_sided_epsilons(rng, random_epsilon_fst(
+                rng, RealWeight, reachable_cycles=k % 2 == 1))
+                for _ in range(2))
+            search, [(arcs, initial, finals, factors, _)], constants = \
+                _restrict(model, [obs])
+            composed = compose(compose(project(obs, "input"), model),
+                               project(obs, "output"))
+            # The very machine that composing twice gives, zero finals too.
+            assert initial == composed.initial
+            assert [[arc[:3] for arc in state_arcs] for state_arcs in arcs] \
+                == [[arc[:3] for arc in state_arcs]
+                    for state_arcs in composed._arcs]
+            assert [arc[3:] for state_arcs in arcs for arc in state_arcs] \
+                + list(finals.values()) == factors
+            values = ([arc[3] for state_arcs in model._arcs
+                       for arc in state_arcs]
+                      + list(model._finals.values()) + constants)
+            assert [(values[a] * values[b]) * values[c]
+                    for state_arcs in arcs for _, _, _, a, b, c in state_arcs] \
+                == [arc[3] for state_arcs in composed._arcs
+                    for arc in state_arcs]
+            assert {s: (values[a] * values[b]) * values[c]
+                    for s, (a, b, c) in finals.items()
+                    if (values[a] * values[b]) * values[c]} \
+                == composed._finals
+            # A slot is a position in all_arcs() order: the model's arcs
+            # and finals, then the observed machine's, then the 1.0 of a
+            # side that stood still.  Each arc's slots must lead from the
+            # operand states of its source to those of its target.
+            one = len(values) - 1
+            model_arcs = list(model.all_arcs())
+            obs_arcs = list(obs.all_arcs())
+            base = len(model_arcs) + len(model.finals)
+            states = {initial: (obs.initial, model.initial, obs.initial)}
+            for source, state_arcs in enumerate(arcs):
+                qi, qm, qo = states[source]
+                for target, i, o, a, b, c in state_arcs:
+                    ti, tm, to = qi, qm, qo
+                    if a == one:
+                        assert i == EPSILON
+                    else:
+                        arc = obs_arcs[a - base]
+                        assert (arc.source, arc.input) == (qi, i)
+                        ti = arc.target
+                    if b == one:
+                        assert o == EPSILON
+                    else:
+                        arc = model_arcs[b]
+                        assert (arc.source, arc.input, arc.output) \
+                            == (qm, i, o)
+                        tm = arc.target
+                    if c == one:
+                        assert o == EPSILON
+                    else:
+                        arc = obs_arcs[c - base]
+                        assert (arc.source, arc.output) == (qo, o)
+                        to = arc.target
+                    assert states.setdefault(target, (ti, tm, to)) \
+                        == (ti, tm, to)
+            assert len(states) == len(arcs)
+            final_slot = {s: len(model_arcs) + k
+                          for k, s in enumerate(model.finals)}
+            obs_final = {s: base + len(obs_arcs) + k
+                         for k, s in enumerate(obs.finals)}
+            assert finals == {
+                s: (obs_final[qi], final_slot[qm], obs_final[qo])
+                for s, (qi, qm, qo) in states.items()
+                if qi in obs_final and qm in final_slot and qo in obs_final}
 
     def test_composed_weight_is_product_of_parts(self, rng):
         for _ in range(30):
@@ -793,6 +833,20 @@ def random_epsilon_fst(rng, semiring, reachable_cycles):
     return f
 
 
+def one_sided_epsilons(rng, f):
+    """``f`` with about a quarter of its arcs' input labels, and another
+    quarter of their output labels, replaced by epsilon, so that a
+    composition with it takes the moves of one side alone."""
+    arcs = []
+    for state_arcs in f._arcs:
+        arcs.append([])
+        for target, i, o, w in state_arcs:
+            r = rng.random()
+            arcs[-1].append((target, EPSILON if r < 0.25 else i,
+                             EPSILON if 0.25 <= r < 0.5 else o, w))
+    return algorithms._rebuilt(f, f.semiring, arcs, f._finals)
+
+
 def exact_epsilon_removal(f):
     """Closed form for a real machine: the epsilon closure matrix is
     (I - E)^-1, inverted by Gauss-Jordan elimination."""
@@ -986,6 +1040,28 @@ class TestPush:
             with pytest.raises(InvalidWeightError):
                 push(f, direction)
 
+    @pytest.mark.parametrize("semiring", [RealWeight, StarlessReal])
+    def test_a_state_the_initial_state_cannot_reach_decides_nothing(
+            self, semiring):
+        # 0 -a/0.5-> 1, final 0.5, and state 2, which state 0 cannot
+        # reach, with a self-loop of weight 1 (it diverges on reals, and
+        # the starless semiring cannot sum it) and an arc into state 1.
+        # Only the reachable part is pushed; state 2 keeps its arcs.
+        f = Fst(semiring)
+        for _ in range(3):
+            f.add_state()
+        f.set_initial_state(0)
+        f.add_arc(0, 1, 0.5, "a", "a")
+        f.add_arc(2, 2, 1.0, "b", "b")
+        f.add_arc(2, 1, 0.5, "b", "b")
+        f.set_final_weight(1, 0.5)
+        pushed = push(f, "initial")
+        assert [(a.source, a.target, a.weight.value)
+                for a in pushed.all_arcs()] == [(0, 1, 0.25), (2, 2, 1.0),
+                                                (2, 1, 0.5)]
+        assert {s: w.value for s, w in pushed.finals.items()} == {1: 1.0}
+        assert sum_paths(pushed).value == sum_paths(f).value == 0.25
+        assert equivalent_by_enumeration(push(f, "final"), f)
 
     def test_partial_featurized_division_is_unsupported(self):
         # Toward the final state, a:1 / (a:1, b:1) has no quotient; toward
@@ -1929,6 +2005,24 @@ class TestRandomPath:
                     r"sum to inf")):
                 random_path(f, seed=seed)
 
+    def test_featurized_without_a_weight_table_is_refused(self):
+        # Every choice of such a class weighs zero: refused before a draw.
+        text = ("#semiring featurized\n#initial 0\n#states 2\n"
+                "0 1 97 97 f:1\n1 -\n")
+        for f in (parse_text(text),
+                  fst_from_sequence("a", featurized_semiring({}))):
+            with pytest.raises(UnsupportedOperationError,
+                               match=r"bind one with featurized_semiring"):
+                random_path(f, seed=0)
+        sr = featurized_semiring({"f": 1.0})
+        f = Fst(sr)
+        f.add_state()
+        f.add_state()
+        f.set_initial_state(0)
+        f.add_arc(0, 1, sr({"f": 1}), "a", "a")
+        f.set_final_weight(1, sr({"f": 1}))
+        assert random_path(f, seed=0).input_str == "a"
+
 
 class TestEquivalence:
     def test_self_equivalence(self, rng):
@@ -2319,10 +2413,14 @@ class TestFinalValues:
         c = compose(a, a)
         assert c.num_states == 3
         self.assert_no_final(c, 2)
-        # The composition that restricts a pair for training keeps every
-        # pair of final states final, a zero product included.
-        restricted = algorithms._compose(a, a, True)[0]
-        assert restricted._finals == {2: 0.0}
+        # The restriction that trains on a pair keeps every triple of
+        # final states final, a zero product included: the observed
+        # machine's final slot (5), the model's (2), the observed's again.
+        # Its total is then zero, which the first step refuses.
+        restricted = _restrict(a, [a])
+        assert restricted[1][0][2] == {2: (5, 2, 5)}
+        with pytest.raises(WfstError, match="non-positive total weight 0.0"):
+            _losses(a, *restricted)
 
     @pytest.mark.parametrize("semiring", [RealWeight, MinWeight])
     def test_every_algorithm_stores_float_final_values(self, semiring):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import wfst.algorithms as algorithms
+import wfst.autodiff as autodiff
 from wfst import (
     FeaturizedWeight,
     Fst,
@@ -29,6 +30,7 @@ from wfst.autodiff import _forward_backward, _losses, _restrict
 from wfst.errors import (DivergenceError, InvalidWeightError,
                          SemiringMismatchError, WfstError)
 from conftest import build_hello_world_troll, plant_arc, random_cyclic_fst
+from test_algorithms import one_sided_epsilons, outcome, random_epsilon_fst
 
 
 def diff_copy(fst, semiring):
@@ -706,6 +708,32 @@ class TestRestrictionOnce:
         self.assert_trains_like_the_oracle(model, EPSILON_PAIRS, 4, 0.005,
                                            1e-6)
 
+    def test_random_epsilon_machines(self):
+        # Models and observed machines with epsilon on either tape, with
+        # reachable epsilon cycles (so R is cyclic) and without.  Each
+        # observed machine keeps the paths of one with the model's own
+        # labels, so that it agrees with some path of the model; the
+        # union adds an independent machine's.
+        rng = random.Random(3)
+        cyclic = 0
+        for k in range(8):
+            model, other = (one_sided_epsilons(rng, random_epsilon_fst(
+                rng, RealWeight, reachable_cycles=k % 2 == 1))
+                for _ in range(2))
+            own = lift(model, RealWeight,
+                       cast=lambda w: rng.uniform(0.1, 0.5))
+            for observed in (own, union(own, other)):
+                search, restricted, constants = _restrict(model, [observed])
+                cyclic += bool(restricted[0][4][1])
+                got = outcome(_losses, model, search, restricted, constants)
+                want = outcome(oracle_losses, model, [observed])
+                if isinstance(want[0], type):  # an error: the same one
+                    assert got == want
+                    continue
+                assert bits(got[0]) == bits(want[0])
+                assert bits(got[1][:len(want[1])]) == bits(want[1])
+        assert cyclic >= 4
+
     def test_zero_floor_with_a_weight_descended_to_zero(self):
         trained = self.assert_trains_like_the_oracle(
             epsilon_loop_model(), EPSILON_PAIRS, 4, 0.02, 0.0)
@@ -783,18 +811,25 @@ class TestRestrictionOnce:
             assert render_text(model) == before
 
     @pytest.mark.parametrize("steps", [0, 1, 3, 7])
-    def test_two_compositions_per_pair_per_call(self, monkeypatch, steps):
+    def test_one_restriction_per_pair_per_call(self, monkeypatch, steps):
+        # One 3-way restriction of each pair, whatever the number of
+        # steps; no composition and no projection.
         calls = []
-        compose_once = algorithms._compose
+        restrict_once = autodiff._restrict
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return compose_once(*args, **kwargs)
+        def counted(model, observed):
+            calls.append(len(observed))
+            return restrict_once(model, observed)
 
-        monkeypatch.setattr(algorithms, "_compose", counted)
+        def refused(*args):
+            raise AssertionError("train composed or projected")
+
+        monkeypatch.setattr(autodiff, "_restrict", counted)
+        monkeypatch.setattr(algorithms, "compose", refused)
+        monkeypatch.setattr(algorithms, "project", refused)
         train(workload_model(2, 0), [("ab", "ba"), ("ba", "ab"),
                                      ("aab", "bba")], steps=steps)
-        assert len(calls) == 2 * 3
+        assert calls == [3]
 
     @pytest.mark.parametrize("steps", [1, 3, 7])
     def test_one_search_per_machine_per_call(self, monkeypatch, steps):

@@ -503,6 +503,29 @@ class TestCommandTable:
         assert main(["randpath", str(model), "--seed", "1"]) == 0
         assert capsys.readouterr().out == "a\ta\t-800\n"
 
+    def test_randpath_on_a_featurized_file_asks_for_a_table(
+            self, tmp_path, capsys):
+        # A file's featurized weights bind no feature-weight table, so
+        # every choice would weigh zero: refused up front, exit 2.
+        model = tmp_path / "features.fst"
+        model.write_text("#semiring featurized\n#initial 0\n#states 2\n"
+                         "0 1 97 97 f:1\n1 -\n")
+        assert main(["randpath", str(model), "--seed", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "featurized_semiring" in err
+
+    def test_push_leaves_an_unreachable_cycle_as_it_is(self, tmp_path,
+                                                       capsys):
+        # State 2, which the initial state cannot reach, has a self-loop
+        # of weight 1: sumpaths answers 0.5, and push answers too.
+        model = tmp_path / "loop.fst"
+        text = ("#semiring real\n#initial 0\n#states 3\n0 1 97 97 0.5\n"
+                "2 2 98 98 1\n2 1 98 98 0.5\n1 1\n")
+        model.write_text(text)
+        assert main(["push", str(model)]) == 0
+        assert capsys.readouterr().out == text
+
 
 DELTA_COMMANDS = {"determinize"}
 

@@ -35,6 +35,7 @@ from wfst.autodiff import train
 from wfst.io import render_text
 from conftest import single_scc_real_fst
 from test_algorithms import random_epsilon_fst
+from test_autodiff import EPSILON_PAIRS, epsilon_loop_model
 
 LETTERS = "abcdefgh"
 
@@ -114,6 +115,15 @@ def train_text(seed):
     return f"{losses!r}\n{render_text(model)}"
 
 
+def epsilon_train_text():
+    """A 3-step ``train`` of ``epsilon_loop_model`` on ``EPSILON_PAIRS``,
+    whose unequal lengths take every move of both epsilon filters and
+    whose restricted machines are cyclic: the losses, then the machine."""
+    model, losses = train(epsilon_loop_model(), EPSILON_PAIRS, steps=3,
+                          rate=5e-3)
+    return f"{losses!r}\n{render_text(model)}"
+
+
 def values(weights):
     return " ".join(repr(w.value) for w in weights)
 
@@ -182,6 +192,7 @@ CASES = {
     "push final real lattice": lambda: render_text(
         push(decode_lattice(1, 60), "final")),
     "train cyclic real": lambda: train_text(9),
+    "train epsilon model, unequal pairs": epsilon_train_text,
     "random_path real lattice": lambda: samples_text(decode_lattice(1, 60)),
     "random_path min lattice": lambda: samples_text(
         lift(decode_lattice(1, 60), MinWeight)),
@@ -246,6 +257,10 @@ DIGESTS = {
     # of the tape's gradient descent (tests/test_autodiff.py).
     "train cyclic real":
         "a226001dae76fdf17bcf41858ee15a8f37a7b8d397d7e31e656c5377a1b2eee2",
+    # Recorded while the restriction still composed twice and unwound
+    # the provenance of both compositions.
+    "train epsilon model, unequal pairs":
+        "58a65e9aa7a05d277954ce11e3e1a0b4081f0e9a082dde5a8c5fad5e52840a1a",
     # Recorded before random_path came to run on kernel values.
     "random_path real lattice":
         "0157f05934e7f9e135685d0db6222b8bbec8f7cfb744ffacf8ddf2fe39d13d32",
